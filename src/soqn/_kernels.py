@@ -1,88 +1,40 @@
-"""Hot per-pulse kernels with a numba backend and a pure-numpy fallback.
+"""Hot per-pulse kernels, in numpy.
 
-The backend is selected once at import from the ``SOQN_BACKEND`` environment
-variable: ``auto`` (default, numba when importable), ``numba``, or ``numpy``.
-Both backends consume the same pre-drawn uniform arrays and implement the
-same elementwise logic, so their outputs are bitwise identical; randomness
-never lives inside a kernel.
-
-``benchmarks/bench_kernels.py`` times the two implementations side by side.
+Kernels consume pre-drawn uniform arrays and never draw randomness
+themselves, so a session replays bit for bit from its stream.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_BACKEND_ENV = "SOQN_BACKEND"
-_choice = os.environ.get(_BACKEND_ENV, "auto").strip().lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError(f"{_BACKEND_ENV} must be one of auto|numba|numpy, got {_choice!r}")
-
-HAS_NUMBA = False
-if _choice in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise ImportError(f"{_BACKEND_ENV}=numba but numba is not importable")
-
-USING_NUMBA = HAS_NUMBA and _choice in ("auto", "numba")
+from numpy.fft import irfft, rfft
 
 
 def backend_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
+    return "numpy"
 
 
 # --- transmit kernel -------------------------------------------------------
 #
 # One gated detection opportunity per pulse. Per pulse i:
 #   ideal bit  = tx_bit if bases match else fair coin (u_mismatch)
-#   signal click iff signal present and u_sig < eta
+#   signal click iff u_sig < eta
 #   noise click  iff u_noise < p_noise
 #   on signal click the bit flips with p_flip; a noise-only click draws a
 #   uniform bit; simultaneous clicks resolve to the signal bit.
 
 
-def _transmit_numpy(sig_present, tx_bits, tx_bases, rx_bases, eta, p_noise, p_flip,
+def transmit_pulses(tx_bits, tx_bases, rx_bases, eta, p_noise, p_flip,
                     u_mismatch, u_sig, u_noise, u_flip, u_noisebit):
+    """Return (detected, bits) as uint8 arrays, one entry per pulse."""
     match = tx_bases == rx_bases
     ideal = np.where(match, tx_bits, (u_mismatch < 0.5).astype(np.uint8))
-    sig_click = (sig_present != 0) & (u_sig < eta)
+    sig_click = u_sig < eta
     noise_click = u_noise < p_noise
     detected = sig_click | noise_click
     flipped = ideal ^ (u_flip < p_flip).astype(np.uint8)
     noise_bit = (u_noisebit < 0.5).astype(np.uint8)
     bits = np.where(sig_click, flipped, np.where(noise_click, noise_bit, 0)).astype(np.uint8)
-    noise_only = (noise_click & ~sig_click).astype(np.uint8)
-    return detected.astype(np.uint8), bits, noise_only
-
-
-def _transmit_loop(sig_present, tx_bits, tx_bases, rx_bases, eta, p_noise, p_flip,
-                   u_mismatch, u_sig, u_noise, u_flip, u_noisebit):
-    n = tx_bits.shape[0]
-    detected = np.empty(n, dtype=np.uint8)
-    bits = np.empty(n, dtype=np.uint8)
-    noise_only = np.empty(n, dtype=np.uint8)
-    for i in range(n):
-        if tx_bases[i] == rx_bases[i]:
-            ideal = tx_bits[i]
-        else:
-            ideal = np.uint8(1) if u_mismatch[i] < 0.5 else np.uint8(0)
-        sig_click = sig_present[i] != 0 and u_sig[i] < eta
-        noise_click = u_noise[i] < p_noise
-        if sig_click:
-            b = ideal ^ (np.uint8(1) if u_flip[i] < p_flip else np.uint8(0))
-        elif noise_click:
-            b = np.uint8(1) if u_noisebit[i] < 0.5 else np.uint8(0)
-        else:
-            b = np.uint8(0)
-        detected[i] = np.uint8(1) if (sig_click or noise_click) else np.uint8(0)
-        bits[i] = b
-        noise_only[i] = np.uint8(1) if (noise_click and not sig_click) else np.uint8(0)
-    return detected, bits, noise_only
+    return detected.astype(np.uint8), bits
 
 
 # --- Toeplitz-style universal hash -----------------------------------------
@@ -91,50 +43,27 @@ def _transmit_loop(sig_present, tx_bits, tx_bases, rx_bases, eta, p_noise, p_fli
 # Rows of the implied binary matrix are sliding windows of t, which is a
 # Toeplitz matrix up to row order, hence a universal family.
 
+# Every exact sum is an integer, so a float result further than this from
+# the nearest integer means the FFT lost the precision needed to round it.
+ROUNDING_MARGIN = 0.25
 
-_POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
+def toeplitz_hash(key_bits, t_bits, m):
+    """Hash ``key_bits`` (n bits) to ``m`` bits with the window rows of
+    ``t_bits`` (n+m-1 bits).
 
-def _toeplitz_numpy(key_bits, t_bits, m):
-    # Rows i, i+8, i+16, ... use byte-aligned windows of the same packed
-    # shift of t, so eight packings cover every row. All integer bit ops:
-    # exact and bitwise identical to the loop implementation.
+    The integer sums are the correlation of t with the key, computed as one
+    linear convolution of t with the reversed key by real FFTs, then rounded
+    and reduced mod 2 (the technique of fast QKD privacy amplification,
+    Hayashi & Tsurumaru, IEEE TIT 62(4), 2016). Raises ``ArithmeticError``
+    when a sum lands further than ``ROUNDING_MARGIN`` from an integer.
+    """
     n = key_bits.shape[0]
-    nbytes = (n + 7) // 8
-    key_packed = np.packbits(key_bits, bitorder="little")
-    out = np.empty(m, dtype=np.uint8)
-    for r in range(min(8, m)):
-        packed = np.packbits(t_bits[r:], bitorder="little")
-        windows = np.lib.stride_tricks.sliding_window_view(packed, nbytes)
-        rows = np.arange(r, m, 8)
-        masked = windows[(rows - r) >> 3] & key_packed[None, :]
-        out[rows] = (_POP8[masked].sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
-    return out
-
-
-def _toeplitz_loop(key_bits, t_bits, m):
-    n = key_bits.shape[0]
-    out = np.empty(m, dtype=np.uint8)
-    for i in range(m):
-        acc = np.uint8(0)
-        for j in range(n):
-            acc ^= t_bits[i + j] & key_bits[j]
-        out[i] = acc
-    return out
-
-
-if USING_NUMBA:
-    _transmit_jit = njit(cache=True)(_transmit_loop)
-    _toeplitz_jit = njit(cache=True)(_toeplitz_loop)
-    transmit_pulses = _transmit_jit
-    toeplitz_hash = _toeplitz_jit
-else:
-    transmit_pulses = _transmit_numpy
-    toeplitz_hash = _toeplitz_numpy
-
-# Both implementations, for cross-checking and benchmarks.
-TRANSMIT_IMPLS = {"numpy": _transmit_numpy}
-TOEPLITZ_IMPLS = {"numpy": _toeplitz_numpy}
-if USING_NUMBA:
-    TRANSMIT_IMPLS["numba"] = _transmit_jit
-    TOEPLITZ_IMPLS["numba"] = _toeplitz_jit
+    size = 1 << max(2 * n + m - 3, 0).bit_length()  # power of two >= 2n+m-2
+    c = irfft(rfft(t_bits, size) * rfft(key_bits[::-1], size), size)[n - 1 : n - 1 + m]
+    r = np.rint(c)
+    err = float(np.max(np.abs(c - r), initial=0.0))
+    if err > ROUNDING_MARGIN:
+        raise ArithmeticError(f"FFT rounding error {err:.3g} exceeds {ROUNDING_MARGIN} "
+                              f"(n={n}, m={m})")
+    return (r.astype(np.int64) & 1).astype(np.uint8)

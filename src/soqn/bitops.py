@@ -3,7 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 
-_HEX = "0123456789abcdef"
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# Digit value of each code point below 256 (lower-case digits only); 16
+# marks a non-digit, and larger code points are clipped onto entry 255.
+_HEX_VALUE = np.full(256, 16, dtype=np.uint8)
+_HEX_VALUE[_HEX_DIGITS] = np.arange(16, dtype=np.uint8)
+# Row v holds the 4 bits of digit value v, most significant first.
+_NIBBLE_BITS = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 4:].copy()
 
 
 def as_bits(value) -> np.ndarray:
@@ -26,24 +32,18 @@ def xor_bits(a, b) -> np.ndarray:
 def bits_from_hex(text: str) -> np.ndarray:
     """Each hex digit expands to 4 bits, most significant first."""
     text = text.lower()
-    out = np.empty(4 * len(text), dtype=np.uint8)
-    for i, ch in enumerate(text):
-        v = _HEX.find(ch)
-        if v < 0:
-            raise ValueError(f"invalid hex digit {ch!r}")
-        out[4 * i] = (v >> 3) & 1
-        out[4 * i + 1] = (v >> 2) & 1
-        out[4 * i + 2] = (v >> 1) & 1
-        out[4 * i + 3] = v & 1
-    return out
+    # One code point per character, so an index into codes is one into text.
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    values = _HEX_VALUE.take(codes, mode="clip")
+    bad = values > 15
+    if bad.any():
+        raise ValueError(f"invalid hex digit {text[int(bad.argmax())]!r}")
+    return _NIBBLE_BITS.take(values, axis=0).ravel()
 
 
 def hex_from_bits(bits) -> str:
     arr = as_bits(bits)
     if len(arr) % 4 != 0:
         raise ValueError("bit length must be a multiple of 4")
-    digits = []
-    for i in range(0, len(arr), 4):
-        v = int(arr[i]) << 3 | int(arr[i + 1]) << 2 | int(arr[i + 2]) << 1 | int(arr[i + 3])
-        digits.append(_HEX[v])
-    return "".join(digits)
+    values = np.packbits(arr.reshape(-1, 4), axis=1)[:, 0] >> 4
+    return _HEX_DIGITS[values].tobytes().decode("ascii")

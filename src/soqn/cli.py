@@ -1,8 +1,7 @@
 """Command-line entry point: parse a scenario file, run it, write reports.
 
 Exit codes: 0 ok, 2 parse error, 3 strict-mode delivery failure, 4 internal
-invariant violation. ``SOQN_LOG`` selects log verbosity (debug|info|warning),
-``SOQN_BACKEND`` selects the kernel backend (auto|numba|numpy).
+invariant violation. ``SOQN_LOG`` selects log verbosity (debug|info|warning).
 """
 from __future__ import annotations
 

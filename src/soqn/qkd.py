@@ -290,9 +290,8 @@ def _prepare_measure_rounds(n_pulses: int, loss_db: float, eve: EveConfig,
     u_noise = rng.uniforms(n_pulses)
     u_flip = rng.uniforms(n_pulses)
     u_noisebit = rng.uniforms(n_pulses)
-    present = np.ones(n_pulses, dtype=np.uint8)
-    detected, receiver_bits, _ = transmit_pulses(
-        present, tx_bits, tx_bases, receiver_bases,
+    detected, receiver_bits = transmit_pulses(
+        tx_bits, tx_bases, receiver_bases,
         eta_total, channel.noise_prob, channel.intrinsic_error_prob,
         u_mismatch, u_sig, u_noise, u_flip, u_noisebit,
     )

@@ -41,7 +41,7 @@ def _pass(number: int, message: str) -> None:
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    """Trigger any JIT compilation outside the timed sections."""
+    """Run one small session first, so one-time set-up stays outside the timed sections."""
     run_bb84_session(ideal_link(), 512, EveConfig(), RandomStream(0, "warmup"),
                      IDEAL, ProtocolParams(min_sift_len=64, safety_margin_bits=0))
 
