@@ -1,8 +1,8 @@
 """Self-organizing network protocol: node state, links, routing, key relay.
 
 Nodes announce locations over the broadcast bus, acquire every feasible
-optical link their roles allow, and keep bit-identical routing tables built
-from those broadcasts. Key material lives in pairwise one-time-pad buffers
+optical link their roles allow, and share one routing table built from
+those broadcasts. Key material lives in pairwise one-time-pad buffers
 with strict consume-once accounting; end-to-end keys for non-adjacent nodes
 are distributed by trusted relays publishing XORs of adjacent hop keys.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,10 +88,17 @@ class OpticalLink:
     state: str = "active"  # acquiring | active | torn_down
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoutingTable:
-    owner: NodeId
-    links: set[tuple[NodeId, NodeId]] = field(default_factory=set)
+    """The active link set every node builds from the location and link
+    broadcasts, numbered by topology change.
+
+    The broadcast bus is reliable and instantaneous, so every deployed node
+    would build this same table at the same moment; the network keeps the
+    one table they all share.
+    """
+
+    links: frozenset[tuple[NodeId, NodeId]] = frozenset()
     version: int = 0
 
 
@@ -270,7 +277,7 @@ class Network:
         self.nodes: dict[NodeId, NodeInfo] = {}
         self.links: dict[tuple[NodeId, NodeId], OpticalLink] = {}
         self.link_history: dict[tuple[NodeId, NodeId], OpticalLink] = {}
-        self.tables: dict[NodeId, RoutingTable] = {}
+        self.table = RoutingTable()
         self.buffers: dict[tuple[NodeId, NodeId], KeyBuffer] = {}
         self.eve: dict[tuple[NodeId, NodeId], EveConfig] = {}
         self.deliveries: list[DeliveryRecord] = []
@@ -281,7 +288,6 @@ class Network:
         self.consume_events: list[tuple[tuple[NodeId, NodeId], int, int, str]] = []
         self.organized = False
         self._session_counts: dict[tuple[NodeId, NodeId], int] = {}
-        self._table_version = 0
 
     # -- node lifecycle ---------------------------------------------------
 
@@ -304,7 +310,6 @@ class Network:
             raise DuplicateNodeError(f"node {node_id!r} deployed twice")
         node.deployed = True
         self.engine.mark_deployed(node_id)
-        self.tables[node_id] = RoutingTable(owner=node_id, version=self._table_version)
         self.engine.emit("deploy", node_id, role=node.role,
                          lat=node.position.latitude_deg, lon=node.position.longitude_deg,
                          alt=node.position.altitude_m)
@@ -419,15 +424,13 @@ class Network:
         self.keygen_events.append((pair, offset, len(bits)))
         self.engine.emit("keygen", pair[0], peer=pair[1], offset=offset, bits=len(bits))
 
-    def find_path(self, src: NodeId, dst: NodeId, table: RoutingTable | None = None) -> list[NodeId]:
-        """Min-hop route from the routing table; see ``shortest_path``."""
-        self._node(src)
+    def find_path(self, src: NodeId, dst: NodeId) -> list[NodeId]:
+        """Min-hop route over the routing table; see ``shortest_path``."""
+        deployed = self._node(src).deployed
         self._node(dst)
-        if table is None:
-            table = self.tables.get(src)
-            if table is None:
-                raise UnknownNodeError(f"node {src!r} has no routing table")
-        links = {p: self.links[p].distance_km for p in table.links if p in self.links}
+        if not deployed:
+            raise UnknownNodeError(f"node {src!r} has no routing table")
+        links = {p: self.links[p].distance_km for p in self.table.links}
         if self.mode == "cs":
             can_relay = lambda n: self.nodes[n].role == ROLE_SERVER
         else:
@@ -519,20 +522,10 @@ class Network:
         return problems
 
     def audit_tables(self) -> list[str]:
-        """Check that every deployed node holds the same routing table."""
-        problems: list[str] = []
-        deployed = [n for n, info in self.nodes.items() if info.deployed]
-        if not deployed:
-            return problems
-        reference = self.tables[deployed[0]]
-        for nid in deployed[1:]:
-            t = self.tables[nid]
-            if t.links != reference.links or t.version != reference.version:
-                problems.append(f"table of {nid} diverges from {reference.owner}")
-        active = self.active_pairs()
-        if reference.links != active:
-            problems.append("tables do not match the active link set")
-        return problems
+        """Check that the routing table matches the active link set."""
+        if self.table.links != self.active_pairs():
+            return ["tables do not match the active link set"]
+        return []
 
     def audit_roles(self) -> list[str]:
         """C/S structural invariant: no client-client link, ever."""
@@ -599,11 +592,7 @@ class Network:
         return {p for p, l in self.links.items() if l.state == "active"}
 
     def _refresh_tables(self) -> None:
-        active = self.active_pairs()
-        self._table_version += 1
-        for nid, info in self.nodes.items():
-            if info.deployed:
-                self.tables[nid] = RoutingTable(nid, set(active), self._table_version)
+        self.table = RoutingTable(frozenset(self.active_pairs()), self.table.version + 1)
 
     def _buffer(self, pair: tuple[NodeId, NodeId]) -> KeyBuffer:
         buf = self.buffers.get(pair)

@@ -80,9 +80,8 @@ def install_handler(engine: SimEngine, network: Network,
         elif kind == "link_active":
             network.activate_link(ev.payload["pair"])
         elif kind == "snapshot":
-            table_version = max((t.version for t in network.tables.values()), default=0)
-            snapshots_out.append(Snapshot(engine.now, table_version,
-                                          tuple(sorted(network.active_pairs()))))
+            snapshots_out.append(Snapshot(engine.now, network.table.version,
+                                          tuple(sorted(network.table.links))))
         elif kind == "param_set":
             _apply_param(network, ev.payload["name"], ev.payload["value"])
         else:

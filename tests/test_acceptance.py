@@ -176,10 +176,7 @@ def check_against_oracle(network, ids, roles, mode):
     ok = oracle_feasibility(lats, lons, alts, roles, mode)
     expected = {pair_key(ids[i], ids[j])
                 for i in range(len(ids)) for j in range(i + 1, len(ids)) if ok[i, j]}
-    tables = [network.tables[n] for n in ids]
-    for table in tables:
-        assert table.links == expected
-        assert table.version == tables[0].version
+    assert network.table.links == expected
     return expected
 
 

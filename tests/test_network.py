@@ -60,9 +60,8 @@ class TestOrganize:
             ("n3", "peer", deg(10), 0.0, 200.0),
         ])
         assert len(net.links) == 3
-        for table in net.tables.values():
-            assert len(table.links) == 3
-            assert table.version == 1
+        assert len(net.table.links) == 3
+        assert net.table.version == 1
 
     def test_out_of_range_pair_missing_everywhere(self):
         # n1..n3 clustered, n4 reachable only from n3
@@ -74,8 +73,7 @@ class TestOrganize:
         ])
         expected = feasibility_oracle(net)
         assert ("n3", "n4") in expected and ("n1", "n4") not in expected
-        for table in net.tables.values():
-            assert table.links == expected
+        assert net.table.links == expected
 
     def test_cs_no_client_client_links(self):
         _, net = make_network("cs", [
@@ -112,7 +110,7 @@ class TestJoinMove:
         ])
         net.add_node("n4", "peer", GeoPosition(0.0, deg(35), 300.0))
         net.handle_deploy("n4")  # organized network -> auto join
-        assert net.tables["n4"].links == feasibility_oracle(net)
+        assert net.table.links == feasibility_oracle(net)
         incident = {p for p in net.links if "n4" in p}
         assert incident == {("n1", "n4"), ("n2", "n4")}
 
@@ -143,10 +141,10 @@ class TestJoinMove:
             ("n2", "peer", 0.0, deg(10), 0.0),
         ])
         before = {p for p in net.links}
-        v_before = net.tables["n1"].version
+        v_before = net.table.version
         net.move_node("n1", GeoPosition(0.0, deg(1), 0.0))
         assert {p for p in net.links} == before
-        assert net.tables["n1"].version == v_before + 1
+        assert net.table.version == v_before + 1
 
     def test_move_out_of_range_drops_links(self):
         _, net = make_network("p2p", [
@@ -156,8 +154,7 @@ class TestJoinMove:
         ])
         net.move_node("n1", GeoPosition(60.0, 100.0, 0.0))
         assert all("n1" not in p for p in net.links)
-        for table in net.tables.values():
-            assert table.links == feasibility_oracle(net)
+        assert net.table.links == feasibility_oracle(net)
 
     def test_random_churn_tracks_oracle(self):
         rng = np.random.default_rng(42)
@@ -179,9 +176,7 @@ class TestJoinMove:
                               GeoPosition(float(rng.uniform(0, 1.0)),
                                           float(rng.uniform(0, 1.0)),
                                           float(rng.uniform(0, 2000))))
-            expected = feasibility_oracle(net)
-            for table in net.tables.values():
-                assert table.links == expected
+            assert net.table.links == feasibility_oracle(net)
         assert net.audit_tables() == []
 
     def test_move_unknown_node(self):
@@ -263,6 +258,36 @@ class TestFindPath:
             ("s", "server", 0.0, deg(1), 0.0),
         ])
         assert net.find_path("c1", "c2") == ["c1", "s", "c2"]
+
+    def test_acquiring_link_is_routed_once_active(self):
+        _, net = make_network("p2p", [
+            ("a", "peer", 0.0, 0.0, 0.0),
+            ("b", "peer", 0.0, deg(10), 0.0),
+        ], acquire_delay_s=2.0)
+        assert net.links[("a", "b")].state == "acquiring"
+        assert net.table.links == frozenset()
+        with pytest.raises(NoRouteError):
+            net.find_path("a", "b")
+        version = net.table.version
+        net.activate_link(("a", "b"))
+        assert net.find_path("a", "b") == ["a", "b"]
+        assert net.table.version == version + 1
+        assert net.audit_tables() == []
+
+    def test_audit_catches_missed_refresh(self):
+        _, net = make_network("p2p", [
+            ("a", "peer", 0.0, 0.0, 0.0),
+            ("b", "peer", 0.0, deg(10), 0.0),
+        ], acquire_delay_s=2.0)
+        assert net.audit_tables() == []
+        net.links[("a", "b")].state = "active"  # no _refresh_tables
+        assert net.audit_tables() == ["tables do not match the active link set"]
+
+    def test_undeployed_source_has_no_table(self):
+        _, net = make_network("p2p", [("a", "peer", 0.0, 0.0, 0.0)])
+        net.add_node("late", "peer", GeoPosition(0.0, deg(5), 0.0))
+        with pytest.raises(UnknownNodeError, match="has no routing table"):
+            net.find_path("late", "a")
 
 
 class TestKeyBuffer:
