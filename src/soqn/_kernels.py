@@ -1,7 +1,8 @@
 """Hot per-pulse kernels, in numpy.
 
-Kernels consume pre-drawn uniform arrays and never draw randomness
-themselves, so a session replays bit for bit from its stream.
+Kernels never draw randomness themselves: the transmit kernel takes boolean
+masks thresholded from pre-drawn uniform arrays, so a session replays bit
+for bit from its stream.
 """
 from __future__ import annotations
 
@@ -15,26 +16,23 @@ def backend_name() -> str:
 
 # --- transmit kernel -------------------------------------------------------
 #
-# One gated detection opportunity per pulse. Per pulse i:
-#   ideal bit  = tx_bit if bases match else fair coin (u_mismatch)
-#   signal click iff u_sig < eta
-#   noise click  iff u_noise < p_noise
-#   on signal click the bit flips with p_flip; a noise-only click draws a
-#   uniform bit; simultaneous clicks resolve to the signal bit.
+# One gated detection opportunity per pulse. The caller draws one uniform
+# array per random choice and passes it thresholded into a boolean mask:
+#   coin        u < 0.5      the bit read in a mismatched basis
+#   sig_click   u < eta      the signal photon clicks
+#   noise_click u < p_noise  a dark or background click
+#   flip        u < p_flip   a signal click reads the flipped bit
+#   noise_bit   u < 0.5      the bit of a noise-only click
+# Per pulse i: ideal bit = tx_bit if bases match else coin; on a signal
+# click the bit is ideal ^ flip; a noise-only click reads noise_bit;
+# simultaneous clicks resolve to the signal bit.
 
 
-def transmit_pulses(tx_bits, tx_bases, rx_bases, eta, p_noise, p_flip,
-                    u_mismatch, u_sig, u_noise, u_flip, u_noisebit):
+def transmit_pulses(tx_bits, tx_bases, rx_bases, coin, sig_click, noise_click, flip, noise_bit):
     """Return (detected, bits) as uint8 arrays, one entry per pulse."""
-    match = tx_bases == rx_bases
-    ideal = np.where(match, tx_bits, (u_mismatch < 0.5).astype(np.uint8))
-    sig_click = u_sig < eta
-    noise_click = u_noise < p_noise
-    detected = sig_click | noise_click
-    flipped = ideal ^ (u_flip < p_flip).astype(np.uint8)
-    noise_bit = (u_noisebit < 0.5).astype(np.uint8)
-    bits = np.where(sig_click, flipped, np.where(noise_click, noise_bit, 0)).astype(np.uint8)
-    return detected.astype(np.uint8), bits
+    ideal = np.where(tx_bases == rx_bases, tx_bits, coin)
+    bits = np.where(sig_click, ideal ^ flip, noise_click & noise_bit).astype(np.uint8, copy=False)
+    return (sig_click | noise_click).astype(np.uint8), bits
 
 
 # --- Toeplitz-style universal hash -----------------------------------------

@@ -2,9 +2,11 @@
 
 A virtual clock, a (time, sequence)-ordered event queue, a reliable
 same-tick classical broadcast bus, and label-keyed random streams. All
-protocol state mutation happens on the single event-loop thread; the event
-log is an append-only list of stable, tab-separated records suitable for
-golden-file comparison.
+protocol state mutation happens on the single event-loop thread. The event
+log is append-only and reads as stable, tab-separated records suitable for
+golden-file comparison. A broadcast's receptions are kept as one fan-out
+entry rather than one record per receiver, and are expanded into their
+``bcast_rx`` records on read.
 """
 from __future__ import annotations
 
@@ -46,6 +48,38 @@ class LogRecord:
         return f"{self.time:.6f}\t{self.seq}\t{self.kind}\t{self.origin}\t{self.details}"
 
 
+@dataclass(frozen=True)
+class FanOut:
+    """The receptions of one broadcast: a ``bcast_rx`` record for each node
+    of ``deployed[:upto]`` other than ``source``, numbered from ``seq``.
+
+    The deployment list only ever grows, so its first ``upto`` entries are
+    the nodes deployed when the broadcast went out.
+    """
+
+    time: float
+    seq: int
+    source: str
+    topic: str
+    upto: int
+
+    def receivers(self, deployed: list[str]) -> list[str]:
+        return [n for n in deployed[: self.upto] if n != self.source]
+
+    def records(self, deployed: list[str]) -> list[LogRecord]:
+        details = details_str(source=self.source, topic=self.topic)
+        return [LogRecord(self.time, seq, "bcast_rx", node, details)
+                for seq, node in enumerate(self.receivers(deployed), self.seq)]
+
+    def lines(self, deployed: list[str]) -> list[str]:
+        """``[r.to_line() for r in self.records(deployed)]``, formatting the
+        time and the details once (both fields are strings, which ``fmt``
+        leaves as they are)."""
+        head, tail = f"{self.time:.6f}\t", f"\tsource={self.source} topic={self.topic}"
+        return [f"{head}{seq}\tbcast_rx\t{node}{tail}"
+                for seq, node in enumerate(self.receivers(deployed), self.seq)]
+
+
 def fmt(value) -> str:
     """Stable scalar formatting for log and report fields (6 significant
     digits for floats)."""
@@ -66,7 +100,7 @@ class SimEngine:
     def __init__(self, seed: int):
         self.seed = seed
         self.now = 0.0
-        self.log: list[LogRecord] = []
+        self._entries: list[LogRecord | FanOut] = []
         self.deployed: list[str] = []  # insertion order = deployment order
         self._deployed_set: set[str] = set()
         self._queue: list[tuple[float, int, ScenarioEvent]] = []
@@ -85,11 +119,31 @@ class SimEngine:
     def emit(self, kind: str, origin: str, **fields) -> LogRecord:
         rec = LogRecord(self.now, self._log_seq, kind, origin, details_str(**fields))
         self._log_seq += 1
-        self.log.append(rec)
+        self._entries.append(rec)
         return rec
 
+    @property
+    def log(self) -> list[LogRecord]:
+        """Every record so far, with each broadcast's receptions expanded
+        (a new list on each access)."""
+        records: list[LogRecord] = []
+        for entry in self._entries:
+            if type(entry) is LogRecord:
+                records.append(entry)
+            else:
+                records += entry.records(self.deployed)
+        return records
+
     def log_lines(self) -> list[str]:
-        return [rec.to_line() for rec in self.log]
+        """``[r.to_line() for r in self.log]``, without building the records
+        of the receptions."""
+        lines: list[str] = []
+        for entry in self._entries:
+            if type(entry) is LogRecord:
+                lines.append(entry.to_line())
+            else:
+                lines += entry.lines(self.deployed)
+        return lines
 
     # -- deployment registry ----------------------------------------------
 
@@ -134,14 +188,13 @@ class SimEngine:
 
     def broadcast(self, origin: str, topic: str, payload: str = "") -> int:
         """Deliver a payload to every other deployed node at the current
-        tick. Returns the number of deliveries."""
+        tick. Returns the number of deliveries, which are logged as one
+        fan-out entry."""
         if not self.is_deployed(origin):
             raise UndeployedOriginError(f"origin {origin!r} is not deployed")
         self.emit("broadcast", origin, topic=topic, payload=payload)
-        count = 0
-        for node in self.deployed:
-            if node == origin:
-                continue
-            self.emit("bcast_rx", node, source=origin, topic=topic)
-            count += 1
+        upto = len(self.deployed)
+        self._entries.append(FanOut(self.now, self._log_seq, origin, topic, upto))
+        count = upto - 1  # every deployed node but the origin
+        self._log_seq += count
         return count

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,13 +322,12 @@ class Network:
         deployed = [n for n in self._deploy_order() if self.nodes[n].deployed]
         for nid in deployed:
             self.engine.broadcast(nid, "location", self._loc_payload(nid))
-        new_links = 0
         for i, a in enumerate(deployed):
             for b in deployed[i + 1 :]:
-                if self._try_acquire(a, b):
-                    new_links += 1
+                self._try_acquire(a, b)
+        incident = Counter(nid for pair in self.links for nid in pair)
         for nid in deployed:
-            self.engine.broadcast(nid, "link_report", f"links={self._incident_count(nid)}")
+            self.engine.broadcast(nid, "link_report", f"links={incident[nid]}")
         self._refresh_tables()
         self.organized = True
         self.engine.emit("organize", "-", nodes=len(deployed), links=len(self.active_pairs()))

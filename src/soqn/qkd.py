@@ -285,16 +285,15 @@ def _prepare_measure_rounds(n_pulses: int, loss_db: float, eve: EveConfig,
         tx_bits = sender_bits
         tx_bases = sender_bases
     receiver_bases = rng.bits(n_pulses)
-    u_mismatch = rng.uniforms(n_pulses)
-    u_sig = rng.uniforms(n_pulses)
-    u_noise = rng.uniforms(n_pulses)
-    u_flip = rng.uniforms(n_pulses)
-    u_noisebit = rng.uniforms(n_pulses)
-    detected, receiver_bits = transmit_pulses(
-        tx_bits, tx_bases, receiver_bases,
-        eta_total, channel.noise_prob, channel.intrinsic_error_prob,
-        u_mismatch, u_sig, u_noise, u_flip, u_noisebit,
-    )
+    # Each uniform array is thresholded as soon as it is drawn, so that only
+    # one float64 array of n_pulses is alive at a time.
+    coin = rng.uniforms(n_pulses) < 0.5
+    sig_click = rng.uniforms(n_pulses) < eta_total
+    noise_click = rng.uniforms(n_pulses) < channel.noise_prob
+    flip = rng.uniforms(n_pulses) < channel.intrinsic_error_prob
+    noise_bit = rng.uniforms(n_pulses) < 0.5
+    detected, receiver_bits = transmit_pulses(tx_bits, tx_bases, receiver_bases,
+                                              coin, sig_click, noise_click, flip, noise_bit)
     return sender_bits, sender_bases, receiver_bases, detected, receiver_bits
 
 

@@ -140,4 +140,5 @@ def write_outputs(report: Report, engine: SimEngine, out_dir: str) -> None:
     with open(os.path.join(out_dir, "records.tsv"), "w") as fh:
         fh.write(render_records(report))
     with open(os.path.join(out_dir, "events.log"), "w") as fh:
-        fh.write("\n".join(engine.log_lines()) + ("\n" if engine.log else ""))
+        lines = engine.log_lines()
+        fh.write("\n".join(lines) + ("\n" if lines else ""))

@@ -1,8 +1,14 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 from soqn.engine import ScenarioEvent, SchedulingError, SimEngine, UndeployedOriginError
 from soqn.rng import RandomStream
+from soqn.runner import build_simulation, install_handler
+from soqn.scenario import parse_scenario
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def collector(engine):
@@ -108,6 +114,27 @@ class TestBroadcast:
         with pytest.raises(UndeployedOriginError):
             engine.broadcast("ghost", "boo")
 
+    def test_later_deployment_not_among_receivers(self):
+        engine = SimEngine(0)
+        engine.mark_deployed("a")
+        engine.mark_deployed("b")
+        engine.broadcast("a", "before")
+        engine.mark_deployed("c")
+        engine.broadcast("b", "after")
+        rx = [(r.origin, r.details) for r in engine.log if r.kind == "bcast_rx"]
+        assert rx == [("b", "source=a topic=before"),
+                      ("a", "source=b topic=after"), ("c", "source=b topic=after")]
+
+    def test_emit_after_broadcast_skips_the_receptions(self):
+        engine = SimEngine(0)
+        for n in ("a", "b", "c", "d"):
+            engine.mark_deployed(n)
+        k = engine.broadcast("c", "topic")
+        sent = engine.log[-k - 1]
+        assert sent.kind == "broadcast"
+        assert engine.emit("next", "a").seq == sent.seq + k + 1
+        assert [r.seq for r in engine.log] == list(range(k + 2))
+
 
 class TestLog:
     def test_lines_are_tab_separated_and_stable(self):
@@ -121,6 +148,15 @@ class TestLog:
         for i in range(5):
             engine.emit("k", "n", i=i)
         assert [r.seq for r in engine.log] == list(range(5))
+
+    def test_lines_match_expanded_records(self):
+        sc = parse_scenario((SCENARIOS / "p2p_relay.soqn").read_text())
+        engine, network = build_simulation(sc)
+        install_handler(engine, network, [])
+        while engine.pending_events():
+            engine.run_until(engine.last_event_time())
+        assert any(r.kind == "bcast_rx" for r in engine.log)
+        assert [r.to_line() for r in engine.log] == engine.log_lines()
 
 
 class TestRandomStreams:

@@ -3,13 +3,18 @@ for byte. The pins are sha256 digests of the files the CLI writes; a
 change that alters any artifact must regenerate them and say why."""
 import hashlib
 import pathlib
+import sys
 
 import pytest
 
 from soqn.runner import EXIT_OK, run_scenario
 from soqn.scenario import parse_scenario
 
-SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+sys.path[:0] = [str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
 
 GOLDEN = {
     "cs_backbone.soqn": {
@@ -83,3 +88,28 @@ def test_golden_replay_with_snapshots(name, acquire_delay, tmp_path):
     assert code == EXIT_OK
     expected = GOLDEN_SNAPSHOTS[name, acquire_delay]
     assert _digests(tmp_path, expected) == expected
+
+
+# Mid-size synthetic scenarios from the benchmark's seeded generator, at
+# seed 1: cs_mobility has late joins (broadcasts reaching only the nodes
+# deployed so far) and qkd_bulk_chain long QKD sessions.
+GOLDEN_WORKLOADS = {
+    "cs_mobility": {
+        "events.log": "03a83fd10c086afcac8f675bddbfd3e1d992e93c58c36dbb58d2b8e6facd8500",
+        "report.txt": "32f40f1ad5deeadd03cbe151ff0481e6295194a80982174d3e3a3dfb1b4d6b0e",
+        "records.tsv": "a3a1c769d0941881bef8c796330134521fb09fddf01a59ac82b1432983141c1d",
+    },
+    "qkd_bulk_chain": {
+        "events.log": "9a998f38ea6aecc5e7beb3e525b6a2c30c08ce0d126929dccf1f8eb461a918c4",
+        "report.txt": "9f9f962937e2f04c48770b20c98d0c3f2234bfb226ba009bbff94b985ee5269f",
+        "records.tsv": "6099e0f9a8f8a13c9ed0b1b457cd0233838769c79c3aa0df1bd65628f5319192",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
+def test_golden_replay_of_workload(name, tmp_path):
+    sc = parse_scenario(workloads.generate(name, 1))
+    _, code = run_scenario(sc, out_dir=str(tmp_path))
+    assert code == EXIT_OK
+    assert _digests(tmp_path, GOLDEN_WORKLOADS[name]) == GOLDEN_WORKLOADS[name]

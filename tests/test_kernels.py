@@ -5,17 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soqn import _kernels
+from soqn.channel import ChannelParams, transmittance
+from soqn.qkd import EveConfig, _prepare_measure_rounds
 from soqn.rng import RandomStream
 
 
 def _transmit_inputs(n, seed=123, eta=0.7, p_noise=0.02, p_flip=0.05):
+    """(kernel arguments, reference arguments) for n pulses: the reference
+    takes five uniform arrays, the kernel the same uniforms thresholded."""
     rng = RandomStream(seed, "kernel-test")
-    args = (
-        rng.bits(n), rng.bits(n), rng.bits(n),
-        eta, p_noise, p_flip,
-        rng.uniforms(n), rng.uniforms(n), rng.uniforms(n), rng.uniforms(n), rng.uniforms(n),
-    )
-    return args
+    pulses = (rng.bits(n), rng.bits(n), rng.bits(n))
+    u_mismatch, u_sig, u_noise, u_flip, u_noisebit = (rng.uniforms(n) for _ in range(5))
+    masks = (u_mismatch < 0.5, u_sig < eta, u_noise < p_noise, u_flip < p_flip, u_noisebit < 0.5)
+    reference = (eta, p_noise, p_flip, u_mismatch, u_sig, u_noise, u_flip, u_noisebit)
+    return pulses + masks, pulses + reference
 
 
 def _transmit_reference(tx_bits, tx_bases, rx_bases, eta, p_noise, p_flip,
@@ -36,6 +39,27 @@ def _transmit_reference(tx_bits, tx_bases, rx_bases, eta, p_noise, p_flip,
     return detected, bits
 
 
+def _rounds_reference(n_pulses, loss_db, eve, channel, rng):
+    """The prepare-measure rounds as they were first written: all five
+    uniform arrays drawn, then the per-pulse loop over them."""
+    eta_total = transmittance(loss_db) * channel.detector_efficiency
+    sender_bits = rng.bits(n_pulses)
+    sender_bases = rng.bits(n_pulses)
+    if eve.mode == "intercept_resend":
+        eve_bases = rng.bits(n_pulses)
+        eve_coin = rng.bits(n_pulses)
+        tx_bits = np.where(eve_bases == sender_bases, sender_bits, eve_coin).astype(np.uint8)
+        tx_bases = eve_bases
+    else:
+        tx_bits, tx_bases = sender_bits, sender_bases
+    receiver_bases = rng.bits(n_pulses)
+    uniforms = [rng.uniforms(n_pulses) for _ in range(5)]
+    detected, receiver_bits = _transmit_reference(
+        tx_bits, tx_bases, receiver_bases,
+        eta_total, channel.noise_prob, channel.intrinsic_error_prob, *uniforms)
+    return sender_bits, sender_bases, receiver_bases, detected, receiver_bits
+
+
 def _toeplitz_reference(key, t, m):
     n = len(key)
     out = np.zeros(m, dtype=np.uint8)
@@ -46,20 +70,36 @@ def _toeplitz_reference(key, t, m):
 
 class TestTransmitKernel:
     def test_numpy_matches_reference(self):
-        args = _transmit_inputs(500)
+        args, reference = _transmit_inputs(500)
         got = _kernels.transmit_pulses(*args)
-        want = _transmit_reference(*args)
+        want = _transmit_reference(*reference)
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g.dtype == np.uint8
             assert np.array_equal(g, w)
 
     def test_ideal_channel(self):
-        args = list(_transmit_inputs(1000, eta=1.0, p_noise=0.0, p_flip=0.0))
+        args, _ = _transmit_inputs(1000, eta=1.0, p_noise=0.0, p_flip=0.0)
         detected, bits = _kernels.transmit_pulses(*args)
         assert detected.all()
         match = args[1] == args[2]
         assert np.array_equal(bits[match], args[0][match])
+
+
+class TestPrepareMeasureDrawOrder:
+    @pytest.mark.parametrize("mode", ["none", "intercept_resend"])
+    def test_matches_draw_all_then_loop(self, mode):
+        # noisy enough that every branch of the per-pulse contract is taken
+        channel = ChannelParams(dark_count_prob=0.05, background_prob=0.05,
+                                intrinsic_error_prob=0.1)
+        eve = EveConfig(mode=mode)
+        fresh, second = RandomStream(11, "rounds"), RandomStream(11, "rounds")
+        got = _prepare_measure_rounds(3000, 3.0, eve, channel, fresh)
+        want = _rounds_reference(3000, 3.0, eve, channel, second)
+        assert fresh.position == second.position
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == np.uint8
+            assert np.array_equal(g, w)
 
 
 class TestToeplitzKernel:
