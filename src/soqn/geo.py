@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -36,6 +37,13 @@ class GeoPosition:
         object.__setattr__(self, "longitude_deg", lon)
         if not math.isfinite(self.altitude_m) or self.altitude_m < -500.0:
             raise ValueError(f"altitude_m must be finite and >= -500: {self.altitude_m}")
+
+    @cached_property
+    def unit_vector(self) -> tuple[float, float, float]:
+        """The point's direction from the Earth's centre, on the unit sphere."""
+        lat = math.radians(self.latitude_deg)
+        lon = math.radians(self.longitude_deg)
+        return (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,20 @@ def line_of_sight(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams)
     r = params.earth_radius_km
     surface = r * _central_angle_rad(a, b)
     return surface <= _horizon_km(a.altitude_m, r) + _horizon_km(b.altitude_m, r)
+
+
+def surely_out_of_range(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams) -> bool:
+    """Cheap sufficient test that ``link_feasible(a, b, params)`` is False.
+
+    The unit-sphere chord never exceeds the central angle, so
+    ``(R + mean altitude) * chord`` never exceeds ``geodesic_distance``. The
+    bound is shrunk by a relative 1e-9 and the chord by an absolute 1e-12,
+    both far above the rounding of either computation, so a pair this
+    returns True for is always beyond ``max_range_km``.
+    """
+    chord = math.dist(a.unit_vector, b.unit_vector) - 1e-12
+    scale = params.earth_radius_km + (a.altitude_m + b.altitude_m) / 2000.0
+    return scale * chord * (1.0 - 1e-9) > params.max_range_km
 
 
 def link_feasible(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams) -> bool:

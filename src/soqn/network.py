@@ -2,23 +2,26 @@
 
 Nodes announce locations over the broadcast bus, acquire every feasible
 optical link their roles allow, and share one routing table built from
-those broadcasts. Key material lives in pairwise one-time-pad buffers
-with strict consume-once accounting; end-to-end keys for non-adjacent nodes
-are distributed by trusted relays publishing XORs of adjacent hop keys.
+those broadcasts. The network indexes its links by endpoint; routing reads
+that index, which holds the table's links whenever ``audit_tables`` passes.
+Key material lives in pairwise one-time-pad buffers with strict
+consume-once accounting; end-to-end keys for non-adjacent nodes are
+distributed by trusted relays publishing XORs of adjacent hop keys.
 """
 from __future__ import annotations
 
-import heapq
 import re
-from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .bitops import as_bits, hex_from_bits, xor_bits
 from .channel import ChannelParams, path_loss_db
 from .engine import ScenarioEvent, SimEngine
-from .geo import GeoPosition, LinkFeasibilityParams, geodesic_distance, link_feasible
+from .geo import (GeoPosition, LinkFeasibilityParams, geodesic_distance, link_feasible,
+                  surely_out_of_range)
 from .qkd import (EVE_OFF, EveConfig, ProtocolParams, SessionRecord,
                   run_bb84_session, run_plugplay_session)
 
@@ -96,7 +99,8 @@ class RoutingTable:
 
     The broadcast bus is reliable and instantaneous, so every deployed node
     would build this same table at the same moment; the network keeps the
-    one table they all share.
+    one table they all share. Routing reads the network's link index, whose
+    active links are this table's whenever ``Network.audit_tables`` passes.
     """
 
     links: frozenset[tuple[NodeId, NodeId]] = frozenset()
@@ -217,38 +221,42 @@ def decrypt_relay(ciphertext, receiver_key, ticket: RelayTicket) -> np.ndarray:
     return out
 
 
-def shortest_path(links: dict[tuple[NodeId, NodeId], float], src: NodeId, dst: NodeId,
-                  can_relay) -> list[NodeId]:
-    """Deterministic min-hop path over an undirected link set.
+_NO_LINKS: Mapping[NodeId, OpticalLink] = MappingProxyType({})
 
-    Ties break by total distance, then by lexicographic node-id sequence.
-    ``can_relay(node)`` gates which nodes may appear in the interior.
-    Raises NoRouteError when dst is unreachable.
+
+def shortest_path(adj: dict[NodeId, dict[NodeId, OpticalLink]], src: NodeId, dst: NodeId,
+                  can_relay) -> list[NodeId]:
+    """Deterministic min-hop path over the active links of a link index.
+
+    ``adj[a][b]`` is the link between a and b; links whose state is not
+    "active" are skipped. Ties break by total distance, then by
+    lexicographic node-id sequence. ``can_relay(node)`` gates which nodes
+    may appear in the interior. Raises NoRouteError when dst is unreachable.
+
+    The search expands one hop level at a time: a node first reached at
+    level h keeps the least (km, path) over its level h-1 neighbours that
+    may relay, and the search stops at the level that reaches dst.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
-    adj: dict[NodeId, list[tuple[NodeId, float]]] = {}
-    for (a, b), w in links.items():
-        adj.setdefault(a, []).append((b, w))
-        adj.setdefault(b, []).append((a, w))
-    best: dict[NodeId, tuple[int, float, tuple[NodeId, ...]]] = {src: (0, 0.0, (src,))}
-    heap: list[tuple[int, float, tuple[NodeId, ...]]] = [(0, 0.0, (src,))]
-    while heap:
-        hops, dist, path = heapq.heappop(heap)
-        node = path[-1]
-        if best.get(node, (hops, dist, path)) < (hops, dist, path):
-            continue
-        if node == dst:
-            return list(path)
-        if node != src and not can_relay(node):
-            continue
-        for nbr, w in adj.get(node, ()):
-            if nbr in path:
+    best: dict[NodeId, tuple[float, tuple[NodeId, ...]]] = {src: (0.0, (src,))}
+    frontier = [src]
+    while frontier:
+        level: dict[NodeId, tuple[float, tuple[NodeId, ...]]] = {}
+        for node in frontier:
+            if node != src and not can_relay(node):
                 continue
-            cand = (hops + 1, dist + w, path + (nbr,))
-            if nbr not in best or cand < best[nbr]:
-                best[nbr] = cand
-                heapq.heappush(heap, cand)
+            dist, path = best[node]
+            for nbr, link in adj.get(node, _NO_LINKS).items():
+                if nbr in best or link.state != "active":
+                    continue
+                cand = (dist + link.distance_km, path + (nbr,))
+                if nbr not in level or cand < level[nbr]:
+                    level[nbr] = cand
+        if dst in level:
+            return list(level[dst][1])
+        best.update(level)
+        frontier = list(level)
     raise NoRouteError(f"no route from {src} to {dst}")
 
 
@@ -277,6 +285,8 @@ class Network:
 
         self.nodes: dict[NodeId, NodeInfo] = {}
         self.links: dict[tuple[NodeId, NodeId], OpticalLink] = {}
+        # Every link of self.links under both of its ends, in acquisition order.
+        self._adj: dict[NodeId, dict[NodeId, OpticalLink]] = {}
         self.link_history: dict[tuple[NodeId, NodeId], OpticalLink] = {}
         self.table = RoutingTable()
         self.buffers: dict[tuple[NodeId, NodeId], KeyBuffer] = {}
@@ -325,9 +335,8 @@ class Network:
         for i, a in enumerate(deployed):
             for b in deployed[i + 1 :]:
                 self._try_acquire(a, b)
-        incident = Counter(nid for pair in self.links for nid in pair)
         for nid in deployed:
-            self.engine.broadcast(nid, "link_report", f"links={incident[nid]}")
+            self.engine.broadcast(nid, "link_report", f"links={self._incident_count(nid)}")
         self._refresh_tables()
         self.organized = True
         self.engine.emit("organize", "-", nodes=len(deployed), links=len(self.active_pairs()))
@@ -352,8 +361,10 @@ class Network:
         node = self._node(node_id)
         if not node.deployed:
             raise UnknownNodeError(f"node {node_id!r} is not deployed")
-        for pair in [p for p in self.links if node_id in p]:
-            link = self.links.pop(pair)
+        for other, link in self._adj.pop(node_id, _NO_LINKS).items():
+            del self._adj[other][node_id]
+            pair = link.endpoints
+            del self.links[pair]
             link.state = "torn_down"
             self.engine.emit("link_down", node_id, pair=f"{pair[0]}~{pair[1]}", reason="move")
         node.position = new_pos
@@ -425,17 +436,20 @@ class Network:
         self.engine.emit("keygen", pair[0], peer=pair[1], offset=offset, bits=len(bits))
 
     def find_path(self, src: NodeId, dst: NodeId) -> list[NodeId]:
-        """Min-hop route over the routing table; see ``shortest_path``."""
+        """Min-hop route over the routing table; see ``shortest_path``.
+
+        Searches the link index, whose active links are the table's
+        whenever ``audit_tables`` passes, so no per-send copy is built.
+        """
         deployed = self._node(src).deployed
         self._node(dst)
         if not deployed:
             raise UnknownNodeError(f"node {src!r} has no routing table")
-        links = {p: self.links[p].distance_km for p in self.table.links}
         if self.mode == "cs":
             can_relay = lambda n: self.nodes[n].role == ROLE_SERVER
         else:
             can_relay = lambda n: True
-        return shortest_path(links, src, dst, can_relay)
+        return shortest_path(self._adj, src, dst, can_relay)
 
     def relay_key_setup(self, path: list[NodeId], block_len: int) -> tuple[RelayTicket, KeyBlock, KeyBlock]:
         """Consume one key block per hop and publish the telescoping XORs.
@@ -522,10 +536,24 @@ class Network:
         return problems
 
     def audit_tables(self) -> list[str]:
-        """Check that the routing table matches the active link set."""
+        """Check that the routing table matches the active link set, and
+        that the link index holds every link under both ends and nothing else."""
+        problems: list[str] = []
         if self.table.links != self.active_pairs():
-            return ["tables do not match the active link set"]
-        return []
+            problems.append("tables do not match the active link set")
+        adj = self._adj
+        missing = [f"link {a}~{b} missing from the index of {end}"
+                   for (a, b), link in self.links.items()
+                   for end, other in ((a, b), (b, a))
+                   if adj.get(end, _NO_LINKS).get(other) is not link]
+        problems += missing
+        # The entries in their right place number 2 * links - missing, so any
+        # more entries list a link the link set does not have.
+        if sum(map(len, adj.values())) != 2 * len(self.links) - len(missing):
+            problems += [f"index of {a} lists {b} with no link"
+                         for a, nbrs in adj.items() for b, link in nbrs.items()
+                         if self.links.get(pair_key(a, b)) is not link]
+        return problems
 
     def audit_roles(self) -> list[str]:
         """C/S structural invariant: no client-client link, ever."""
@@ -558,7 +586,7 @@ class Network:
         return f"{p.latitude_deg:.6g},{p.longitude_deg:.6g},{p.altitude_m:.6g}"
 
     def _incident_count(self, nid: NodeId) -> int:
-        return sum(1 for p in self.links if nid in p)
+        return len(self._adj.get(nid, _NO_LINKS))
 
     def _eligible(self, a: NodeId, b: NodeId) -> bool:
         ra, rb = self.nodes[a].role, self.nodes[b].role
@@ -573,6 +601,8 @@ class Network:
         if not self._eligible(a, b):
             return None
         pa, pb = self.nodes[a].position, self.nodes[b].position
+        if surely_out_of_range(pa, pb, self.feasibility):
+            return None
         if not link_feasible(pa, pb, self.feasibility):
             return None
         dist = geodesic_distance(pa, pb, self.feasibility.earth_radius_km)
@@ -580,6 +610,8 @@ class Network:
         state = "active" if self.acquire_delay_s == 0.0 else "acquiring"
         link = OpticalLink(pair, dist, loss, acquired_at=self.engine.now, state=state)
         self.links[pair] = link
+        self._adj.setdefault(a, {})[b] = link
+        self._adj.setdefault(b, {})[a] = link
         self.link_history[pair] = link
         self.engine.emit("link_up", pair[0], peer=pair[1], dist_km=dist,
                          loss_db=loss, state=state)

@@ -49,9 +49,17 @@ class RandomStream:
         return float(self._gen.random())
 
     def bits(self, n: int) -> np.ndarray:
-        """n independent fair bits as uint8."""
+        """n independent fair bits as uint8.
+
+        The top bit of each of n random bytes: the same bits, and the same
+        stream state afterwards, as ``integers(0, 2, size=n, dtype=np.uint8)``,
+        at byte speed. ``Generator.bytes(0)`` would still consume a word, so
+        n == 0 draws nothing.
+        """
         self.position += n
-        return self._gen.integers(0, 2, size=n, dtype=np.uint8)
+        if n == 0:
+            return np.empty(0, dtype=np.uint8)
+        return np.frombuffer(self._gen.bytes(n), np.uint8) >> 7
 
     def bit(self) -> int:
         self.position += 1

@@ -159,6 +159,13 @@ class TestLog:
         assert [r.to_line() for r in engine.log] == engine.log_lines()
 
 
+def same_state(a, b) -> bool:
+    """Equality of two bit-generator states, whose leaves may be arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
 class TestRandomStreams:
     def test_same_label_reproduces(self):
         a = RandomStream(7, "label").uniforms(100)
@@ -184,6 +191,22 @@ class TestRandomStreams:
         s.bits(5)
         s.bit()
         assert s.position == 16
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bits_match_the_integers_draw(self, seed):
+        # Top bits of random bytes equal integers(0, 2, dtype=uint8): same
+        # values, same stream state, interleaved with every other draw.
+        sizes = np.random.default_rng(seed).integers(0, 3000, size=6)
+        stream = RandomStream(seed, "bits")
+        gen = RandomStream(seed, "bits")._gen
+        for n in [0, 1, 3, 5, 8, *map(int, sizes), 0, 7]:
+            bits = stream.bits(n)
+            assert bits.dtype == np.uint8
+            assert np.array_equal(bits, gen.integers(0, 2, size=n, dtype=np.uint8))
+            assert stream.bit() == int(gen.integers(0, 2))
+            assert np.array_equal(stream.uniforms(n % 5), gen.random(n % 5))
+            assert np.array_equal(stream.permutation(n % 7), gen.permutation(n % 7))
+        assert same_state(stream._gen.bit_generator.state, gen.bit_generator.state)
 
     def test_engine_stream_uses_seed(self):
         e1 = SimEngine(1).stream("s")

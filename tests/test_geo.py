@@ -1,11 +1,13 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from soqn.geo import (EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams,
-                      geodesic_distance, line_of_sight, link_feasible)
+                      geodesic_distance, line_of_sight, link_feasible,
+                      surely_out_of_range)
 
 # Independent hand computations, frozen before the build:
 #   1 degree along the equator = 6371 * pi / 180
@@ -153,3 +155,95 @@ class TestLinkFeasible:
             LinkFeasibilityParams(max_range_km=0.0)
         with pytest.raises(ValueError):
             LinkFeasibilityParams(max_range_km=float("inf"))
+
+
+def at_distance(a: GeoPosition, bearing_deg: float, km: float, alt_m: float,
+                earth_radius_km: float) -> GeoPosition | None:
+    """The point at altitude ``alt_m`` whose ``geodesic_distance`` from ``a``
+    is ``km`` along the initial bearing, or None where no such point exists."""
+    dalt_km = abs(alt_m - a.altitude_m) / 1000.0
+    scale = earth_radius_km + (a.altitude_m + alt_m) / 2000.0
+    if km < dalt_km or scale <= 0.0:
+        return None
+    delta = math.sqrt(km * km - dalt_km * dalt_km) / scale
+    if delta > math.pi:
+        return None
+    lat1, lon1 = math.radians(a.latitude_deg), math.radians(a.longitude_deg)
+    theta = math.radians(bearing_deg)
+    lat2 = math.asin(min(1.0, max(-1.0, math.sin(lat1) * math.cos(delta)
+                                   + math.cos(lat1) * math.sin(delta) * math.cos(theta))))
+    lon2 = lon1 + math.atan2(math.sin(theta) * math.sin(delta) * math.cos(lat1),
+                             math.cos(delta) - math.sin(lat1) * math.sin(lat2))
+    return GeoPosition(math.degrees(lat2), math.degrees(lon2), alt_m)
+
+
+class TestSurelyOutOfRange:
+    """The bound may only ever rule out pairs that link_feasible rules out."""
+
+    @given(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0),
+           st.sampled_from([-500.0, 0.0, 2.0, 1500.0, 20_000.0]),
+           st.sampled_from([-500.0, 0.0, 2.0, 1500.0, 20_000.0]),
+           st.floats(0.0, 360.0),
+           st.sampled_from([1.0 - 1e-6, 1.0, 1.0 + 1e-6]),
+           st.sampled_from([10.0, 1000.0, EARTH_RADIUS_KM, 20_000.0]),
+           st.sampled_from([1e-4, 0.05, 1.0, 144.0, 2000.0]),
+           st.booleans())
+    @settings(max_examples=1500, deadline=None)
+    def test_never_rules_out_a_feasible_pair_at_the_range_edge(
+            self, lat, lon, alt_a, alt_b, bearing, factor, radius, max_range, los):
+        params = LinkFeasibilityParams(max_range_km=max_range, earth_radius_km=radius,
+                                       require_los=los)
+        a = GeoPosition(lat, lon, alt_a)
+        b = at_distance(a, bearing, max_range * factor, alt_b, radius)
+        assume(b is not None)
+        assert not (surely_out_of_range(a, b, params) and link_feasible(a, b, params))
+        assert not (surely_out_of_range(b, a, params) and link_feasible(b, a, params))
+
+    @pytest.mark.parametrize("a,b", [
+        (GeoPosition(90.0, 0.0, 0.0), GeoPosition(90.0, 123.0, 20_000.0)),
+        (GeoPosition(90.0, 0.0, -500.0), GeoPosition(89.0, 45.0, 0.0)),
+        (GeoPosition(-90.0, 10.0, 0.0), GeoPosition(-88.71, -170.0, 3000.0)),
+        (GeoPosition(0.0, 179.9999, 0.0), GeoPosition(0.0, -179.9999, 0.0)),
+        (GeoPosition(10.0, 179.5, -500.0), GeoPosition(10.5, -179.2, 20_000.0)),
+        (GeoPosition(-45.0, -180.0, 2.0), GeoPosition(-45.0, 179.0, 8000.0)),
+    ])
+    @pytest.mark.parametrize("max_range", [1.0, 144.0])
+    @pytest.mark.parametrize("los", [False, True])
+    def test_poles_and_antimeridian(self, a, b, max_range, los):
+        d = geodesic_distance(a, b)
+        for edge in (d, d * (1 + 1e-6)):  # within range: the bound must not fire
+            assert not surely_out_of_range(
+                a, b, LinkFeasibilityParams(max_range_km=edge, require_los=los))
+        for edge in (max_range, d * (1 - 1e-6)):
+            params = LinkFeasibilityParams(max_range_km=edge, require_los=los)
+            assert not (surely_out_of_range(a, b, params) and link_feasible(a, b, params))
+
+    def test_sub_metre_ranges(self):
+        # The chord of two nearly equal unit vectors has rounding far above a
+        # relative 1e-9 of itself; the absolute slack on the chord covers it.
+        rng = random.Random(1)
+        for _ in range(2000):
+            a = GeoPosition(rng.uniform(-89.0, 89.0), rng.uniform(-180.0, 180.0), 0.0)
+            e = 10.0 ** rng.uniform(-14.0, -6.0)
+            b = GeoPosition(a.latitude_deg + e * rng.uniform(-1.0, 1.0),
+                            a.longitude_deg + e * rng.uniform(-1.0, 1.0), 0.0)
+            d = geodesic_distance(a, b)
+            if d > 0.0:
+                params = LinkFeasibilityParams(max_range_km=d, require_los=False)
+                assert link_feasible(a, b, params)
+                assert not surely_out_of_range(a, b, params)
+
+    def test_rules_out_far_pairs(self):
+        params = LinkFeasibilityParams(max_range_km=144.0)
+        a = GeoPosition(0.0, 0.0, 0.0)
+        assert surely_out_of_range(a, GeoPosition(0.0, lon_for_surface_km(150.0), 0.0), params)
+        assert surely_out_of_range(GeoPosition(0.0, 179.0, 0.0), GeoPosition(0.0, -170.0, 0.0),
+                                   params)
+        assert not surely_out_of_range(a, GeoPosition(0.0, lon_for_surface_km(140.0), 0.0),
+                                       params)
+
+    def test_unit_vector(self):
+        p = GeoPosition(90.0, 37.0, 0.0)
+        assert p.unit_vector == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
+        assert GeoPosition(0.0, 180.0, 0.0).unit_vector == pytest.approx((-1.0, 0.0, 0.0))
+        assert p.unit_vector is p.unit_vector

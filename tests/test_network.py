@@ -1,13 +1,17 @@
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from soqn.channel import ChannelParams
 from soqn.engine import SimEngine
 from soqn.geo import GeoPosition, link_feasible
 from soqn.network import (DuplicateNodeError, KeyBlock, KeyBuffer, KeyReuseError,
                           KeyStarvationError, LinkInactiveError, Network, NoRouteError,
-                          RelayTicket, RoleModeError, UnknownNodeError, decrypt,
-                          decrypt_relay, encrypt, pair_key, shortest_path)
+                          OpticalLink, RelayTicket, RoleModeError, UnknownNodeError,
+                          decrypt, decrypt_relay, encrypt, pair_key, shortest_path)
 from soqn.qkd import EveConfig, ProtocolParams
 from soqn.rng import RandomStream
 
@@ -50,6 +54,58 @@ def feasibility_oracle(network):
             if link_feasible(network.nodes[a].position, network.nodes[b].position, params):
                 expected.add(pair_key(a, b))
     return expected
+
+
+def _shortest_path_reference(links, src, dst, can_relay):
+    """Reference oracle: Dijkstra over (hops, km, path) on a {pair: km} link set.
+
+    Deterministic min-hop path; ties break by total distance, then by
+    lexicographic node-id sequence. ``can_relay(node)`` gates the interior.
+    """
+    if src == dst:
+        raise ValueError("src and dst must differ")
+    adj = {}
+    for (a, b), w in links.items():
+        adj.setdefault(a, []).append((b, w))
+        adj.setdefault(b, []).append((a, w))
+    best = {src: (0, 0.0, (src,))}
+    heap = [(0, 0.0, (src,))]
+    while heap:
+        hops, dist, path = heapq.heappop(heap)
+        node = path[-1]
+        if best.get(node, (hops, dist, path)) < (hops, dist, path):
+            continue
+        if node == dst:
+            return list(path)
+        if node != src and not can_relay(node):
+            continue
+        for nbr, w in adj.get(node, ()):
+            if nbr in path:
+                continue
+            cand = (hops + 1, dist + w, path + (nbr,))
+            if nbr not in best or cand < best[nbr]:
+                best[nbr] = cand
+                heapq.heappush(heap, cand)
+    raise NoRouteError(f"no route from {src} to {dst}")
+
+
+def link_index(links, inactive=()):
+    """The ``{a: {b: link}}`` index of a {pair: km} link set; pairs in
+    ``inactive`` are added as links still acquiring."""
+    adj = {}
+    for pair, km in [*links.items(), *((p, 0.1) for p in inactive)]:
+        link = OpticalLink(pair, km, 0.0, 0.0, "acquiring" if pair in inactive else "active")
+        adj.setdefault(pair[0], {})[pair[1]] = link
+        adj.setdefault(pair[1], {})[pair[0]] = link
+    return adj
+
+
+def route_or_none(route):
+    """``route()``, or None where it raises NoRouteError."""
+    try:
+        return route()
+    except NoRouteError:
+        return None
 
 
 class TestOrganize:
@@ -163,6 +219,7 @@ class TestJoinMove:
                   float(rng.uniform(0, 2000))) for i in range(12)]
         _, net = make_network("p2p", nodes)
         ids = [n[0] for n in nodes]
+        pick = np.random.default_rng(7)
         for step in range(10):
             if step % 3 == 0 and len(ids) < 20:
                 nid = f"n{len(ids):02d}"
@@ -177,6 +234,12 @@ class TestJoinMove:
                                           float(rng.uniform(0, 1.0)),
                                           float(rng.uniform(0, 2000))))
             assert net.table.links == feasibility_oracle(net)
+            links = {p: net.links[p].distance_km for p in net.table.links}
+            for _ in range(15):
+                src, dst = (str(n) for n in pick.choice(ids, size=2, replace=False))
+                assert (route_or_none(lambda: net.find_path(src, dst))
+                        == route_or_none(lambda: _shortest_path_reference(
+                            links, src, dst, lambda n: True)))
         assert net.audit_tables() == []
 
     def test_move_unknown_node(self):
@@ -238,7 +301,31 @@ class TestFindPath:
 
     def test_min_hop_beats_distance(self):
         links = {("a", "b"): 100.0, ("a", "r"): 1.0, ("b", "r"): 1.0}
-        assert shortest_path(links, "a", "b", lambda n: True) == ["a", "b"]
+        assert _shortest_path_reference(links, "a", "b", lambda n: True) == ["a", "b"]
+        assert shortest_path(link_index(links), "a", "b", lambda n: True) == ["a", "b"]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_level_search_matches_reference(self, data):
+        # km values whose float sums tie and nearly tie (0.1 + 0.2 != 0.3)
+        ids = data.draw(st.lists(st.text("ab1Z9", min_size=1, max_size=3),
+                                 min_size=2, max_size=9, unique=True))
+        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True))
+        kms = data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.3, 1.0, 2.0]),
+                                 min_size=len(chosen), max_size=len(chosen)))
+        active = data.draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+        relays = data.draw(st.sets(st.sampled_from(ids)))
+        links = {pair_key(*p): km for p, km, on in zip(chosen, kms, active) if on}
+        inactive = {pair_key(*p) for p, on in zip(chosen, active) if not on}
+        adj = link_index(links, inactive)
+        can_relay = relays.__contains__
+        for src in ids:
+            for dst in ids:
+                if src != dst:
+                    assert (route_or_none(lambda: shortest_path(adj, src, dst, can_relay))
+                            == route_or_none(lambda: _shortest_path_reference(
+                                links, src, dst, can_relay)))
 
     def test_cs_interior_must_be_servers(self):
         # s1-c-s2 is the only geometric 2-hop path, but clients cannot relay
@@ -282,6 +369,22 @@ class TestFindPath:
         assert net.audit_tables() == []
         net.links[("a", "b")].state = "active"  # no _refresh_tables
         assert net.audit_tables() == ["tables do not match the active link set"]
+
+    def test_audit_catches_corrupt_link_index(self):
+        _, net = make_network("p2p", [
+            ("a", "peer", 0.0, 0.0, 0.0),
+            ("b", "peer", 0.0, deg(10), 0.0),
+        ])
+        assert net.audit_tables() == []
+        link = net._adj["b"].pop("a")
+        assert net.audit_tables() == ["link a~b missing from the index of b"]
+        net._adj["b"]["a"] = link
+        net._adj["b"]["c"] = link
+        assert net.audit_tables() == ["index of b lists c with no link"]
+        del net._adj["b"]["c"]
+        net._adj["b"]["a"] = OpticalLink(("a", "b"), link.distance_km, 0.0, 0.0)
+        assert net.audit_tables() == ["link a~b missing from the index of b",
+                                      "index of b lists a with no link"]
 
     def test_undeployed_source_has_no_table(self):
         _, net = make_network("p2p", [("a", "peer", 0.0, 0.0, 0.0)])
