@@ -6,15 +6,14 @@ tables, per-pulse BB84 and plug-and-play key generation, XOR trusted-relay
 key distribution, one-time-pad messaging, and eavesdropper models.
 """
 from ._kernels import backend_name
-from .channel import ChannelParams, DetectionOutcome, detect, path_loss_db, transmittance
+from .channel import ChannelParams, path_loss_db, transmittance
 from .engine import ScenarioEvent, SimEngine
 from .geo import GeoPosition, LinkFeasibilityParams, geodesic_distance, line_of_sight, link_feasible
 from .network import (DeliveryRecord, KeyBuffer, Network, OpticalLink, RelayTicket,
                       RoutingTable, decrypt, decrypt_relay, encrypt)
-from .qkd import (Basis, EveConfig, Polarization, ProtocolParams, SessionAbort, SessionRecord,
-                  binary_entropy, estimate_qber, intercept_resend, measure, prepare,
-                  privacy_amplify, reconcile, run_bb84_session, run_plugplay_session, sift,
-                  trojan_monitor)
+from .qkd import (EveConfig, ProtocolParams, SessionAbort, SessionRecord, binary_entropy,
+                  estimate_qber, privacy_amplify, reconcile, run_bb84_session,
+                  run_plugplay_session, sift, trojan_monitor)
 from .rng import RandomStream
 from .runner import run_scenario
 from .scenario import Scenario, ScenarioError, format_scenario, parse_scenario
@@ -22,13 +21,12 @@ from .scenario import Scenario, ScenarioError, format_scenario, parse_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "Basis", "ChannelParams", "DeliveryRecord", "DetectionOutcome", "EveConfig",
-    "GeoPosition", "KeyBuffer", "LinkFeasibilityParams", "Network", "OpticalLink",
-    "Polarization", "ProtocolParams", "RandomStream", "RelayTicket", "RoutingTable",
-    "Scenario", "ScenarioError", "ScenarioEvent", "SessionAbort", "SessionRecord",
-    "SimEngine", "backend_name", "binary_entropy", "decrypt", "decrypt_relay", "detect",
-    "encrypt", "estimate_qber", "format_scenario", "geodesic_distance", "intercept_resend",
-    "line_of_sight", "link_feasible", "measure", "parse_scenario", "path_loss_db",
-    "prepare", "privacy_amplify", "reconcile", "run_bb84_session", "run_plugplay_session",
-    "run_scenario", "sift", "transmittance", "trojan_monitor",
+    "ChannelParams", "DeliveryRecord", "EveConfig", "GeoPosition", "KeyBuffer",
+    "LinkFeasibilityParams", "Network", "OpticalLink", "ProtocolParams", "RandomStream",
+    "RelayTicket", "RoutingTable", "Scenario", "ScenarioError", "ScenarioEvent",
+    "SessionAbort", "SessionRecord", "SimEngine", "backend_name", "binary_entropy", "decrypt",
+    "decrypt_relay", "encrypt", "estimate_qber", "format_scenario", "geodesic_distance",
+    "line_of_sight", "link_feasible", "parse_scenario", "path_loss_db", "privacy_amplify",
+    "reconcile", "run_bb84_session", "run_plugplay_session", "run_scenario", "sift",
+    "transmittance", "trojan_monitor",
 ]

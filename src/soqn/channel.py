@@ -1,15 +1,14 @@
-"""Free-space channel model: loss budget, transmittance, detection.
+"""Free-space channel model: loss budget, transmittance, detector noise.
 
 The loss budget is a fixed system term plus a linear atmospheric term; each
 transmitted pulse gets exactly one gated detection opportunity. Dark counts
 and daylight background are lumped into a single per-gate noise probability.
+The per-gate detection itself is ``_kernels.transmit_pulses``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .rng import RandomStream
 
 
 @dataclass(frozen=True)
@@ -43,19 +42,6 @@ class ChannelParams:
         return self.dark_count_prob + self.background_prob
 
 
-@dataclass(frozen=True)
-class DetectionOutcome:
-    clicked: bool
-    bit: int
-    noise_click: bool  # click came from dark/background, not signal
-
-    def __post_init__(self):
-        if self.noise_click and not self.clicked:
-            raise ValueError("noise_click implies clicked")
-        if self.bit not in (0, 1):
-            raise ValueError("bit must be 0 or 1")
-
-
 def path_loss_db(distance_km: float, params: ChannelParams) -> float:
     """Total link loss in dB at the given distance."""
     if distance_km < 0:
@@ -68,33 +54,3 @@ def transmittance(loss_db: float) -> float:
     if loss_db < 0:
         raise ValueError("loss_db must be >= 0")
     return 10.0 ** (-loss_db / 10.0)
-
-
-def detect(signal_present: bool, signal_correct_bit: int, eta_total: float,
-           params: ChannelParams, rng: RandomStream) -> DetectionOutcome:
-    """Simulate one gated detection.
-
-    ``eta_total`` is transmittance times detector efficiency. A present
-    signal clicks with probability eta_total; independently, noise clicks
-    with probability dark + background. A signal click flips the bit with
-    the intrinsic error probability; a noise-only click yields a uniform
-    bit; simultaneous clicks resolve to the signal bit.
-    """
-    if not (0.0 < eta_total <= 1.0):
-        raise ValueError(f"eta_total must be in (0, 1]: {eta_total}")
-    if signal_correct_bit not in (0, 1):
-        raise ValueError("signal_correct_bit must be 0 or 1")
-    u = rng.uniforms(4)
-    sig_click = signal_present and u[0] < eta_total
-    noise_click = u[1] < params.noise_prob
-    if sig_click:
-        bit = signal_correct_bit ^ (1 if u[2] < params.intrinsic_error_prob else 0)
-    elif noise_click:
-        bit = 1 if u[3] < 0.5 else 0
-    else:
-        bit = 0
-    return DetectionOutcome(
-        clicked=bool(sig_click or noise_click),
-        bit=bit,
-        noise_click=bool(noise_click and not sig_click),
-    )

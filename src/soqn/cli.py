@@ -12,7 +12,7 @@ import sys
 
 from ._kernels import backend_name
 from .runner import EXIT_PARSE_ERROR, run_scenario
-from .scenario import PARAM_SPECS, ScenarioError, parse_scenario
+from .scenario import PARAM_SPECS, ScenarioError, _Line, _parse_param_value, parse_scenario
 
 log = logging.getLogger("soqn")
 
@@ -42,22 +42,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_sweep(spec: str) -> tuple[str, list]:
+    """Split ``PARAM=V1,V2,...`` and type each value as a ``param`` line."""
     if "=" not in spec:
         raise ValueError("--sweep expects PARAM=V1,V2,...")
     name, _, values = spec.partition("=")
     if name not in PARAM_SPECS:
         raise ValueError(f"unknown sweep param {name!r}")
-    typ = PARAM_SPECS[name][1]
     parsed = []
     for raw in values.split(","):
-        if typ is bool:
-            if raw not in ("true", "false"):
-                raise ValueError(f"sweep value for {name} must be true or false, got {raw!r}")
-            parsed.append(raw == "true")
-        else:
-            parsed.append(typ(raw))
-    if not parsed:
-        raise ValueError("--sweep needs at least one value")
+        line = _Line(0, raw)
+        if line.tokens != [raw.strip()]:
+            raise ValueError(f"--sweep {name}: expected one value, got {raw!r}")
+        try:
+            parsed.append(_parse_param_value(line, 0, name, PARAM_SPECS[name][1]))
+        except ScenarioError as exc:
+            raise ValueError(f"--sweep {name}: {exc.message}") from None
     return name, parsed
 
 

@@ -28,11 +28,11 @@ class UndeployedOriginError(ValueError):
 @dataclass(frozen=True)
 class ScenarioEvent:
     at: float
-    kind: str  # deploy | organize | move | qkd | send | eve_toggle | param_set | link_active | snapshot
+    kind: str  # deploy | organize | move | qkd | send | eve | link_active | snapshot
     payload: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.at < 0:
+        if not self.at >= 0:  # also rejects NaN
             raise ValueError("event time must be >= 0")
 
 

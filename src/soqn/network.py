@@ -329,7 +329,7 @@ class Network:
 
     def organize_network(self) -> None:
         """Initial organization round over every deployed node."""
-        deployed = [n for n in self._deploy_order() if self.nodes[n].deployed]
+        deployed = [n for n, info in self.nodes.items() if info.deployed]
         for nid in deployed:
             self.engine.broadcast(nid, "location", self._loc_payload(nid))
         for i, a in enumerate(deployed):
@@ -347,12 +347,7 @@ class Network:
         node = self._node(node_id)
         if not node.deployed:
             raise UnknownNodeError(f"node {node_id!r} is not deployed")
-        self.engine.broadcast(node_id, "join_request", self._loc_payload(node_id))
-        for other in self._deploy_order():
-            if other != node_id and self.nodes[other].deployed:
-                self._try_acquire(node_id, other)
-        self.engine.broadcast(node_id, "link_report", f"links={self._incident_count(node_id)}")
-        self._refresh_tables()
+        self._announce_and_acquire(node_id, "join_request")
         self.engine.emit("join", node_id, links=self._incident_count(node_id))
         self._precharge_all()
 
@@ -368,12 +363,7 @@ class Network:
             link.state = "torn_down"
             self.engine.emit("link_down", node_id, pair=f"{pair[0]}~{pair[1]}", reason="move")
         node.position = new_pos
-        self.engine.broadcast(node_id, "location", self._loc_payload(node_id))
-        for other in self._deploy_order():
-            if other != node_id and self.nodes[other].deployed:
-                self._try_acquire(node_id, other)
-        self.engine.broadcast(node_id, "link_report", f"links={self._incident_count(node_id)}")
-        self._refresh_tables()
+        self._announce_and_acquire(node_id, "location")
         self.engine.emit("move", node_id, lat=new_pos.latitude_deg,
                          lon=new_pos.longitude_deg, alt=new_pos.altitude_m)
         self._precharge_all()
@@ -578,9 +568,6 @@ class Network:
         except KeyError:
             raise UnknownNodeError(f"unknown node {node_id!r}") from None
 
-    def _deploy_order(self) -> list[NodeId]:
-        return list(self.nodes)
-
     def _loc_payload(self, nid: NodeId) -> str:
         p = self.nodes[nid].position
         return f"{p.latitude_deg:.6g},{p.longitude_deg:.6g},{p.altitude_m:.6g}"
@@ -593,6 +580,17 @@ class Network:
         if self.mode == "p2p":
             return ra == ROLE_PEER and rb == ROLE_PEER
         return not (ra == ROLE_CLIENT and rb == ROLE_CLIENT)
+
+    def _announce_and_acquire(self, node_id: NodeId, topic: str) -> None:
+        """Broadcast a node's location under ``topic``, try a link to every
+        other deployed node in the order nodes were added, report the
+        node's links and refresh the routing table."""
+        self.engine.broadcast(node_id, topic, self._loc_payload(node_id))
+        for other, info in self.nodes.items():
+            if other != node_id and info.deployed:
+                self._try_acquire(node_id, other)
+        self.engine.broadcast(node_id, "link_report", f"links={self._incident_count(node_id)}")
+        self._refresh_tables()
 
     def _try_acquire(self, a: NodeId, b: NodeId) -> OpticalLink | None:
         pair = pair_key(a, b)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 
 import numpy as np
 
@@ -27,50 +27,6 @@ class SessionAbort(str, Enum):
     TROJAN_ALARM = "trojan_alarm"
 
 
-class Basis(IntEnum):
-    RECTILINEAR = 0
-    DIAGONAL = 1
-
-
-class Polarization(Enum):
-    H = ("H", 0, Basis.RECTILINEAR)
-    V = ("V", 1, Basis.RECTILINEAR)
-    P = ("+", 0, Basis.DIAGONAL)
-    M = ("-", 1, Basis.DIAGONAL)
-
-    def __init__(self, symbol: str, bit: int, basis: Basis):
-        self.symbol = symbol
-        self.bit = bit
-        self.basis = basis
-
-
-_PREPARE = {
-    (0, Basis.RECTILINEAR): Polarization.H,
-    (1, Basis.RECTILINEAR): Polarization.V,
-    (0, Basis.DIAGONAL): Polarization.P,
-    (1, Basis.DIAGONAL): Polarization.M,
-}
-
-
-@dataclass(frozen=True)
-class Pulse:
-    """An optical pulse: a bright reference or an encoded single photon."""
-
-    kind: str  # 'strong' | 'single_photon'
-    polarization: Polarization | None
-    intensity: float  # mean photon number
-
-    def __post_init__(self):
-        if self.kind not in ("strong", "single_photon"):
-            raise ValueError(f"unknown pulse kind: {self.kind}")
-        if self.intensity < 0:
-            raise ValueError("intensity must be >= 0")
-        if self.kind == "single_photon" and self.intensity > 1.0:
-            raise ValueError("single_photon pulses must have intensity <= 1")
-        if self.kind == "strong" and self.intensity <= 1.0:
-            raise ValueError("strong pulses must have intensity > 1")
-
-
 @dataclass(frozen=True)
 class EveConfig:
     mode: str = "none"  # none | intercept_resend | trojan_probe
@@ -79,6 +35,8 @@ class EveConfig:
     def __post_init__(self):
         if self.mode not in ("none", "intercept_resend", "trojan_probe"):
             raise ValueError(f"unknown eve mode: {self.mode}")
+        if not math.isfinite(self.probe_intensity):
+            raise ValueError("probe_intensity must be finite")
         if self.mode == "trojan_probe" and self.probe_intensity <= 0:
             raise ValueError("trojan_probe requires probe_intensity > 0")
 
@@ -93,7 +51,7 @@ class ProtocolParams:
     qber_abort: float = 0.11
     f_ec: float = 1.16
     safety_margin_bits: int = 100
-    signal_mean_photons: float = 0.5  # target level after the variable attenuator
+    signal_mean_photons: float = 0.5  # validated; the source model does not use it yet
     trojan_tolerance: float = 0.25
     strong_pulse_intensity: float = 1e6
 
@@ -104,16 +62,16 @@ class ProtocolParams:
             raise ValueError("sample_fraction must be in (0, 1)")
         if not (0.0 <= self.qber_abort < 0.5):
             raise ValueError("qber_abort must be in [0, 0.5)")
-        if self.f_ec < 1.0:
-            raise ValueError("f_ec must be >= 1")
+        if not (1.0 <= self.f_ec < math.inf):
+            raise ValueError("f_ec must be finite and >= 1")
         if self.safety_margin_bits < 0:
             raise ValueError("safety_margin_bits must be >= 0")
         if not (0.0 < self.signal_mean_photons <= 1.0):
             raise ValueError("signal_mean_photons must be in (0, 1]")
         if not (0.0 < self.trojan_tolerance < 1.0):
             raise ValueError("trojan_tolerance must be in (0, 1)")
-        if self.strong_pulse_intensity <= 1.0:
-            raise ValueError("strong_pulse_intensity must be > 1")
+        if not (1.0 < self.strong_pulse_intensity < math.inf):
+            raise ValueError("strong_pulse_intensity must be finite and > 1")
 
 
 @dataclass(frozen=True)
@@ -140,36 +98,16 @@ class SessionRecord:
             raise ValueError("key lengths must shrink along the pipeline")
 
 
-def prepare(bit: int, basis: Basis) -> Polarization:
-    """Encode a bit in a basis: (0,R)->H, (1,R)->V, (0,D)->+, (1,D)->-."""
-    if bit not in (0, 1):
-        raise ValueError("bit must be 0 or 1")
-    return _PREPARE[(bit, Basis(basis))]
-
-
-def measure(pol: Polarization, basis: Basis, rng: RandomStream) -> int:
-    """Measure a polarization: deterministic in the matched basis, a fair
-    coin otherwise."""
-    if pol.basis == Basis(basis):
-        return pol.bit
-    return rng.bit()
-
-
-def intercept_resend(pol: Polarization, rng: RandomStream) -> Polarization:
-    """Eve measures in a uniformly random basis and re-prepares the outcome."""
-    eve_basis = Basis(rng.bit())
-    return prepare(measure(pol, eve_basis, rng), eve_basis)
-
-
 def trojan_monitor(measured_intensity: float, expected_intensity: float,
                    tolerance_fraction: float) -> bool:
-    """True (alarm) iff the monitored intensity deviates from the expected
-    one by more than ``tolerance_fraction`` relatively."""
+    """True (alarm) unless the monitored intensity is within
+    ``tolerance_fraction`` of the expected one relatively; a reading that
+    cannot be compared (NaN) raises the alarm."""
     if expected_intensity <= 0:
         raise ValueError("expected_intensity must be > 0")
     if not (0.0 < tolerance_fraction < 1.0):
         raise ValueError("tolerance_fraction must be in (0, 1)")
-    return abs(measured_intensity - expected_intensity) / expected_intensity > tolerance_fraction
+    return not abs(measured_intensity - expected_intensity) / expected_intensity <= tolerance_fraction
 
 
 def sift(sender_bases, receiver_bases, sender_bits, receiver_bits, detected):
@@ -220,7 +158,8 @@ def reconcile(sender_key, receiver_key, qber: float, f_ec: float = 1.16):
     """Modeled reconciliation: the receiver adopts the sender key and the
     public leakage is charged as ceil(f_ec * h2(qber) * len).
 
-    Returns (corrected_receiver_key, leak_bits).
+    Returns (corrected_receiver_key, leak_bits). Raises ValueError when the
+    leakage overflows to infinity (an ``f_ec`` near the float maximum).
     """
     sa = np.asarray(sender_key, dtype=np.uint8)
     sb = np.asarray(receiver_key, dtype=np.uint8)
@@ -228,8 +167,10 @@ def reconcile(sender_key, receiver_key, qber: float, f_ec: float = 1.16):
         raise ValueError("keys must have equal lengths")
     if not (0.0 <= qber < 0.5):
         raise ValueError("reconciliation requires qber < 0.5")
-    leak = math.ceil(f_ec * binary_entropy(qber) * len(sa))
-    return sa.copy(), leak
+    leak = f_ec * binary_entropy(qber) * len(sa)
+    if not math.isfinite(leak):
+        raise ValueError(f"reconciliation leakage is not finite (f_ec={f_ec})")
+    return sa.copy(), math.ceil(leak)
 
 
 def privacy_amplify(key, qber: float, leak_bits: int, rng: RandomStream, *,
@@ -372,8 +313,7 @@ def run_plugplay_session(server_link, n_pulses: int, eve: EveConfig, rng: Random
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
 
-    strong = Pulse("strong", None, protocol.strong_pulse_intensity)
-    expected_monitor = strong.intensity / 2.0  # 50/50 split
+    expected_monitor = protocol.strong_pulse_intensity / 2.0  # 50/50 split
     if eve.mode == "trojan_probe":
         monitor_reading = eve.probe_intensity
     else:
@@ -381,13 +321,6 @@ def run_plugplay_session(server_link, n_pulses: int, eve: EveConfig, rng: Random
     if trojan_monitor(monitor_reading, expected_monitor, protocol.trojan_tolerance):
         return _aborted(n_pulses, 0, 0.0, SessionAbort.TROJAN_ALARM)
 
-    # The attenuator scales to the target level using the monitor reading;
-    # with an honest reading the returned pulse sits exactly at the target.
-    # A low reading inside the tolerance window can let the pulse run hot,
-    # capped at one photon on average.
-    returned = Pulse("single_photon", None,
-                     min(1.0, protocol.signal_mean_photons * expected_monitor / monitor_reading))
-
-    leg_eve = eve if eve.mode == "intercept_resend" else EVE_OFF
-    rounds = _prepare_measure_rounds(n_pulses, loss_db, leg_eve, channel, rng)
+    # Only an intercept-resend Eve acts on the returned leg's rounds.
+    rounds = _prepare_measure_rounds(n_pulses, loss_db, eve, channel, rng)
     return _postprocess(n_pulses, *rounds, rng, protocol)

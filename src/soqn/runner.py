@@ -1,7 +1,6 @@
 """Load a parsed scenario into the engine, run it, and build the report."""
 from __future__ import annotations
 
-import dataclasses
 import os
 
 from .bitops import bits_from_hex
@@ -82,26 +81,10 @@ def install_handler(engine: SimEngine, network: Network,
         elif kind == "snapshot":
             snapshots_out.append(Snapshot(engine.now, network.table.version,
                                           tuple(sorted(network.table.links))))
-        elif kind == "param_set":
-            _apply_param(network, ev.payload["name"], ev.payload["value"])
         else:
             raise ValueError(f"unhandled event kind {kind!r}")
 
     engine.handler = handler
-
-
-def _apply_param(network: Network, name: str, value) -> None:
-    group, _ = PARAM_SPECS[name]
-    if group == "feasibility":
-        network.feasibility = dataclasses.replace(network.feasibility, **{name: value})
-    elif group == "channel":
-        network.channel = dataclasses.replace(network.channel, **{name: value})
-    elif group == "protocol":
-        network.protocol = dataclasses.replace(network.protocol, **{name: value})
-    elif name in ("acquire_coarse_s", "acquire_fine_s"):
-        raise ValueError(f"{name} can only be set at load time")
-    else:
-        setattr(network, name, value)
 
 
 def run_scenario(sc: Scenario, *, until: float | None = None, strict: bool = False,

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from soqn.channel import ChannelParams, DetectionOutcome, detect, path_loss_db, transmittance
+from soqn.channel import ChannelParams, path_loss_db, transmittance
+from soqn.qkd import EveConfig, _prepare_measure_rounds
 from soqn.rng import RandomStream
 
 
@@ -59,62 +60,29 @@ class TestChannelParams:
             ChannelParams(**kwargs)
 
 
-class TestDetect:
-    def test_no_click_sources(self):
-        params = ChannelParams(dark_count_prob=0.0, background_prob=0.0)
-        rng = RandomStream(1, "detect")
-        for _ in range(1000):
-            out = detect(False, 0, 0.5, params, rng)
-            assert not out.clicked and not out.noise_click
+class TestClickRate:
+    """Click rates of the prepare-measure rounds every session runs."""
 
-    def test_ideal_channel_reproduces_bit(self):
-        params = ChannelParams(dark_count_prob=0.0, background_prob=0.0,
-                               detector_efficiency=1.0, intrinsic_error_prob=0.0)
-        rng = RandomStream(2, "detect")
-        for bit in (0, 1):
-            for _ in range(200):
-                out = detect(True, bit, 1.0, params, rng)
-                assert out.clicked and out.bit == bit and not out.noise_click
+    @staticmethod
+    def click_fraction(channel, n, seed):
+        detected = _prepare_measure_rounds(n, 0.0, EveConfig(), channel,
+                                           RandomStream(seed, "clicks"))[3]
+        return np.count_nonzero(detected) / n
 
     def test_click_rate_binomial(self):
         # binomial oracle: clicks ~ B(n, eta) at eta = 0.5
-        params = ChannelParams(dark_count_prob=0.0, background_prob=0.0)
-        rng = RandomStream(3, "detect")
+        params = ChannelParams(dark_count_prob=0.0, background_prob=0.0,
+                               detector_efficiency=0.5)
         n = 10**5
-        clicks = sum(detect(True, 0, 0.5, params, rng).clicked for _ in range(n))
         sigma = math.sqrt(0.25 / n)
-        assert abs(clicks / n - 0.5) < 3 * sigma
+        assert abs(self.click_fraction(params, n, 3) - 0.5) < 3 * sigma
 
     def test_click_rate_with_noise(self):
         # empirical rate converges to 1 - (1 - eta)(1 - p_noise)
-        params = ChannelParams(dark_count_prob=0.05, background_prob=0.05)
-        rng = RandomStream(4, "detect")
+        params = ChannelParams(dark_count_prob=0.05, background_prob=0.05,
+                               detector_efficiency=0.3)
         n = 4 * 10**4
         eta = 0.3
         expect = 1.0 - (1.0 - eta) * (1.0 - params.noise_prob)
-        clicks = sum(detect(True, 1, eta, params, rng).clicked for _ in range(n))
         sigma = math.sqrt(expect * (1 - expect) / n)
-        assert abs(clicks / n - expect) < 3 * sigma
-
-    def test_noise_click_implies_clicked(self):
-        params = ChannelParams(dark_count_prob=0.3)
-        rng = RandomStream(5, "detect")
-        for _ in range(2000):
-            out = detect(False, 0, 0.9, params, rng)
-            if out.noise_click:
-                assert out.clicked
-
-    def test_replay_determinism(self):
-        params = ChannelParams()
-        a = [detect(True, 1, 0.4, params, RandomStream(9, f"d{i}")) for i in range(50)]
-        b = [detect(True, 1, 0.4, params, RandomStream(9, f"d{i}")) for i in range(50)]
-        assert a == b
-
-    @pytest.mark.parametrize("eta", [0.0, -0.2, 1.0001])
-    def test_rejects_bad_eta(self, eta):
-        with pytest.raises(ValueError):
-            detect(True, 0, eta, ChannelParams(), RandomStream(1, "x"))
-
-    def test_outcome_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            DetectionOutcome(clicked=False, bit=0, noise_click=True)
+        assert abs(self.click_fraction(params, n, 4) - expect) < 3 * sigma

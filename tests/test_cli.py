@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from soqn.cli import main
+from soqn.cli import _parse_sweep, main
 
 GOOD = """\
 mode p2p
@@ -21,6 +21,16 @@ node n3 peer 0.0 1.8 3000.0
 at 1.0 qkd n1 n2 pulses=2048
 at 2.0 send n1 n2 hex:deadbeef
 at 3.0 send n1 n3 hex:cafe
+"""
+
+# lossless but with the default intrinsic error, so sessions see qber > 0
+NOISY_QKD = """\
+mode p2p
+param fixed_system_loss_db 0.0
+param detector_efficiency 1.0
+node a peer 0 0 500
+node b peer 0 0.05 500
+at 1 qkd a b pulses=20000
 """
 
 NO_ROUTE = """\
@@ -146,3 +156,31 @@ class TestCliExitCodes:
         path = tmp_path / "badparam.soqn"
         path.write_text("mode p2p\nparam detector_efficiency 0.0\nnode n peer 0 0 0\n")
         assert main(["--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_overflowing_f_ec_is_2(self, tmp_path, capsys):
+        # a finite f_ec whose leakage overflows is a configuration error, not a crash
+        path = tmp_path / "hugefec.soqn"
+        path.write_text(NOISY_QKD + "param f_ec 1e308\n")
+        assert main(["--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", ["acquire_coarse_s=nan", "pulses_per_session=1.5",
+                                      "f_ec=inf", "require_los=yes", "f_ec=1,,2"])
+    def test_sweep_values_typed_like_param_lines(self, spec):
+        # called directly: a NaN acquisition delay used to hang the run
+        with pytest.raises(ValueError):
+            _parse_sweep(spec)
+
+    def test_sweep_values_keep_their_type(self):
+        assert _parse_sweep("pulses_per_session=2048,4096") == ("pulses_per_session", [2048, 4096])
+        assert _parse_sweep("require_los=true,false") == ("require_los", [True, False])
+        assert _parse_sweep("f_ec=1.1,1.2") == ("f_ec", [1.1, 1.2])
+
+    def test_nonfinite_sweep_is_2(self, tmp_path, capsys):
+        path = tmp_path / "noisy.soqn"
+        path.write_text(NOISY_QKD)
+        assert main(["--scenario", str(path), "--out", str(tmp_path / "o"),
+                     "--sweep", "f_ec=inf"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err

@@ -46,6 +46,9 @@ class TestScheduling:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             ScenarioEvent(-1.0, "x")
+        # NaN compares false with everything, so it must not slip through
+        with pytest.raises(ValueError):
+            ScenarioEvent(float("nan"), "x")
 
     def test_empty_run(self):
         engine = SimEngine(0)
