@@ -1,8 +1,9 @@
-"""Hot per-pulse kernels, in numpy.
+"""Numpy kernels: the per-pulse transmit kernel and the Toeplitz hash.
 
-Kernels never draw randomness themselves: the transmit kernel takes boolean
-masks thresholded from pre-drawn uniform arrays, so a session replays bit
-for bit from its stream.
+Kernels never draw randomness themselves. Sessions sample their sifted
+clicks directly (``qkd._sifted_keys``); the transmit kernel is the per-gate
+detection of the dense per-pulse model the tests compare them against, and
+takes boolean masks thresholded from pre-drawn uniform arrays.
 """
 from __future__ import annotations
 

@@ -42,7 +42,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_sweep(spec: str) -> tuple[str, list]:
-    """Split ``PARAM=V1,V2,...`` and type each value as a ``param`` line."""
+    """Split ``PARAM=V1,V2,...`` and type each value as a ``param`` line.
+
+    Each value names its run's directory, so values that type equal (1.1
+    and 1.10) are rejected rather than run twice into one directory."""
     if "=" not in spec:
         raise ValueError("--sweep expects PARAM=V1,V2,...")
     name, _, values = spec.partition("=")
@@ -54,9 +57,12 @@ def _parse_sweep(spec: str) -> tuple[str, list]:
         if line.tokens != [raw.strip()]:
             raise ValueError(f"--sweep {name}: expected one value, got {raw!r}")
         try:
-            parsed.append(_parse_param_value(line, 0, name, PARAM_SPECS[name][1]))
+            value = _parse_param_value(line, 0, name, PARAM_SPECS[name][1])
         except ScenarioError as exc:
             raise ValueError(f"--sweep {name}: {exc.message}") from None
+        if value in parsed:
+            raise ValueError(f"--sweep {name}: {raw.strip()!r} repeats an earlier value")
+        parsed.append(value)
     return name, parsed
 
 

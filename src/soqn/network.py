@@ -11,6 +11,7 @@ distributed by trusted relays publishing XORs of adjacent hop keys.
 from __future__ import annotations
 
 import re
+from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -129,26 +130,32 @@ class KeyBlock:
 class KeyBuffer:
     """Append-only pairwise pool of one-time-pad bits with a consume cursor.
 
-    Bits below the cursor can never be handed out again.
+    Bits below the cursor can never be handed out again. The pool is kept
+    as the appended chunks not yet fully consumed, so an append copies only
+    its own bits and consumed chunks are released.
     """
 
     def __init__(self, pair: tuple[NodeId, NodeId]):
         self.pair = pair
-        self._pool = np.empty(0, dtype=np.uint8)
+        self._chunks: deque[np.ndarray] = deque()
+        self._generated = 0
         self.consumed_offset = 0
 
     @property
     def total_generated(self) -> int:
-        return len(self._pool)
+        return self._generated
 
     @property
     def available(self) -> int:
-        return len(self._pool) - self.consumed_offset
+        return self._generated - self.consumed_offset
 
     def append(self, bits: np.ndarray) -> int:
         """Append fresh key bits; returns the offset they start at."""
-        start = len(self._pool)
-        self._pool = np.concatenate([self._pool, as_bits(bits)])
+        start = self._generated
+        chunk = as_bits(bits).copy()
+        if len(chunk):
+            self._chunks.append(chunk)
+            self._generated += len(chunk)
         return start
 
     def consume(self, n: int) -> KeyBlock:
@@ -156,8 +163,16 @@ class KeyBuffer:
             raise ValueError("cannot consume a negative number of bits")
         if self.available < n:
             raise KeyStarvationError(self.pair, n, self.available)
+        parts = [np.empty(0, dtype=np.uint8)]  # n == 0 takes no chunk
+        need = n
+        while need:
+            chunk = self._chunks.popleft()
+            if len(chunk) > need:
+                self._chunks.appendleft(chunk[need:])
+            parts.append(chunk[:need])
+            need -= len(parts[-1])
         off = self.consumed_offset
-        block = KeyBlock(self.pair, off, self._pool[off : off + n].copy())
+        block = KeyBlock(self.pair, off, np.concatenate(parts))
         self.consumed_offset = off + n
         return block
 

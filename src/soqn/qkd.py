@@ -3,9 +3,9 @@
 Two protocol flavors share one prepare-measure core: four-state BB84 between
 peers, and a polarization plug-and-play variant between a server (measuring
 party) and a client (encoding party) where only the returned single-photon
-leg sees channel statistics. Post-processing is sifting, sampled error
-estimation, modeled reconciliation with entropy-based leakage accounting,
-and Toeplitz-hash privacy amplification.
+leg sees channel statistics. A session samples its sifted clicks directly;
+post-processing is sampled error estimation, modeled reconciliation with
+entropy-based leakage accounting, and Toeplitz-hash privacy amplification.
 """
 from __future__ import annotations
 
@@ -15,7 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from ._kernels import toeplitz_hash, transmit_pulses
+from ._kernels import toeplitz_hash
+from ._kernels import transmit_pulses  # unused here; perfbench/tracing.py wraps qkd.transmit_pulses
 from .channel import ChannelParams, transmittance
 from .rng import RandomStream
 
@@ -111,7 +112,10 @@ def trojan_monitor(measured_intensity: float, expected_intensity: float,
 
 
 def sift(sender_bases, receiver_bases, sender_bits, receiver_bits, detected):
-    """Keep positions that were detected and measured in the matching basis."""
+    """Keep positions that were detected and measured in the matching basis.
+
+    Sessions draw their sifted keys directly (``_sifted_keys``); this is the
+    sifting of per-pulse rounds, as the tests' dense reference does it."""
     sb = np.asarray(sender_bases, dtype=np.uint8)
     rb = np.asarray(receiver_bases, dtype=np.uint8)
     sx = np.asarray(sender_bits, dtype=np.uint8)
@@ -204,45 +208,37 @@ def _aborted(n_pulses: int, sifted_len: int, qber: float, reason: SessionAbort) 
     )
 
 
-def _prepare_measure_rounds(n_pulses: int, loss_db: float, eve: EveConfig,
-                            channel: ChannelParams, rng: RandomStream):
-    """One batch of prepare -> (eve) -> channel -> measure rounds.
+def _sifted_keys(n_pulses: int, loss_db: float, eve: EveConfig,
+                 channel: ChannelParams, rng: RandomStream):
+    """The sender's and the receiver's sifted keys of ``n_pulses``
+    prepare -> (eve) -> channel -> measure rounds.
 
-    Returns (sender_bits, sender_bases, receiver_bases, detected,
-    receiver_bits). Draw order is fixed so a session replays bit-for-bit
-    from its stream.
+    Pulses are i.i.d., so only the sifted ones are drawn (thinning of a
+    Bernoulli process): a pulse is kept when it clicks and both bases match,
+    with probability p_click / 2, and a kept pulse reads the wrong bit with
+    probability q. The sifted length, the bits and the errors have the law
+    of the per-pulse rounds, whose order is exchangeable, so no positions
+    are drawn. Three draws in a fixed order, so a session replays bit for
+    bit from its stream.
     """
-    eta_total = transmittance(loss_db) * channel.detector_efficiency
-    if not (0.0 < eta_total <= 1.0):
-        raise ValueError(f"eta_total out of (0, 1]: {eta_total}")
-    sender_bits = rng.bits(n_pulses)
-    sender_bases = rng.bits(n_pulses)
+    eta = transmittance(loss_db) * channel.detector_efficiency
+    if not (0.0 < eta <= 1.0):
+        raise ValueError(f"eta_total out of (0, 1]: {eta}")
+    p_noise = channel.noise_prob
+    p_click = 1.0 - (1.0 - eta) * (1.0 - p_noise)
+    e_sig = channel.intrinsic_error_prob
     if eve.mode == "intercept_resend":
-        eve_bases = rng.bits(n_pulses)
-        eve_coin = rng.bits(n_pulses)
-        tx_bits = np.where(eve_bases == sender_bases, sender_bits, eve_coin).astype(np.uint8)
-        tx_bases = eve_bases
-    else:
-        tx_bits = sender_bits
-        tx_bases = sender_bases
-    receiver_bases = rng.bits(n_pulses)
-    # Each uniform array is thresholded as soon as it is drawn, so that only
-    # one float64 array of n_pulses is alive at a time.
-    coin = rng.uniforms(n_pulses) < 0.5
-    sig_click = rng.uniforms(n_pulses) < eta_total
-    noise_click = rng.uniforms(n_pulses) < channel.noise_prob
-    flip = rng.uniforms(n_pulses) < channel.intrinsic_error_prob
-    noise_bit = rng.uniforms(n_pulses) < 0.5
-    detected, receiver_bits = transmit_pulses(tx_bits, tx_bases, receiver_bases,
-                                              coin, sig_click, noise_click, flip, noise_bit)
-    return sender_bits, sender_bases, receiver_bases, detected, receiver_bits
+        # half of the sifted pulses were resent in the wrong basis and read a fair coin
+        e_sig = e_sig / 2 + 0.25
+    # a click without the signal photon reads a fair coin
+    q = (eta * e_sig + (1.0 - eta) * p_noise / 2) / p_click
+    k = rng.binomial(n_pulses, p_click / 2)
+    sender = rng.bits(k)
+    return sender, sender ^ (rng.uniforms(k) < q)
 
 
-def _postprocess(n_pulses: int, sender_bits, sender_bases, receiver_bases,
-                 detected, receiver_bits, rng: RandomStream,
+def _postprocess(n_pulses: int, sifted_a, sifted_b, rng: RandomStream,
                  protocol: ProtocolParams) -> SessionRecord:
-    sifted_a, sifted_b = sift(sender_bases, receiver_bases, sender_bits,
-                              receiver_bits, detected)
     sifted_len = len(sifted_a)
     # error estimation needs at least 2 bits regardless of the configured floor
     if sifted_len < max(protocol.min_sift_len, 2):
@@ -292,8 +288,8 @@ def run_bb84_session(link, n_pulses: int, eve: EveConfig, rng: RandomStream,
     loss_db = _require_active(link)
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
-    rounds = _prepare_measure_rounds(n_pulses, loss_db, eve, channel, rng)
-    return _postprocess(n_pulses, *rounds, rng, protocol)
+    sifted = _sifted_keys(n_pulses, loss_db, eve, channel, rng)
+    return _postprocess(n_pulses, *sifted, rng, protocol)
 
 
 def run_plugplay_session(server_link, n_pulses: int, eve: EveConfig, rng: RandomStream,
@@ -322,5 +318,5 @@ def run_plugplay_session(server_link, n_pulses: int, eve: EveConfig, rng: Random
         return _aborted(n_pulses, 0, 0.0, SessionAbort.TROJAN_ALARM)
 
     # Only an intercept-resend Eve acts on the returned leg's rounds.
-    rounds = _prepare_measure_rounds(n_pulses, loss_db, eve, channel, rng)
-    return _postprocess(n_pulses, *rounds, rng, protocol)
+    sifted = _sifted_keys(n_pulses, loss_db, eve, channel, rng)
+    return _postprocess(n_pulses, *sifted, rng, protocol)

@@ -48,6 +48,12 @@ class RandomStream:
         self.position += 1
         return float(self._gen.random())
 
+    def binomial(self, n: int, p: float) -> int:
+        """The number of successes in n independent trials of probability p,
+        as one draw."""
+        self.position += 1
+        return int(self._gen.binomial(n, p))
+
     def bits(self, n: int) -> np.ndarray:
         """n independent fair bits as uint8.
 

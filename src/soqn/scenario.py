@@ -122,8 +122,9 @@ class _Line:
         if len(self.tokens) > index:
             raise self.error(index, f"unexpected token {self.tokens[index]!r}")
 
-    def float_at(self, index: int, what: str) -> float:
-        tok = self.token(index, what)
+    def float_at(self, index: int, what: str, prefix: str = "") -> float:
+        """The token at ``index`` as a finite number, after ``prefix``."""
+        tok = self.token(index, what)[len(prefix):]
         try:
             v = float(tok)
         except ValueError:
@@ -145,8 +146,8 @@ class _Line:
             raise self.error(index, f"{what} must match [A-Za-z0-9_.-]+, got {tok!r}")
         return tok
 
-    def time_at(self, index: int, what: str = "time") -> float:
-        v = self.float_at(index, what)
+    def time_at(self, index: int, what: str = "time", prefix: str = "") -> float:
+        v = self.float_at(index, what, prefix)
         if v < 0:
             raise self.error(index, f"{what} must be >= 0")
         return v
@@ -220,12 +221,7 @@ def parse_scenario(text: str) -> Scenario:
                 tok = line.token(6, "deploy")
                 if not tok.startswith("deploy="):
                     raise line.error(6, f"expected deploy=<t_s>, got {tok!r}")
-                try:
-                    deploy = float(tok[len("deploy="):])
-                except ValueError:
-                    raise line.error(6, f"bad deploy time in {tok!r}") from None
-                if deploy < 0:
-                    raise line.error(6, "deploy time must be >= 0")
+                deploy = line.time_at(6, "deploy time", prefix="deploy=")
                 line.end(7)
             node_lines[nid] = number
             sc.nodes.append(NodeDecl(nid, role, lat, lon, alt, deploy))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soqn.channel import ChannelParams, path_loss_db, transmittance
-from soqn.qkd import EveConfig, _prepare_measure_rounds
+from soqn.qkd import EveConfig, _sifted_keys
 from soqn.rng import RandomStream
 
 
@@ -61,28 +61,29 @@ class TestChannelParams:
 
 
 class TestClickRate:
-    """Click rates of the prepare-measure rounds every session runs."""
+    """Sifted-click rates of the sampler every session runs: a pulse is
+    sifted when it clicks and both bases match, with probability p_click / 2."""
 
     @staticmethod
-    def click_fraction(channel, n, seed):
-        detected = _prepare_measure_rounds(n, 0.0, EveConfig(), channel,
-                                           RandomStream(seed, "clicks"))[3]
-        return np.count_nonzero(detected) / n
+    def sifted_fraction(channel, n, seed):
+        sifted, _ = _sifted_keys(n, 0.0, EveConfig(), channel, RandomStream(seed, "clicks"))
+        return len(sifted) / n
 
     def test_click_rate_binomial(self):
-        # binomial oracle: clicks ~ B(n, eta) at eta = 0.5
+        # binomial oracle: sifted clicks ~ B(n, eta / 2) at eta = 0.5
         params = ChannelParams(dark_count_prob=0.0, background_prob=0.0,
                                detector_efficiency=0.5)
         n = 10**5
-        sigma = math.sqrt(0.25 / n)
-        assert abs(self.click_fraction(params, n, 3) - 0.5) < 3 * sigma
+        expect = 0.25
+        sigma = math.sqrt(expect * (1 - expect) / n)
+        assert abs(self.sifted_fraction(params, n, 3) - expect) < 3 * sigma
 
     def test_click_rate_with_noise(self):
-        # empirical rate converges to 1 - (1 - eta)(1 - p_noise)
+        # empirical rate converges to (1 - (1 - eta)(1 - p_noise)) / 2
         params = ChannelParams(dark_count_prob=0.05, background_prob=0.05,
                                detector_efficiency=0.3)
         n = 4 * 10**4
         eta = 0.3
-        expect = 1.0 - (1.0 - eta) * (1.0 - params.noise_prob)
+        expect = (1.0 - (1.0 - eta) * (1.0 - params.noise_prob)) / 2
         sigma = math.sqrt(expect * (1 - expect) / n)
-        assert abs(self.click_fraction(params, n, 4) - expect) < 3 * sigma
+        assert abs(self.sifted_fraction(params, n, 4) - expect) < 3 * sigma

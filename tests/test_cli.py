@@ -177,6 +177,16 @@ class TestCliExitCodes:
         assert _parse_sweep("require_los=true,false") == ("require_los", [True, False])
         assert _parse_sweep("f_ec=1.1,1.2") == ("f_ec", [1.1, 1.2])
 
+    @pytest.mark.parametrize("values", ["1.1,1.10", "1.1,1.2,11e-1", "0.0,-0.0"])
+    def test_typed_equal_sweep_values_are_2(self, scenario_file, tmp_path, capsys, values):
+        # each value names its run's directory: 1.1 and 1.10 would share sweep-f_ec-1.1
+        out = tmp_path / "o"
+        assert main(["--scenario", scenario_file, "--out", str(out),
+                     "--sweep", f"f_ec={values}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "repeats an earlier value" in err
+        assert not out.exists()
+
     def test_nonfinite_sweep_is_2(self, tmp_path, capsys):
         path = tmp_path / "noisy.soqn"
         path.write_text(NOISY_QKD)

@@ -195,6 +195,16 @@ class TestRandomStreams:
         s.bit()
         assert s.position == 16
 
+    def test_binomial_replays_and_counts_one_draw(self):
+        a, b = RandomStream(3, "binomial"), RandomStream(3, "binomial")
+        draws = [a.binomial(60_000, 0.03) for _ in range(5)]
+        assert draws == [b.binomial(60_000, 0.03) for _ in range(5)]
+        assert all(type(k) is int and 0 <= k <= 60_000 for k in draws)
+        assert len(set(draws)) > 1
+        assert a.position == 5
+        assert a.binomial(0, 0.5) == 0 and a.binomial(7, 1.0) == 7
+        assert a.position == 7
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bits_match_the_integers_draw(self, seed):
         # Top bits of random bytes equal integers(0, 2, dtype=uint8): same

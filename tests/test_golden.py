@@ -1,9 +1,15 @@
 """Golden replays: every bundled scenario reproduces its artifacts byte
 for byte. The pins are sha256 digests of the files the CLI writes; a
-change that alters any artifact must regenerate them and say why."""
+change that alters any artifact must regenerate them and say why.
+
+``PYTHONPATH=src python tests/test_golden.py`` prints the digests of the
+current code for every pin, in the layout of the dicts below, so a
+regeneration is pasted from that output rather than edited by hand.
+"""
 import hashlib
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
@@ -18,14 +24,14 @@ import workloads  # noqa: E402
 
 GOLDEN = {
     "cs_backbone.soqn": {
-        "events.log": "bbd2d0371e24c5ab3abf306e358569691bb5bdfb2e85295eec4244b1e1150b0d",
-        "report.txt": "38f0f6562aa187c2f8043568c3f165e17360ca571741a3e9ff06c88522240b87",
-        "records.tsv": "5af06d1a55fee54c175982557b383cf358eb8e591fea58433a97a4b5ad7c7c69",
+        "events.log": "853b8dfaf26dcd9050fbb458cbaef61c654a21172d58c5d02d55d79876db2985",
+        "report.txt": "25eea5c842293ac8e346abda64ad6f1772f4e8520c50081ca984538e088bf9b7",
+        "records.tsv": "e5d17609ed9d22420c16b3fe0d781e8799fbf347fd32756ae9c11eae810833a9",
     },
     "p2p_relay.soqn": {
-        "events.log": "b82a679de406245d909cae169f92eb4f2fab0de2fc4c9722750d86b3190e41a8",
-        "report.txt": "83eeebd6cc7b497ab0f226a1506b64ab4de716730193513a877f0a0f17d82b93",
-        "records.tsv": "2876b50b18a7fe1f20e9907bdc0567a795afd38ba658c73d5f01c914c66744a3",
+        "events.log": "ae27315b9eefc1faa4b9ae0432ada09cc3945bf2ac501793551da258f8655739",
+        "report.txt": "afd4f8059d58ebc1890a5067fe64e7c2e9d3194663a347991996d0b726e9e088",
+        "records.tsv": "6620f0dada69a5a6367624cfd3cefdbbb48ee2593532521c9d7ec53fddbea77f",
     },
 }
 
@@ -36,31 +42,54 @@ SNAPSHOT_TIMES = (0.0, 1.0, 2.5, 3.5, 5.2, 5.6, 9.0)
 
 GOLDEN_SNAPSHOTS = {
     ("cs_backbone.soqn", None): {
-        "events.log": "bbd2d0371e24c5ab3abf306e358569691bb5bdfb2e85295eec4244b1e1150b0d",
-        "report.txt": "90373b9627c41c66c1e83148bccf324d10dca88d25886a4521fd3c490919dcaa",
-        "records.tsv": "b8b7a7ed0d0ca102b0b1eb1417d61d2377bb4efcb25275101950e082d653957c",
+        "events.log": "853b8dfaf26dcd9050fbb458cbaef61c654a21172d58c5d02d55d79876db2985",
+        "report.txt": "05f2c69685a4d54de0bf0541a633e606f56de86a89df29d86434762cb39ed59d",
+        "records.tsv": "50c748b4583fa05830c7f4ece63c5787305cba4c7cac4bc7510b830aed490437",
     },
     ("cs_backbone.soqn", 0.5): {
-        "events.log": "e2153ff82550b13f6f5636271491446cbb858c3658b6b3e0597e79b4ad742f16",
-        "report.txt": "eb2d1e8f6dc32ee7cdf120ab96c39c6d7b5c17245e3166c6e04caba7776db841",
-        "records.tsv": "dca848bc3096eb023255cf21b81856f70fe418b107d01f7fa1336d622a171854",
+        "events.log": "fb3f85217af00eec856b16474a0114890726c386cfab2cb8dafac08f86993821",
+        "report.txt": "f4ab3d3b6b55c446c835aabecde514f3ac8b274ecbc99313cd107a21fd909c4f",
+        "records.tsv": "28b4cf86309561d97f96ee21c48552f17ac7de8a9cdc8719b640e969c480dbe3",
     },
     ("p2p_relay.soqn", None): {
-        "events.log": "b82a679de406245d909cae169f92eb4f2fab0de2fc4c9722750d86b3190e41a8",
-        "report.txt": "ba6b5b8ba51e38edb4c31fe73c5995189ca1bf5d46cb91ba32a6db3292c90476",
-        "records.tsv": "d05e59084d5fae0906abf5ad12f724be4f3875eaa0947753b326bb0af4ea8e62",
+        "events.log": "ae27315b9eefc1faa4b9ae0432ada09cc3945bf2ac501793551da258f8655739",
+        "report.txt": "6ac725aec3250d8190d1e5d778b7be91dbb106eba1b1c435a796d2bdcbe02b20",
+        "records.tsv": "207fa5e3109dc73251f1f694a133fe29db0975aa8605f3d7e62fd1d3dd782a4c",
     },
     ("p2p_relay.soqn", 0.5): {
-        "events.log": "b96723f2abe83059cb5484fbb11e11656cfdcf96706433ebea6d4b318a27e27e",
-        "report.txt": "ad62513d8ea1f90f237c587b5484804f46427c1dbf7fa7e22b884d2949d56a42",
-        "records.tsv": "e91626a9c2d4fc613dfb9ff793e7a9a9b6458fd40543099ae1db7324a753f568",
+        "events.log": "c536267580ff63f06a199c24df456003286fa2cb54eb5784a1631e4195ab08c7",
+        "report.txt": "9219a1e5ef764e9cc895a21015005a9c2029ae88deac083585767729e99c649d",
+        "records.tsv": "a8b02262b48a02a208661817b4dcd58b488041c87e6484d167eae4887374df7e",
     },
 }
 
 
-def _digests(tmp_path, artifacts):
-    return {artifact: hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest()
-            for artifact in artifacts}
+ARTIFACTS = ("events.log", "report.txt", "records.tsv")
+
+
+def _replay(sc, out_dir, **kwargs):
+    """Run ``sc`` into ``out_dir``; the sha256 of each artifact."""
+    _, code = run_scenario(sc, out_dir=str(out_dir), **kwargs)
+    if code != EXIT_OK:
+        raise RuntimeError(f"scenario exited {code}")
+    return {artifact: hashlib.sha256((out_dir / artifact).read_bytes()).hexdigest()
+            for artifact in ARTIFACTS}
+
+
+def scenario_digests(name, out_dir):
+    return _replay(parse_scenario((SCENARIOS / name).read_text()), out_dir)
+
+
+def snapshot_digests(key, out_dir):
+    name, acquire_delay = key
+    sc = parse_scenario((SCENARIOS / name).read_text())
+    if acquire_delay is not None:
+        sc.params["acquire_coarse_s"] = acquire_delay  # as `--sweep` overrides it
+    return _replay(sc, out_dir, snapshot_times=SNAPSHOT_TIMES)
+
+
+def workload_digests(name, out_dir):
+    return _replay(parse_scenario(workloads.generate(name, 1)), out_dir)
 
 
 def test_every_scenario_is_pinned():
@@ -69,10 +98,7 @@ def test_every_scenario_is_pinned():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_replay(name, tmp_path):
-    sc = parse_scenario((SCENARIOS / name).read_text())
-    _, code = run_scenario(sc, out_dir=str(tmp_path))
-    assert code == EXIT_OK
-    assert _digests(tmp_path, GOLDEN[name]) == GOLDEN[name]
+    assert scenario_digests(name, tmp_path) == GOLDEN[name]
 
 
 def test_every_scenario_is_pinned_with_snapshots():
@@ -81,13 +107,8 @@ def test_every_scenario_is_pinned_with_snapshots():
 
 @pytest.mark.parametrize("name,acquire_delay", sorted(GOLDEN_SNAPSHOTS, key=str))
 def test_golden_replay_with_snapshots(name, acquire_delay, tmp_path):
-    sc = parse_scenario((SCENARIOS / name).read_text())
-    if acquire_delay is not None:
-        sc.params["acquire_coarse_s"] = acquire_delay  # as `--sweep` overrides it
-    _, code = run_scenario(sc, snapshot_times=SNAPSHOT_TIMES, out_dir=str(tmp_path))
-    assert code == EXIT_OK
-    expected = GOLDEN_SNAPSHOTS[name, acquire_delay]
-    assert _digests(tmp_path, expected) == expected
+    key = (name, acquire_delay)
+    assert snapshot_digests(key, tmp_path) == GOLDEN_SNAPSHOTS[key]
 
 
 # Mid-size synthetic scenarios from the benchmark's seeded generator, at
@@ -95,21 +116,47 @@ def test_golden_replay_with_snapshots(name, acquire_delay, tmp_path):
 # deployed so far) and qkd_bulk_chain long QKD sessions.
 GOLDEN_WORKLOADS = {
     "cs_mobility": {
-        "events.log": "03a83fd10c086afcac8f675bddbfd3e1d992e93c58c36dbb58d2b8e6facd8500",
-        "report.txt": "32f40f1ad5deeadd03cbe151ff0481e6295194a80982174d3e3a3dfb1b4d6b0e",
-        "records.tsv": "a3a1c769d0941881bef8c796330134521fb09fddf01a59ac82b1432983141c1d",
+        "events.log": "26d9dd70014c254ef1aff85621d77942574d0b471e769a1f61e5d32925a2eeb6",
+        "report.txt": "6e2d58d490a0b740f7744dfb420159f5e51405fe64c3ad34de9ceb9603c7813d",
+        "records.tsv": "fc0da2b9cad30c00bcab15e03b590bbcc76001fc64f714265237ded1ae354e59",
     },
     "qkd_bulk_chain": {
-        "events.log": "9a998f38ea6aecc5e7beb3e525b6a2c30c08ce0d126929dccf1f8eb461a918c4",
-        "report.txt": "9f9f962937e2f04c48770b20c98d0c3f2234bfb226ba009bbff94b985ee5269f",
-        "records.tsv": "6099e0f9a8f8a13c9ed0b1b457cd0233838769c79c3aa0df1bd65628f5319192",
+        "events.log": "5d64707fdb01f888d9bee07255a9ee44d76a2311a3793ecbfc19132534770032",
+        "report.txt": "e7849c3abef8e930d39c52835155779beccde00e8b9e9a6fd93a11f6b52a3e33",
+        "records.tsv": "81f9600323d06a244c3624c80e3110a8456996033f77f3868a7fe39d3c3652dd",
     },
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
 def test_golden_replay_of_workload(name, tmp_path):
-    sc = parse_scenario(workloads.generate(name, 1))
-    _, code = run_scenario(sc, out_dir=str(tmp_path))
-    assert code == EXIT_OK
-    assert _digests(tmp_path, GOLDEN_WORKLOADS[name]) == GOLDEN_WORKLOADS[name]
+    assert workload_digests(name, tmp_path) == GOLDEN_WORKLOADS[name]
+
+
+def _literal(key):
+    if isinstance(key, tuple):
+        return "(" + ", ".join(map(_literal, key)) + ")"
+    return f'"{key}"' if isinstance(key, str) else repr(key)
+
+
+def print_pins():
+    """Print every pin dict as this file lays it out, with the digests of
+    the current code."""
+    pins = (("GOLDEN", GOLDEN, scenario_digests),
+            ("GOLDEN_SNAPSHOTS", GOLDEN_SNAPSHOTS, snapshot_digests),
+            ("GOLDEN_WORKLOADS", GOLDEN_WORKLOADS, workload_digests))
+    with tempfile.TemporaryDirectory() as tmp:
+        for dict_name, pinned, digests in pins:
+            print(f"{dict_name} = {{")
+            for i, key in enumerate(pinned):
+                out_dir = pathlib.Path(tmp, f"{dict_name}-{i}")
+                out_dir.mkdir()
+                print(f"    {_literal(key)}: {{")
+                for artifact, digest in digests(key, out_dir).items():
+                    print(f'        "{artifact}": "{digest}",')
+                print("    },")
+            print("}")
+
+
+if __name__ == "__main__":
+    print_pins()

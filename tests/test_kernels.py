@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from soqn import _kernels
 from soqn.channel import ChannelParams, transmittance
-from soqn.qkd import EveConfig, _prepare_measure_rounds
+from soqn.qkd import EveConfig
 from soqn.rng import RandomStream
+
+from dense_rounds import _prepare_measure_rounds
 
 
 def _transmit_inputs(n, seed=123, eta=0.7, p_noise=0.02, p_flip=0.05):

@@ -409,6 +409,48 @@ class TestKeyBuffer:
             buf.consume(5)
         assert err.value.hop == ("a", "b")
 
+    def test_consume_spans_chunks(self):
+        buf = KeyBuffer(("a", "b"))
+        assert buf.append(np.array([1, 0, 1], dtype=np.uint8)) == 0
+        assert buf.append(np.array([], dtype=np.uint8)) == 3
+        assert buf.append(np.array([0, 0], dtype=np.uint8)) == 3
+        assert buf.append(np.array([1, 1, 0, 1], dtype=np.uint8)) == 5
+        first = buf.consume(2)
+        across = buf.consume(5)  # the rest of the first chunk, the second, one bit of the third
+        assert (first.offset, across.offset) == (0, 2)
+        assert np.array_equal(first.bits, [1, 0])
+        assert np.array_equal(across.bits, [1, 0, 0, 1, 1])
+        assert buf.consume(0).bits.size == 0
+        assert (buf.total_generated, buf.consumed_offset, buf.available) == (9, 7, 2)
+        assert len(buf._chunks) == 1  # consumed chunks are released
+        with pytest.raises(KeyStarvationError):
+            buf.consume(3)
+        assert np.array_equal(buf.consume(2).bits, [0, 1])
+        assert len(buf._chunks) == 0
+
+    def test_random_appends_and_consumes_match_one_pool(self):
+        rng = np.random.default_rng(4)
+        buf = KeyBuffer(("a", "b"))
+        pool = np.empty(0, dtype=np.uint8)
+        for _ in range(300):
+            if rng.random() < 0.5:
+                bits = rng.integers(0, 2, int(rng.integers(0, 40)), dtype=np.uint8)
+                assert buf.append(bits) == len(pool)
+                pool = np.concatenate([pool, bits])
+                bits[:] = 1 - bits  # the buffer keeps its own copy
+            else:
+                n = int(rng.integers(0, 60))
+                off = buf.consumed_offset
+                if n > len(pool) - off:
+                    with pytest.raises(KeyStarvationError):
+                        buf.consume(n)
+                    continue
+                block = buf.consume(n)
+                assert block.offset == off
+                assert np.array_equal(block.bits, pool[off : off + n])
+            assert buf.total_generated == len(pool)
+            assert buf.available == len(pool) - buf.consumed_offset
+
     def test_block_take_once(self):
         buf = KeyBuffer(("a", "b"))
         buf.append(np.ones(4, dtype=np.uint8))

@@ -120,6 +120,17 @@ class TestDiagnostics:
         text = "mode p2p\nnode n1 peer 0 0 0\nnode n2 peer 0 0.01 0 deploy=5\nat 1 qkd n1 n2 pulses=10\n"
         self.expect_error(text, 4, "before its deploy time")
 
+    @pytest.mark.parametrize("value,fragment", [("nan", "must be finite"),
+                                                ("inf", "must be finite"),
+                                                ("-1", "must be >= 0"),
+                                                ("soon", "must be a number")])
+    def test_bad_deploy_time(self, value, fragment):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(f"mode p2p\nnode n1 peer 0 0 0 deploy={value}\n")
+        assert (err.value.line, err.value.col) == (2, 20)
+        assert err.value.message == f"deploy time {fragment}" + (
+            f", got {value!r}" if fragment == "must be a number" else "")
+
     def test_negative_event_time(self):
         self.expect_error(MINIMAL + "at -1 join n2\n", 4, ">= 0")
 
