@@ -52,13 +52,19 @@ def toeplitz_hash(key_bits, t_bits, m):
     ``t_bits`` (n+m-1 bits).
 
     The integer sums are the correlation of t with the key, computed as one
-    linear convolution of t with the reversed key by real FFTs, then rounded
-    and reduced mod 2 (the technique of fast QKD privacy amplification,
-    Hayashi & Tsurumaru, IEEE TIT 62(4), 2016). Raises ``ArithmeticError``
-    when a sum lands further than ``ROUNDING_MARGIN`` from an integer.
+    circular convolution of t with the reversed key by real FFTs, then
+    rounded and reduced mod 2 (the technique of fast QKD privacy
+    amplification, Hayashi & Tsurumaru, IEEE TIT 62(4), 2016). Raises
+    ``ArithmeticError`` when a sum lands further than ``ROUNDING_MARGIN``
+    from an integer.
+
+    The transform length L is the power of two >= n+m-1. The full linear
+    convolution is 2n+m-2 long, so its tail wraps onto the first n-1 points
+    of the circular one, but the kept window [n-1, n+m-1) gets no wrapped
+    term: its first index plus L is past the last linear one.
     """
     n = key_bits.shape[0]
-    size = 1 << max(2 * n + m - 3, 0).bit_length()  # power of two >= 2n+m-2
+    size = 1 << max(n + m - 2, 0).bit_length()  # power of two >= n+m-1
     c = irfft(rfft(t_bits, size) * rfft(key_bits[::-1], size), size)[n - 1 : n - 1 + m]
     r = np.rint(c)
     err = float(np.max(np.abs(c - r), initial=0.0))

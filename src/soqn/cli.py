@@ -12,7 +12,7 @@ import sys
 
 from ._kernels import backend_name
 from .runner import EXIT_PARSE_ERROR, run_scenario
-from .scenario import PARAM_SPECS, ScenarioError, _Line, _parse_param_value, parse_scenario
+from .scenario import MAX_SEED, PARAM_SPECS, ScenarioError, _Line, _parse_param_value, parse_scenario
 
 log = logging.getLogger("soqn")
 
@@ -69,6 +69,9 @@ def _parse_sweep(spec: str) -> tuple[str, list]:
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
+    if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
+        print("soqn: --seed must fit in 64 unsigned bits", file=sys.stderr)
+        return EXIT_PARSE_ERROR
     try:
         with open(args.scenario) as fh:
             text = fh.read()

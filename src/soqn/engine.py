@@ -4,15 +4,20 @@ A virtual clock, a (time, sequence)-ordered event queue, a reliable
 same-tick classical broadcast bus, and label-keyed random streams. All
 protocol state mutation happens on the single event-loop thread. The event
 log is append-only and reads as stable, tab-separated records suitable for
-golden-file comparison. A broadcast's receptions are kept as one fan-out
-entry rather than one record per receiver, and are expanded into their
-``bcast_rx`` records on read.
+golden-file comparison.
+
+The log is written in format v2: a broadcast is one ``broadcast`` record
+ending in ``receivers=<count>``, and its receptions take the ``count``
+sequence numbers after it without a record of their own. The receivers are
+the nodes of the ``deploy`` records before the broadcast, in that order,
+less its source, so ``expand_log`` rebuilds the v1 log, one reception
+record per receiver, exactly.
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .rng import RandomStream
 
@@ -48,38 +53,6 @@ class LogRecord:
         return f"{self.time:.6f}\t{self.seq}\t{self.kind}\t{self.origin}\t{self.details}"
 
 
-@dataclass(frozen=True)
-class FanOut:
-    """The receptions of one broadcast: a ``bcast_rx`` record for each node
-    of ``deployed[:upto]`` other than ``source``, numbered from ``seq``.
-
-    The deployment list only ever grows, so its first ``upto`` entries are
-    the nodes deployed when the broadcast went out.
-    """
-
-    time: float
-    seq: int
-    source: str
-    topic: str
-    upto: int
-
-    def receivers(self, deployed: list[str]) -> list[str]:
-        return [n for n in deployed[: self.upto] if n != self.source]
-
-    def records(self, deployed: list[str]) -> list[LogRecord]:
-        details = details_str(source=self.source, topic=self.topic)
-        return [LogRecord(self.time, seq, "bcast_rx", node, details)
-                for seq, node in enumerate(self.receivers(deployed), self.seq)]
-
-    def lines(self, deployed: list[str]) -> list[str]:
-        """``[r.to_line() for r in self.records(deployed)]``, formatting the
-        time and the details once (both fields are strings, which ``fmt``
-        leaves as they are)."""
-        head, tail = f"{self.time:.6f}\t", f"\tsource={self.source} topic={self.topic}"
-        return [f"{head}{seq}\tbcast_rx\t{node}{tail}"
-                for seq, node in enumerate(self.receivers(deployed), self.seq)]
-
-
 def fmt(value) -> str:
     """Stable scalar formatting for log and report fields (6 significant
     digits for floats)."""
@@ -100,9 +73,8 @@ class SimEngine:
     def __init__(self, seed: int):
         self.seed = seed
         self.now = 0.0
-        self._entries: list[LogRecord | FanOut] = []
-        self.deployed: list[str] = []  # insertion order = deployment order
-        self._deployed_set: set[str] = set()
+        self._records: list[LogRecord] = []
+        self._deployed: set[str] = set()
         self._queue: list[tuple[float, int, ScenarioEvent]] = []
         self._schedule_seq = 0
         self._log_seq = 0
@@ -119,41 +91,36 @@ class SimEngine:
     def emit(self, kind: str, origin: str, **fields) -> LogRecord:
         rec = LogRecord(self.now, self._log_seq, kind, origin, details_str(**fields))
         self._log_seq += 1
-        self._entries.append(rec)
+        self._records.append(rec)
         return rec
 
     @property
     def log(self) -> list[LogRecord]:
-        """Every record so far, with each broadcast's receptions expanded
-        (a new list on each access)."""
-        records: list[LogRecord] = []
-        for entry in self._entries:
-            if type(entry) is LogRecord:
-                records.append(entry)
-            else:
-                records += entry.records(self.deployed)
-        return records
+        """Every record so far in format v1, each broadcast followed by its
+        receptions (parsed from ``expand_log``; a new list on each access)."""
+        return [LogRecord(float(t), int(seq), kind, origin, details)
+                for t, seq, kind, origin, details
+                in (line.split("\t", 4) for line in expand_log(self.log_lines()))]
 
     def log_lines(self) -> list[str]:
-        """``[r.to_line() for r in self.log]``, without building the records
-        of the receptions."""
-        lines: list[str] = []
-        for entry in self._entries:
-            if type(entry) is LogRecord:
-                lines.append(entry.to_line())
-            else:
-                lines += entry.lines(self.deployed)
-        return lines
+        """The lines of ``events.log`` (format v2)."""
+        return [r.to_line() for r in self._records]
 
     # -- deployment registry ----------------------------------------------
 
-    def mark_deployed(self, node_id: str) -> None:
-        if node_id not in self._deployed_set:
-            self._deployed_set.add(node_id)
-            self.deployed.append(node_id)
+    def mark_deployed(self, node_id: str, **fields) -> LogRecord:
+        """Deploy ``node_id`` and write its ``deploy`` record with ``fields``.
+
+        That record is what makes the node a receiver of every later
+        broadcast when the log is expanded, so it is written here and
+        nowhere else."""
+        if node_id in self._deployed:
+            raise ValueError(f"node {node_id!r} is already deployed")
+        self._deployed.add(node_id)
+        return self.emit("deploy", node_id, **fields)
 
     def is_deployed(self, node_id: str) -> bool:
-        return node_id in self._deployed_set
+        return node_id in self._deployed
 
     # -- queue ----------------------------------------------------------
 
@@ -188,13 +155,46 @@ class SimEngine:
 
     def broadcast(self, origin: str, topic: str, payload: str = "") -> int:
         """Deliver a payload to every other deployed node at the current
-        tick. Returns the number of deliveries, which are logged as one
-        fan-out entry."""
+        tick. Returns the number of deliveries, which the ``broadcast``
+        record carries as ``receivers=<count>``; their sequence numbers
+        follow it unwritten."""
         if not self.is_deployed(origin):
             raise UndeployedOriginError(f"origin {origin!r} is not deployed")
-        self.emit("broadcast", origin, topic=topic, payload=payload)
-        upto = len(self.deployed)
-        self._entries.append(FanOut(self.now, self._log_seq, origin, topic, upto))
-        count = upto - 1  # every deployed node but the origin
+        count = len(self._deployed) - 1  # every deployed node but the origin
+        self.emit("broadcast", origin, topic=topic, payload=payload, receivers=count)
         self._log_seq += count
         return count
+
+
+def expand_log(lines: Iterable[str]) -> list[str]:
+    """Rebuild the v1 lines of an ``events.log`` from its v2 ``lines``.
+
+    Each ``broadcast`` record loses its ``receivers=<count>`` field and is
+    followed by one ``bcast_rx`` record per receiver, numbered from the
+    broadcast's sequence number plus one: the nodes of the ``deploy``
+    records before it, in that order, less its source. Every other line is
+    kept as it is. Raises ``ValueError`` naming the sequence number of a
+    broadcast without a count or whose count differs from its receivers.
+    """
+    deployed: list[str] = []
+    out: list[str] = []
+    for line in lines:
+        time, seq, kind, origin, details = line.split("\t", 4)
+        if kind == "deploy":
+            deployed.append(origin)
+        if kind != "broadcast":
+            out.append(line)
+            continue
+        details, has_count, count = details.rpartition(" receivers=")
+        if not has_count:
+            raise ValueError(f"broadcast seq {seq} has no receivers= count")
+        receivers = [n for n in deployed if n != origin]
+        if count != str(len(receivers)):
+            raise ValueError(f"broadcast seq {seq} counts receivers={count}, "
+                             f"but {len(receivers)} nodes were deployed besides {origin}")
+        out.append(f"{time}\t{seq}\t{kind}\t{origin}\t{details}")
+        topic = details.partition(" payload=")[0].removeprefix("topic=")
+        tail = f"\tsource={origin} topic={topic}"
+        out += [f"{time}\t{rx_seq}\tbcast_rx\t{node}{tail}"
+                for rx_seq, node in enumerate(receivers, int(seq) + 1)]
+    return out

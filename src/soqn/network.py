@@ -335,10 +335,9 @@ class Network:
         if node.deployed:
             raise DuplicateNodeError(f"node {node_id!r} deployed twice")
         node.deployed = True
-        self.engine.mark_deployed(node_id)
-        self.engine.emit("deploy", node_id, role=node.role,
-                         lat=node.position.latitude_deg, lon=node.position.longitude_deg,
-                         alt=node.position.altitude_m)
+        self.engine.mark_deployed(node_id, role=node.role,
+                                  lat=node.position.latitude_deg, lon=node.position.longitude_deg,
+                                  alt=node.position.altitude_m)
         if self.organized:
             self.join_network(node_id)
 

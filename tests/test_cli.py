@@ -194,3 +194,17 @@ class TestCliExitCodes:
                      "--sweep", "f_ec=inf"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_is_2(self, scenario_file, tmp_path, capsys, seed):
+        # the seed is hashed as 64 bits: 2**64 + 1 would silently replay seed 1
+        out = tmp_path / "o"
+        assert main(["--scenario", scenario_file, "--out", str(out), "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, scenario_file, tmp_path):
+        out = tmp_path / "o"
+        assert main(["--scenario", scenario_file, "--out", str(out), "--seed", str(2**64 - 1)]) == 0
+        assert f"seed={2**64 - 1}" in (out / "report.txt").read_text()

@@ -2,8 +2,11 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from soqn.engine import ScenarioEvent, SchedulingError, SimEngine, UndeployedOriginError
+from soqn.engine import (ScenarioEvent, SchedulingError, SimEngine, UndeployedOriginError,
+                         expand_log)
 from soqn.rng import RandomStream
 from soqn.runner import build_simulation, install_handler
 from soqn.scenario import parse_scenario
@@ -87,6 +90,9 @@ class TestScheduling:
 
 
 class TestBroadcast:
+    # ``engine.log`` is the parsed output of ``expand_log(engine.log_lines())``,
+    # so the receptions these tests read are the ones the expander rebuilds.
+
     def test_delivery_count(self):
         engine = SimEngine(0)
         for n in ("a", "b", "c", "d"):
@@ -100,7 +106,7 @@ class TestBroadcast:
         engine = SimEngine(0)
         engine.mark_deployed("solo")
         assert engine.broadcast("solo", "hello") == 0
-        assert [r.kind for r in engine.log] == ["broadcast"]
+        assert [r.kind for r in engine.log] == ["deploy", "broadcast"]
 
     def test_fifo_ordering(self):
         engine = SimEngine(0)
@@ -136,7 +142,25 @@ class TestBroadcast:
         sent = engine.log[-k - 1]
         assert sent.kind == "broadcast"
         assert engine.emit("next", "a").seq == sent.seq + k + 1
-        assert [r.seq for r in engine.log] == list(range(k + 2))
+        assert [r.seq for r in engine.log] == list(range(4 + k + 2))  # 4 deploy records
+
+    def test_written_log_has_one_record_per_broadcast(self):
+        engine = SimEngine(0)
+        for n in ("a", "b", "c", "d"):
+            engine.mark_deployed(n)
+        engine.broadcast("c", "topic", "hi")
+        engine.emit("next", "a")
+        assert engine.log_lines()[4:] == [
+            "0.000000\t4\tbroadcast\tc\ttopic=topic payload=hi receivers=3",
+            "0.000000\t8\tnext\ta\t",
+        ]
+
+    def test_deploying_twice_is_rejected(self):
+        engine = SimEngine(0)
+        engine.mark_deployed("a", role="peer")
+        with pytest.raises(ValueError, match="already deployed"):
+            engine.mark_deployed("a")
+        assert engine.log_lines() == ["0.000000\t0\tdeploy\ta\trole=peer"]
 
 
 class TestLog:
@@ -159,7 +183,75 @@ class TestLog:
         while engine.pending_events():
             engine.run_until(engine.last_event_time())
         assert any(r.kind == "bcast_rx" for r in engine.log)
-        assert [r.to_line() for r in engine.log] == engine.log_lines()
+        assert [r.to_line() for r in engine.log] == expand_log(engine.log_lines())
+        assert not any("\tbcast_rx\t" in line for line in engine.log_lines())
+
+
+class TestExpandLog:
+    DEPLOY = ["0.000000\t0\tdeploy\ta\t", "0.000000\t1\tdeploy\tb\t",
+              "0.000000\t2\tdeploy\tc\t"]
+
+    def test_zero_receivers_expand_to_the_broadcast_alone(self):
+        lines = ["1.500000\t0\tdeploy\tsolo\t",
+                 "1.500000\t1\tbroadcast\tsolo\ttopic=hello payload= receivers=0"]
+        assert expand_log(lines) == [lines[0], "1.500000\t1\tbroadcast\tsolo\ttopic=hello payload="]
+
+    def test_receptions_follow_the_deploy_records(self):
+        lines = [*self.DEPLOY, "2.000000\t3\tbroadcast\tb\ttopic=t payload=p receivers=2",
+                 "2.000000\t6\tlink_up\ta\tpeer=c"]
+        assert expand_log(lines) == [*self.DEPLOY, "2.000000\t3\tbroadcast\tb\ttopic=t payload=p",
+                                     "2.000000\t4\tbcast_rx\ta\tsource=b topic=t",
+                                     "2.000000\t5\tbcast_rx\tc\tsource=b topic=t",
+                                     lines[-1]]
+
+    @pytest.mark.parametrize("count", ["1", "3", "", "02"])
+    def test_count_disagreeing_with_deploy_records_raises(self, count):
+        lines = [*self.DEPLOY, f"2.000000\t3\tbroadcast\tb\ttopic=t payload=p receivers={count}"]
+        with pytest.raises(ValueError, match="seq 3 "):
+            expand_log(lines)
+
+    def test_broadcast_without_count_raises(self):
+        lines = [*self.DEPLOY, "2.000000\t3\tbroadcast\tb\ttopic=t payload=p"]
+        with pytest.raises(ValueError, match="seq 3 "):
+            expand_log(lines)
+
+    def test_payload_with_receivers_text_round_trips(self):
+        engine = SimEngine(0)
+        for n in ("a", "b", "c"):
+            engine.mark_deployed(n)
+        assert engine.broadcast("a", "t", "x receivers=9 receivers=") == 2
+        assert expand_log(engine.log_lines())[3:] == [
+            "0.000000\t3\tbroadcast\ta\ttopic=t payload=x receivers=9 receivers=",
+            "0.000000\t4\tbcast_rx\tb\tsource=a topic=t",
+            "0.000000\t5\tbcast_rx\tc\tsource=a topic=t",
+        ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("deploy", "broadcast", "emit")),
+                              st.integers(0, 6)), max_size=40))
+    def test_random_interleavings_expand_gaplessly(self, ops):
+        engine = SimEngine(0)
+        counts = []
+        for op, i in ops:
+            node = f"n{i}"
+            if op == "deploy" and not engine.is_deployed(node):
+                engine.mark_deployed(node, i=i)
+            elif op == "broadcast" and engine.is_deployed(node):
+                counts.append(engine.broadcast(node, f"topic{i}", f"payload receivers={i}"))
+            elif op == "emit":
+                engine.emit("note", node, i=i)
+            engine.now += 0.25
+        expanded = [line.split("\t") for line in expand_log(engine.log_lines())]
+        assert [int(f[1]) for f in expanded] == list(range(len(expanded)))
+        kinds = [f[2] for f in expanded] + [None]
+        rx_runs = []
+        for j, kind in enumerate(kinds):
+            if kind == "broadcast":
+                k = j + 1
+                while kinds[k] == "bcast_rx":
+                    k += 1
+                rx_runs.append(k - j - 1)
+        assert rx_runs == counts
 
 
 def same_state(a, b) -> bool:

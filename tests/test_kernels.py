@@ -124,12 +124,15 @@ class TestToeplitzKernel:
                               np.bitwise_xor(h(k1, t, m), h(k2, t, m)))
 
     def test_block_boundary_sizes(self):
-        # FFT sizes are powers of two >= 2n+m-2: these straddle them, down
+        # FFT sizes are powers of two >= n+m-1: these straddle them, down
         # to a one-point transform, up to the largest key and output sizes
-        # the bundled benchmark workloads reach.
+        # the bundled benchmark workloads reach. The second row puts n+m-1
+        # at a power of two (no spare point) and one past it.
         rng = RandomStream(8, "toeplitz")
         for n, m in [(1, 1), (2, 1), (10, 1), (63, 64), (64, 64), (65, 3),
-                     (2048, 2048), (2049, 2050), (5744, 4651)]:
+                     (2048, 2048), (2049, 2050), (5744, 4651),
+                     (1, 2), (2, 2), (33, 32), (33, 33), (1, 64), (64, 2),
+                     (1000, 1049), (1000, 1050), (5744, 2449), (5744, 2450)]:
             key = rng.bits(n)
             t = rng.bits(n + m - 1)
             got = _kernels.toeplitz_hash(key, t, m)
