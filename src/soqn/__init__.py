@@ -2,8 +2,9 @@
 
 Peer-to-peer and client/server organization protocols over simulated
 free-space optical links: location broadcast, link acquisition, routing
-tables, per-pulse BB84 and plug-and-play key generation, XOR trusted-relay
-key distribution, one-time-pad messaging, and eavesdropper models.
+tables, BB84 and plug-and-play key generation that samples only each
+session's sifted clicks, XOR trusted-relay key distribution, one-time-pad
+messaging, and eavesdropper models.
 """
 from ._kernels import backend_name
 from .channel import ChannelParams, path_loss_db, transmittance

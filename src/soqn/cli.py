@@ -9,6 +9,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import replace
 
 from ._kernels import backend_name
 from .runner import EXIT_PARSE_ERROR, run_scenario
@@ -85,28 +86,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE_ERROR
 
     log.info("backend: %s", backend_name())
-    runs: list[tuple[str, dict]] = []
+    runs = [(args.out, sc)]
     if args.sweep:
         try:
             name, values = _parse_sweep(args.sweep)
         except ValueError as exc:
             print(f"soqn: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
-        for v in values:
-            sub = os.path.join(args.out, f"sweep-{name}-{v}")
-            runs.append((sub, {name: v}))
-    else:
-        runs.append((args.out, {}))
+        runs = [(os.path.join(args.out, f"sweep-{name}-{v}"),
+                 replace(sc, params={**sc.params, name: v})) for v in values]
 
     worst = 0
-    for out_dir, overrides in runs:
-        sweep_sc = sc
-        if overrides:
-            sweep_sc = parse_scenario(text)  # fresh copy per run
-            sweep_sc.params.update(overrides)
+    for out_dir, run_sc in runs:
         try:
             report, code = run_scenario(
-                sweep_sc, until=args.until, strict=args.strict,
+                run_sc, until=args.until, strict=args.strict,
                 snapshot_times=tuple(args.snapshot), seed_override=args.seed,
                 out_dir=out_dir)
         except ValueError as exc:

@@ -89,6 +89,13 @@ class SimEngine:
     # -- logging ---------------------------------------------------------
 
     def emit(self, kind: str, origin: str, **fields) -> LogRecord:
+        """Append one record of any kind but the two ``expand_log`` reads,
+        which only ``mark_deployed`` and ``broadcast`` write."""
+        if kind in ("deploy", "broadcast"):
+            raise ValueError(f"{kind!r} records come only from mark_deployed and broadcast")
+        return self._write(kind, origin, **fields)
+
+    def _write(self, kind: str, origin: str, **fields) -> LogRecord:
         rec = LogRecord(self.now, self._log_seq, kind, origin, details_str(**fields))
         self._log_seq += 1
         self._records.append(rec)
@@ -117,7 +124,7 @@ class SimEngine:
         if node_id in self._deployed:
             raise ValueError(f"node {node_id!r} is already deployed")
         self._deployed.add(node_id)
-        return self.emit("deploy", node_id, **fields)
+        return self._write("deploy", node_id, **fields)
 
     def is_deployed(self, node_id: str) -> bool:
         return node_id in self._deployed
@@ -161,7 +168,7 @@ class SimEngine:
         if not self.is_deployed(origin):
             raise UndeployedOriginError(f"origin {origin!r} is not deployed")
         count = len(self._deployed) - 1  # every deployed node but the origin
-        self.emit("broadcast", origin, topic=topic, payload=payload, receivers=count)
+        self._write("broadcast", origin, topic=topic, payload=payload, receivers=count)
         self._log_seq += count
         return count
 

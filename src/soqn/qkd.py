@@ -52,7 +52,7 @@ class ProtocolParams:
     qber_abort: float = 0.11
     f_ec: float = 1.16
     safety_margin_bits: int = 100
-    signal_mean_photons: float = 0.5  # validated; the source model does not use it yet
+    # API-only: the scenario language cannot set up a trojan_probe EveConfig.
     trojan_tolerance: float = 0.25
     strong_pulse_intensity: float = 1e6
 
@@ -67,8 +67,6 @@ class ProtocolParams:
             raise ValueError("f_ec must be finite and >= 1")
         if self.safety_margin_bits < 0:
             raise ValueError("safety_margin_bits must be >= 0")
-        if not (0.0 < self.signal_mean_photons <= 1.0):
-            raise ValueError("signal_mean_photons must be in (0, 1]")
         if not (0.0 < self.trojan_tolerance < 1.0):
             raise ValueError("trojan_tolerance must be in (0, 1)")
         if not (1.0 < self.strong_pulse_intensity < math.inf):

@@ -95,6 +95,8 @@ def run_scenario(sc: Scenario, *, until: float | None = None, strict: bool = Fal
     Exit code: 0 clean, 3 when --strict and a delivery failed, 4 on an
     internal invariant violation.
     """
+    if until is not None and not until >= 0:  # also rejects NaN
+        raise ValueError("until must be >= 0")
     engine, network = build_simulation(sc, seed_override)
     snapshots: list[Snapshot] = []
     install_handler(engine, network, snapshots)

@@ -44,9 +44,6 @@ PARAM_SPECS: dict[str, tuple[str, type]] = {
     "qber_abort": ("protocol", float),
     "f_ec": ("protocol", float),
     "safety_margin_bits": ("protocol", int),
-    "signal_mean_photons": ("protocol", float),
-    "trojan_tolerance": ("protocol", float),
-    "strong_pulse_intensity": ("protocol", float),
     "pulses_per_session": ("network", int),
     "max_session_attempts": ("network", int),
     "precharge_bits": ("network", int),
@@ -55,7 +52,6 @@ PARAM_SPECS: dict[str, tuple[str, type]] = {
 }
 
 ROLES = ("peer", "server", "client")
-EVENT_KINDS = ("join", "move", "qkd", "send", "eve")
 
 
 class ScenarioError(Exception):
@@ -291,7 +287,7 @@ def parse_scenario(text: str) -> Scenario:
 def _validate(sc: Scenario, node_lines: dict[str, int], event_lines: list[int]) -> None:
     if not sc.nodes and sc.events:
         raise ScenarioError(event_lines[0], 1, "events declared but no nodes")
-    roles = {n.node_id: n.role for n in sc.nodes}
+    decls = {n.node_id: n for n in sc.nodes}
     for n in sc.nodes:
         if sc.mode == "p2p" and n.role != "peer":
             raise ScenarioError(node_lines[n.node_id], 1,
@@ -303,7 +299,7 @@ def _validate(sc: Scenario, node_lines: dict[str, int], event_lines: list[int]) 
     join_times: dict[str, float] = {}
     for ev, ln in zip(sc.events, event_lines):
         for nid in _event_node_refs(ev):
-            if nid not in roles:
+            if nid not in decls:
                 raise ScenarioError(ln, 1, f"unknown node {nid!r}")
         if ev.kind in ("qkd", "send", "eve") and ev.args[0] == ev.args[1]:
             raise ScenarioError(ln, 1, "the two nodes must differ")
@@ -311,8 +307,7 @@ def _validate(sc: Scenario, node_lines: dict[str, int], event_lines: list[int]) 
             nid = ev.args[0]
             if nid in join_times:
                 raise ScenarioError(ln, 1, f"node {nid!r} joins twice")
-            decl = next(n for n in sc.nodes if n.node_id == nid)
-            if decl.deploy is not None:
+            if decls[nid].deploy is not None:
                 raise ScenarioError(ln, 1,
                                     f"node {nid!r} has an explicit deploy time and a join event")
             join_times[nid] = ev.at

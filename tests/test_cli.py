@@ -208,3 +208,25 @@ class TestCliExitCodes:
         out = tmp_path / "o"
         assert main(["--scenario", scenario_file, "--out", str(out), "--seed", str(2**64 - 1)]) == 0
         assert f"seed={2**64 - 1}" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("until", ["nan", "-1"])
+    def test_bad_until_is_2(self, scenario_file, tmp_path, capsys, until):
+        # a NaN or negative stop time used to run no events and exit 0
+        out = tmp_path / "o"
+        assert main(["--scenario", scenario_file, "--out", str(out), "--until", until]) == 2
+        err = capsys.readouterr().err
+        assert err == "soqn: invalid configuration: until must be >= 0\n"
+        assert not out.exists()
+
+    # removed for changing no run
+    @pytest.mark.parametrize("name,value", [("signal_mean_photons", "0.5"),
+                                            ("trojan_tolerance", "0.2"),
+                                            ("strong_pulse_intensity", "2")])
+    def test_removed_params_are_2(self, scenario_file, tmp_path, capsys, name, value):
+        path = tmp_path / "removed.soqn"
+        path.write_text(f"mode p2p\nparam {name} {value}\n")
+        assert main(["--scenario", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "line 2, col 7: unknown param" in capsys.readouterr().err
+        assert main(["--scenario", scenario_file, "--out", str(tmp_path / "o"),
+                     "--sweep", f"{name}={value}"]) == 2
+        assert f"unknown sweep param {name!r}" in capsys.readouterr().err

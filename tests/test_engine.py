@@ -226,6 +226,18 @@ class TestExpandLog:
             "0.000000\t5\tbcast_rx\tc\tsource=a topic=t",
         ]
 
+    @pytest.mark.parametrize("kind", ["deploy", "broadcast"])
+    def test_emit_refuses_the_kinds_expand_log_reads(self, kind):
+        # a stray deploy record would join the receivers of later
+        # broadcasts, and a broadcast record without a count cannot expand
+        engine = SimEngine(0)
+        engine.mark_deployed("a")
+        engine.mark_deployed("b")
+        with pytest.raises(ValueError, match=kind):
+            engine.emit(kind, "c", topic="t")
+        engine.broadcast("a", "t")
+        assert [r.kind for r in engine.log] == ["deploy", "deploy", "broadcast", "bcast_rx"]
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(("deploy", "broadcast", "emit")),
                               st.integers(0, 6)), max_size=40))

@@ -159,6 +159,32 @@ def test_golden_replay_of_workload(name, tmp_path):
     assert workload_digests(name, tmp_path) == GOLDEN_WORKLOADS[name]
 
 
+# A bundled scenario with one param that no bundled file sets: with
+# precharge_bits every active pair is topped up after each topology change,
+# before any send asks for key.
+GOLDEN_PARAMS = {
+    ("p2p_relay.soqn", "precharge_bits", 256): {
+        "events.log": "1fd1c6dedd1f4b8da3de4a7163fb13a7ebc8fbb9d1be50c57140fd4c368c890b",
+        "events.log v2": "2152771c33456d1f00ad820eac4965eabe14536ce09a9439ccf86f8eb9053f06",
+        "report.txt": "7e0ae89ae4b197d5922ba52c441ed39e307a09c16a96286c9b361d18394774c7",
+        "records.tsv": "a60940bef0f8d33cff014480035315dd06534456c6597d9148288b81af3348ec",
+    },
+}
+
+
+def param_digests(key, out_dir):
+    name, param, value = key
+    sc = parse_scenario((SCENARIOS / name).read_text())
+    sc.params[param] = value
+    return _replay(sc, out_dir)
+
+
+@pytest.mark.parametrize("name,param,value", sorted(GOLDEN_PARAMS))
+def test_golden_replay_with_param(name, param, value, tmp_path):
+    key = (name, param, value)
+    assert param_digests(key, tmp_path) == GOLDEN_PARAMS[key]
+
+
 def _literal(key):
     if isinstance(key, tuple):
         return "(" + ", ".join(map(_literal, key)) + ")"
@@ -170,7 +196,8 @@ def print_pins():
     the current code."""
     pins = (("GOLDEN", GOLDEN, scenario_digests),
             ("GOLDEN_SNAPSHOTS", GOLDEN_SNAPSHOTS, snapshot_digests),
-            ("GOLDEN_WORKLOADS", GOLDEN_WORKLOADS, workload_digests))
+            ("GOLDEN_WORKLOADS", GOLDEN_WORKLOADS, workload_digests),
+            ("GOLDEN_PARAMS", GOLDEN_PARAMS, param_digests))
     with tempfile.TemporaryDirectory() as tmp:
         for dict_name, pinned, digests in pins:
             print(f"{dict_name} = {{")

@@ -248,6 +248,37 @@ class TestJoinMove:
             net.move_node("ghost", GeoPosition(0, 0, 0))
 
 
+class TestPrecharge:
+    def test_every_active_pair_charged_after_each_topology_change(self):
+        # 1000 bits take two ideal 2048-pulse sessions; the eavesdropped
+        # pair aborts its first one and stays uncharged.
+        _, net = make_network("p2p", [
+            ("a", "peer", 0.0, 0.0, 0.0),
+            ("b", "peer", 0.0, deg(5), 0.0),
+            ("c", "peer", deg(5), 0.0, 0.0),
+            ("e", "peer", 0.0, deg(300), 0.0),
+        ], organize=False, precharge_bits=1000)
+        net.set_eve("a", "c", EveConfig("intercept_resend"))
+
+        def charged_and_aborted():
+            pairs = net.active_pairs()
+            charged = {p for p in pairs
+                       if p in net.buffers and net.buffers[p].available >= 1000}
+            aborted = {p for p in pairs - charged if net.session_stats[p][-1].aborted}
+            assert charged | aborted == pairs
+            return charged, aborted
+
+        net.organize_network()
+        assert charged_and_aborted() == ({("a", "b"), ("b", "c")}, {("a", "c")})
+        net.add_node("d", "peer", GeoPosition(deg(5), deg(5), 0.0))
+        net.handle_deploy("d")  # organized network -> join
+        assert charged_and_aborted() == (
+            {("a", "b"), ("b", "c"), ("a", "d"), ("b", "d"), ("c", "d")}, {("a", "c")})
+        net.move_node("d", GeoPosition(0.0, deg(305), 0.0))
+        assert charged_and_aborted() == ({("a", "b"), ("b", "c"), ("d", "e")}, {("a", "c")})
+        assert len(net.session_stats[("d", "e")]) == 2
+
+
 class TestFindPath:
     def test_direct_link(self):
         _, net = make_network("p2p", [

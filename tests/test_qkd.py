@@ -329,9 +329,8 @@ class TestPlugPlaySession:
         assert rec.aborted and rec.abort_reason is SessionAbort.TROJAN_ALARM
 
     def test_low_probe_with_hot_target_does_not_crash(self, ideal_link, ideal_channel):
-        # probe below expected but inside the window: the returned pulse is
-        # capped at one photon on average, session proceeds
-        protocol = ProtocolParams(signal_mean_photons=0.9)
+        # probe below expected but inside the window: the session proceeds
+        protocol = ProtocolParams()
         expected = protocol.strong_pulse_intensity / 2.0
         eve = EveConfig("trojan_probe", probe_intensity=0.76 * expected)
         rec = run_plugplay_session(ideal_link, 10**4, eve, RandomStream(48, "s"),

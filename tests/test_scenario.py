@@ -1,9 +1,16 @@
+import functools
+import pathlib
+import tempfile
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soqn.scenario import (EventDecl, NodeDecl, Scenario, ScenarioError, format_scenario,
-                           parse_scenario, resolve_deploy_times)
+from soqn.runner import run_scenario
+from soqn.scenario import (PARAM_SPECS, EventDecl, NodeDecl, Scenario, ScenarioError,
+                           format_scenario, parse_scenario, resolve_deploy_times)
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 MINIMAL = """\
 mode p2p
@@ -98,6 +105,16 @@ class TestDiagnostics:
 
     def test_unknown_param(self):
         self.expect_error("mode p2p\nparam warp_factor 9\n", 2, "unknown param")
+
+    # removed for changing no run
+    @pytest.mark.parametrize("line", ["param signal_mean_photons 0.5",
+                                      "param trojan_tolerance 0.2",
+                                      "param strong_pulse_intensity 2"])
+    def test_removed_params_are_unknown(self, line):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(f"mode p2p\n{line}\n")
+        assert (err.value.line, err.value.col) == (2, 7)
+        assert err.value.message.startswith("unknown param")
 
     def test_int_param_rejects_float(self):
         self.expect_error("mode p2p\nparam min_sift_len 10.5\n", 2, "integer")
@@ -209,3 +226,71 @@ class TestRoundTrip:
             parse_scenario(blob.decode("utf-8", errors="replace"))
         except ScenarioError:
             pass
+
+
+# Every param a scenario can set must change what a run writes. Each entry
+# names a scenario and a valid value other than the one it runs with.
+P2P_RELAY = (SCENARIOS / "p2p_relay.soqn").read_text()
+# Two ground peers 50 km apart: the Earth's bulge blocks their line of sight.
+GROUND_PAIR = """\
+mode p2p
+node a peer 0 0 0
+node b peer 0 0.45 0
+at 1 send a b hex:ab
+"""
+# One 1600-bit send that takes three lazy sessions to cover.
+LONG_SEND = f"""\
+mode p2p
+param detector_efficiency 1.0
+param fixed_system_loss_db 0.0
+param atm_loss_db_per_km 0.05
+param pulses_per_session 8192
+node a peer 0 0 500
+node b peer 0 0.5 500
+at 1 send a b hex:{"ab" * 200}
+"""
+PARAM_CHANGES = {
+    "max_range_km": (P2P_RELAY, 50.0),
+    "require_los": (GROUND_PAIR, False),
+    "atm_loss_db_per_km": (P2P_RELAY, 0.2),
+    "fixed_system_loss_db": (P2P_RELAY, 3.0),
+    "dark_count_prob": (P2P_RELAY, 1e-3),
+    "background_prob": (P2P_RELAY, 1e-3),
+    "detector_efficiency": (P2P_RELAY, 0.5),
+    "intrinsic_error_prob": (P2P_RELAY, 0.03),
+    "min_sift_len": (P2P_RELAY, 3000),
+    "sample_fraction": (P2P_RELAY, 0.3),
+    "qber_abort": (P2P_RELAY, 0.01),
+    "f_ec": (P2P_RELAY, 1.3),
+    "safety_margin_bits": (P2P_RELAY, 50),
+    "pulses_per_session": (P2P_RELAY, 4096),
+    "max_session_attempts": (LONG_SEND, 2),
+    "precharge_bits": (P2P_RELAY, 256),
+    "acquire_coarse_s": (P2P_RELAY, 0.5),
+    "acquire_fine_s": (P2P_RELAY, 0.5),
+}
+ARTIFACTS = ("events.log", "report.txt", "records.tsv")
+
+
+@functools.cache
+def run_artifacts(text, name=None, value=None):
+    """The artifacts of ``text`` run with ``name`` set to ``value``, the
+    scenario going through ``format_scenario`` and the parser."""
+    sc = parse_scenario(text)
+    if name is not None:
+        sc.params[name] = value
+    sc = parse_scenario(format_scenario(sc))
+    with tempfile.TemporaryDirectory() as out:
+        run_scenario(sc, out_dir=out)
+        return {a: pathlib.Path(out, a).read_bytes() for a in ARTIFACTS}
+
+
+def test_param_changes_cover_param_specs():
+    assert PARAM_CHANGES.keys() == PARAM_SPECS.keys()
+
+
+@pytest.mark.parametrize("name", sorted(PARAM_CHANGES))
+def test_every_param_changes_a_run(name):
+    text, value = PARAM_CHANGES[name]
+    base, changed = run_artifacts(text), run_artifacts(text, name, value)
+    assert [a for a in ARTIFACTS if changed[a] == base[a]] == []
