@@ -10,8 +10,8 @@ from ._kernels import backend_name
 from .channel import ChannelParams, path_loss_db, transmittance
 from .engine import ScenarioEvent, SimEngine
 from .geo import GeoPosition, LinkFeasibilityParams, geodesic_distance, line_of_sight, link_feasible
-from .network import (DeliveryRecord, KeyBuffer, Network, OpticalLink, RelayTicket,
-                      RoutingTable, decrypt, decrypt_relay, encrypt)
+from .network import (DeliveryRecord, KeyBuffer, Network, OpticalLink, RelayTicket, decrypt,
+                      decrypt_relay, encrypt)
 from .qkd import (EveConfig, ProtocolParams, SessionAbort, SessionRecord, binary_entropy,
                   estimate_qber, privacy_amplify, reconcile, run_bb84_session,
                   run_plugplay_session, sift, trojan_monitor)
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelParams", "DeliveryRecord", "EveConfig", "GeoPosition", "KeyBuffer",
     "LinkFeasibilityParams", "Network", "OpticalLink", "ProtocolParams", "RandomStream",
-    "RelayTicket", "RoutingTable", "Scenario", "ScenarioError", "ScenarioEvent",
+    "RelayTicket", "Scenario", "ScenarioError", "ScenarioEvent",
     "SessionAbort", "SessionRecord", "SimEngine", "backend_name", "binary_entropy", "decrypt",
     "decrypt_relay", "encrypt", "estimate_qber", "format_scenario", "geodesic_distance",
     "line_of_sight", "link_feasible", "parse_scenario", "path_loss_db", "privacy_amplify",

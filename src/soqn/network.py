@@ -1,15 +1,16 @@
 """Self-organizing network protocol: node state, links, routing, key relay.
 
-Nodes announce locations over the broadcast bus, acquire every feasible
-optical link their roles allow, and share one routing table built from
-those broadcasts. The network indexes its links by endpoint; routing reads
-that index, which holds the table's links whenever ``audit_tables`` passes.
+Nodes announce locations over the broadcast bus and acquire every feasible
+optical link their roles allow; every node's routing table is the set of
+active links those broadcasts announced. The network keeps each link once,
+as the latest link of its pair, and routes over an endpoint index of them.
 Key material lives in pairwise one-time-pad buffers with strict
 consume-once accounting; end-to-end keys for non-adjacent nodes are
 distributed by trusted relays publishing XORs of adjacent hop keys.
 """
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from collections.abc import Mapping
@@ -81,7 +82,6 @@ class NodeInfo:
     node_id: NodeId
     role: str
     position: GeoPosition
-    deployed: bool = False
 
 
 @dataclass
@@ -91,21 +91,6 @@ class OpticalLink:
     loss_db: float
     acquired_at: float
     state: str = "active"  # acquiring | active | torn_down
-
-
-@dataclass(frozen=True)
-class RoutingTable:
-    """The active link set every node builds from the location and link
-    broadcasts, numbered by topology change.
-
-    The broadcast bus is reliable and instantaneous, so every deployed node
-    would build this same table at the same moment; the network keeps the
-    one table they all share. Routing reads the network's link index, whose
-    active links are this table's whenever ``Network.audit_tables`` passes.
-    """
-
-    links: frozenset[tuple[NodeId, NodeId]] = frozenset()
-    version: int = 0
 
 
 @dataclass
@@ -241,7 +226,8 @@ _NO_LINKS: Mapping[NodeId, OpticalLink] = MappingProxyType({})
 
 def shortest_path(adj: dict[NodeId, dict[NodeId, OpticalLink]], src: NodeId, dst: NodeId,
                   can_relay) -> list[NodeId]:
-    """Deterministic min-hop path over the active links of a link index.
+    """Deterministic min-hop path over the active links of a link index:
+    the routing table every node builds from the broadcasts.
 
     ``adj[a][b]`` is the link between a and b; links whose state is not
     "active" are skipped. Ties break by total distance, then by
@@ -288,6 +274,14 @@ class Network:
                  precharge_bits: int = 0):
         if mode not in ("p2p", "cs"):
             raise ValueError(f"mode must be p2p or cs, got {mode!r}")
+        if not 0.0 <= acquire_delay_s < math.inf:
+            raise ValueError("acquire_delay_s must be finite and >= 0")
+        if pulses_per_session < 1:
+            raise ValueError("pulses_per_session must be >= 1")
+        if max_session_attempts < 0:
+            raise ValueError("max_session_attempts must be >= 0")
+        if precharge_bits < 0:
+            raise ValueError("precharge_bits must be >= 0")
         self.mode = mode
         self.engine = engine
         self.feasibility = feasibility or LinkFeasibilityParams()
@@ -299,11 +293,11 @@ class Network:
         self.precharge_bits = precharge_bits
 
         self.nodes: dict[NodeId, NodeInfo] = {}
-        self.links: dict[tuple[NodeId, NodeId], OpticalLink] = {}
-        # Every link of self.links under both of its ends, in acquisition order.
-        self._adj: dict[NodeId, dict[NodeId, OpticalLink]] = {}
+        # The latest link of each pair, in any state.
         self.link_history: dict[tuple[NodeId, NodeId], OpticalLink] = {}
-        self.table = RoutingTable()
+        # Every link not torn down under both of its ends, in acquisition order.
+        self._adj: dict[NodeId, dict[NodeId, OpticalLink]] = {}
+        self.table_version = 0
         self.buffers: dict[tuple[NodeId, NodeId], KeyBuffer] = {}
         self.eve: dict[tuple[NodeId, NodeId], EveConfig] = {}
         self.deliveries: list[DeliveryRecord] = []
@@ -332,9 +326,8 @@ class Network:
 
     def handle_deploy(self, node_id: NodeId) -> None:
         node = self._node(node_id)
-        if node.deployed:
+        if self.engine.is_deployed(node_id):
             raise DuplicateNodeError(f"node {node_id!r} deployed twice")
-        node.deployed = True
         self.engine.mark_deployed(node_id, role=node.role,
                                   lat=node.position.latitude_deg, lon=node.position.longitude_deg,
                                   alt=node.position.altitude_m)
@@ -343,7 +336,7 @@ class Network:
 
     def organize_network(self) -> None:
         """Initial organization round over every deployed node."""
-        deployed = [n for n, info in self.nodes.items() if info.deployed]
+        deployed = [n for n in self.nodes if self.engine.is_deployed(n)]
         for nid in deployed:
             self.engine.broadcast(nid, "location", self._loc_payload(nid))
         for i, a in enumerate(deployed):
@@ -358,8 +351,8 @@ class Network:
 
     def join_network(self, node_id: NodeId) -> None:
         """A freshly deployed node acquires links to every eligible node."""
-        node = self._node(node_id)
-        if not node.deployed:
+        self._node(node_id)
+        if not self.engine.is_deployed(node_id):
             raise UnknownNodeError(f"node {node_id!r} is not deployed")
         self._announce_and_acquire(node_id, "join_request")
         self.engine.emit("join", node_id, links=self._incident_count(node_id))
@@ -368,12 +361,11 @@ class Network:
     def move_node(self, node_id: NodeId, new_pos: GeoPosition) -> None:
         """Tear down incident links, relocate, and re-run the join procedure."""
         node = self._node(node_id)
-        if not node.deployed:
+        if not self.engine.is_deployed(node_id):
             raise UnknownNodeError(f"node {node_id!r} is not deployed")
         for other, link in self._adj.pop(node_id, _NO_LINKS).items():
             del self._adj[other][node_id]
             pair = link.endpoints
-            del self.links[pair]
             link.state = "torn_down"
             self.engine.emit("link_down", node_id, pair=f"{pair[0]}~{pair[1]}", reason="move")
         node.position = new_pos
@@ -382,11 +374,12 @@ class Network:
                          lon=new_pos.longitude_deg, alt=new_pos.altitude_m)
         self._precharge_all()
 
-    def activate_link(self, pair: tuple[NodeId, NodeId]) -> None:
-        link = self.links.get(pair)
-        if link is not None and link.state == "acquiring":
+    def activate_link(self, link: OpticalLink) -> None:
+        """End ``link``'s acquisition delay; a link torn down meanwhile stays
+        down, and a later link of its pair waits out its own delay."""
+        if link.state == "acquiring":
             link.state = "active"
-            self.engine.emit("link_active", "-", pair=f"{pair[0]}~{pair[1]}")
+            self.engine.emit("link_active", "-", pair="~".join(link.endpoints))
             self._refresh_tables()
 
     # -- key generation and transfer ---------------------------------------
@@ -405,7 +398,7 @@ class Network:
         """Run the mode-appropriate QKD session over an active link and, on
         success, append the final key to the pairwise buffer."""
         pair = pair_key(a, b)
-        link = self.links.get(pair)
+        link = self._adj.get(a, _NO_LINKS).get(b)
         if link is None or link.state != "active":
             raise LinkInactiveError(f"no active link {pair[0]}~{pair[1]}")
         roles = {self.nodes[a].role, self.nodes[b].role}
@@ -440,14 +433,13 @@ class Network:
         self.engine.emit("keygen", pair[0], peer=pair[1], offset=offset, bits=len(bits))
 
     def find_path(self, src: NodeId, dst: NodeId) -> list[NodeId]:
-        """Min-hop route over the routing table; see ``shortest_path``.
+        """Min-hop route over the active links; see ``shortest_path``.
 
-        Searches the link index, whose active links are the table's
-        whenever ``audit_tables`` passes, so no per-send copy is built.
+        Searches the link index in place, so no per-send copy is built.
         """
-        deployed = self._node(src).deployed
+        self._node(src)
         self._node(dst)
-        if not deployed:
+        if not self.engine.is_deployed(src):
             raise UnknownNodeError(f"node {src!r} has no routing table")
         if self.mode == "cs":
             can_relay = lambda n: self.nodes[n].role == ROLE_SERVER
@@ -485,7 +477,8 @@ class Network:
         """Route, key, encrypt, deliver, and verify one message."""
         message = as_bits(message)
         for nid in (src, dst):
-            if not self._node(nid).deployed:
+            self._node(nid)
+            if not self.engine.is_deployed(nid):
                 raise UnknownNodeError(f"node {nid!r} is not deployed")
         try:
             path = self.find_path(src, dst)
@@ -540,23 +533,20 @@ class Network:
         return problems
 
     def audit_tables(self) -> list[str]:
-        """Check that the routing table matches the active link set, and
-        that the link index holds every link under both ends and nothing else."""
-        problems: list[str] = []
-        if self.table.links != self.active_pairs():
-            problems.append("tables do not match the active link set")
+        """Check that the link index, which routing searches, holds every
+        link not torn down under both ends and nothing else."""
+        links = self.links
         adj = self._adj
-        missing = [f"link {a}~{b} missing from the index of {end}"
-                   for (a, b), link in self.links.items()
-                   for end, other in ((a, b), (b, a))
-                   if adj.get(end, _NO_LINKS).get(other) is not link]
-        problems += missing
+        problems = [f"link {a}~{b} missing from the index of {end}"
+                    for (a, b), link in links.items()
+                    for end, other in ((a, b), (b, a))
+                    if adj.get(end, _NO_LINKS).get(other) is not link]
         # The entries in their right place number 2 * links - missing, so any
         # more entries list a link the link set does not have.
-        if sum(map(len, adj.values())) != 2 * len(self.links) - len(missing):
+        if sum(map(len, adj.values())) != 2 * len(links) - len(problems):
             problems += [f"index of {a} lists {b} with no link"
                          for a, nbrs in adj.items() for b, link in nbrs.items()
-                         if self.links.get(pair_key(a, b)) is not link]
+                         if links.get(pair_key(a, b)) is not link]
         return problems
 
     def audit_roles(self) -> list[str]:
@@ -564,7 +554,7 @@ class Network:
         problems: list[str] = []
         if self.mode != "cs":
             return problems
-        for a, b in self.links:
+        for a, b in self.link_history:
             if self.nodes[a].role == ROLE_CLIENT and self.nodes[b].role == ROLE_CLIENT:
                 problems.append(f"client-client link {a}~{b}")
         for rec in self.deliveries:
@@ -598,17 +588,17 @@ class Network:
     def _announce_and_acquire(self, node_id: NodeId, topic: str) -> None:
         """Broadcast a node's location under ``topic``, try a link to every
         other deployed node in the order nodes were added, report the
-        node's links and refresh the routing table."""
+        node's links and number the topology change."""
         self.engine.broadcast(node_id, topic, self._loc_payload(node_id))
-        for other, info in self.nodes.items():
-            if other != node_id and info.deployed:
+        is_deployed = self.engine.is_deployed
+        for other in self.nodes:
+            if other != node_id and is_deployed(other):
                 self._try_acquire(node_id, other)
         self.engine.broadcast(node_id, "link_report", f"links={self._incident_count(node_id)}")
         self._refresh_tables()
 
     def _try_acquire(self, a: NodeId, b: NodeId) -> OpticalLink | None:
-        pair = pair_key(a, b)
-        if pair in self.links:
+        if b in self._adj.get(a, _NO_LINKS):
             return None
         if not self._eligible(a, b):
             return None
@@ -620,8 +610,8 @@ class Network:
         dist = geodesic_distance(pa, pb, self.feasibility.earth_radius_km)
         loss = path_loss_db(dist, self.channel)
         state = "active" if self.acquire_delay_s == 0.0 else "acquiring"
+        pair = pair_key(a, b)
         link = OpticalLink(pair, dist, loss, acquired_at=self.engine.now, state=state)
-        self.links[pair] = link
         self._adj.setdefault(a, {})[b] = link
         self._adj.setdefault(b, {})[a] = link
         self.link_history[pair] = link
@@ -629,14 +619,21 @@ class Network:
                          loss_db=loss, state=state)
         if state == "acquiring":
             self.engine.schedule(ScenarioEvent(self.engine.now + self.acquire_delay_s,
-                                               "link_active", {"pair": pair}))
+                                               "link_active", {"link": link}))
         return link
 
+    @property
+    def links(self) -> dict[tuple[NodeId, NodeId], OpticalLink]:
+        """The links not torn down, by pair (a new dict on each access)."""
+        return {p: l for p, l in self.link_history.items() if l.state != "torn_down"}
+
     def active_pairs(self) -> set[tuple[NodeId, NodeId]]:
-        return {p for p, l in self.links.items() if l.state == "active"}
+        """Every node's routing table: the pairs whose link is active."""
+        return {p for p, l in self.link_history.items() if l.state == "active"}
 
     def _refresh_tables(self) -> None:
-        self.table = RoutingTable(frozenset(self.active_pairs()), self.table.version + 1)
+        """Number a topology change; the tables themselves are derived."""
+        self.table_version += 1
 
     def _buffer(self, pair: tuple[NodeId, NodeId]) -> KeyBuffer:
         buf = self.buffers.get(pair)

@@ -69,7 +69,7 @@ def build_report(network: Network, engine: SimEngine,
     delivered = sum(1 for m in network.deliveries if m.delivered)
     summary = {
         "events": engine.events_processed,
-        "active_links": len([l for l in network.links.values() if l.state == "active"]),
+        "active_links": len(network.active_pairs()),
         "sessions": sum(s.sessions for s in links),
         "sessions_aborted": sum(s.aborted for s in links),
         "deliveries": len(network.deliveries),

@@ -1,6 +1,7 @@
 """Load a parsed scenario into the engine, run it, and build the report."""
 from __future__ import annotations
 
+import math
 import os
 
 from .bitops import bits_from_hex
@@ -29,6 +30,9 @@ def build_simulation(sc: Scenario, seed_override: int | None = None) -> tuple[Si
     """Construct the engine and network for a scenario and schedule its events."""
     groups = _grouped_params(sc)
     net_params = groups["network"]
+    for name in ("acquire_coarse_s", "acquire_fine_s"):
+        if not 0.0 <= net_params.get(name, 0.0) < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0")
     delay = net_params.pop("acquire_coarse_s", 0.0) + net_params.pop("acquire_fine_s", 0.0)
     engine = SimEngine(sc.seed if seed_override is None else seed_override)
     network = Network(
@@ -77,10 +81,10 @@ def install_handler(engine: SimEngine, network: Network,
             a, b, on = ev.payload["args"]
             network.set_eve(a, b, EveConfig("intercept_resend") if on else EVE_OFF)
         elif kind == "link_active":
-            network.activate_link(ev.payload["pair"])
+            network.activate_link(ev.payload["link"])
         elif kind == "snapshot":
-            snapshots_out.append(Snapshot(engine.now, network.table.version,
-                                          tuple(sorted(network.table.links))))
+            snapshots_out.append(Snapshot(engine.now, network.table_version,
+                                          tuple(sorted(network.active_pairs()))))
         else:
             raise ValueError(f"unhandled event kind {kind!r}")
 

@@ -22,8 +22,8 @@ import re
 from dataclasses import dataclass, field
 
 from .bitops import bits_from_hex
+from .network import _ID_RE, ROLES
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 _TOKEN_RE = re.compile(r"\S+")
 
 MAX_SEED = 2**64 - 1
@@ -50,8 +50,6 @@ PARAM_SPECS: dict[str, tuple[str, type]] = {
     "acquire_coarse_s": ("network", float),
     "acquire_fine_s": ("network", float),
 }
-
-ROLES = ("peer", "server", "client")
 
 
 class ScenarioError(Exception):

@@ -176,7 +176,7 @@ def check_against_oracle(network, ids, roles, mode):
     ok = oracle_feasibility(lats, lons, alts, roles, mode)
     expected = {pair_key(ids[i], ids[j])
                 for i in range(len(ids)) for j in range(i + 1, len(ids)) if ok[i, j]}
-    assert network.table.links == expected
+    assert network.active_pairs() == expected
     return expected
 
 

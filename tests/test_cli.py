@@ -218,6 +218,22 @@ class TestCliExitCodes:
         assert err == "soqn: invalid configuration: until must be >= 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,value", [("pulses_per_session", "0"),
+                                            ("max_session_attempts", "-3"),
+                                            ("precharge_bits", "-5"),
+                                            ("acquire_coarse_s", "-1"),
+                                            ("acquire_fine_s", "-0.5")])
+    def test_out_of_range_network_param_is_2(self, tmp_path, capsys, name, value):
+        # these used to run: silently as 0, or until a session or event failed
+        path = tmp_path / "network.soqn"
+        path.write_text(f"mode p2p\nparam {name} {value}\nnode a peer 0 0 500\n"
+                        "node b peer 0 0.05 500\nat 1 send a b hex:ff\n")
+        out = tmp_path / "o"
+        assert main(["--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"invalid configuration: {name} must be" in err
+        assert not out.exists()
+
     # removed for changing no run
     @pytest.mark.parametrize("name,value", [("signal_mean_photons", "0.5"),
                                             ("trojan_tolerance", "0.2"),

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soqn.channel import ChannelParams
-from soqn.engine import SimEngine
+from soqn.engine import ScenarioEvent, SimEngine
 from soqn.geo import GeoPosition, link_feasible
 from soqn.network import (DuplicateNodeError, KeyBlock, KeyBuffer, KeyReuseError,
                           KeyStarvationError, LinkInactiveError, Network, NoRouteError,
@@ -14,6 +14,7 @@ from soqn.network import (DuplicateNodeError, KeyBlock, KeyBuffer, KeyReuseError
                           decrypt, decrypt_relay, encrypt, pair_key, shortest_path)
 from soqn.qkd import EveConfig, ProtocolParams
 from soqn.rng import RandomStream
+from soqn.runner import install_handler
 
 KM_PER_DEG = 111.19492664455873
 
@@ -45,7 +46,7 @@ def make_network(mode, nodes, seed=0, organize=True, **kwargs):
 def feasibility_oracle(network):
     """Brute-force role-filtered feasibility graph over deployed nodes."""
     params = network.feasibility
-    deployed = [n for n, info in network.nodes.items() if info.deployed]
+    deployed = [n for n in network.nodes if network.engine.is_deployed(n)]
     expected = set()
     for i, a in enumerate(deployed):
         for b in deployed[i + 1:]:
@@ -89,6 +90,20 @@ def _shortest_path_reference(links, src, dst, can_relay):
     raise NoRouteError(f"no route from {src} to {dst}")
 
 
+def acquisition_delays(engine):
+    """Each ``link_active`` record's time less that of its pair's latest
+    ``link_up``: the one link of the pair not torn down."""
+    up, delays = {}, []
+    for rec in engine.log:
+        if rec.kind in ("link_up", "link_active"):
+            fields = dict(f.split("=", 1) for f in rec.details.split())
+            if rec.kind == "link_up":
+                up[f"{rec.origin}~{fields['peer']}"] = rec.time
+            else:
+                delays.append(rec.time - up[fields["pair"]])
+    return delays
+
+
 def link_index(links, inactive=()):
     """The ``{a: {b: link}}`` index of a {pair: km} link set; pairs in
     ``inactive`` are added as links still acquiring."""
@@ -116,8 +131,8 @@ class TestOrganize:
             ("n3", "peer", deg(10), 0.0, 200.0),
         ])
         assert len(net.links) == 3
-        assert len(net.table.links) == 3
-        assert net.table.version == 1
+        assert len(net.active_pairs()) == 3
+        assert net.table_version == 1
 
     def test_out_of_range_pair_missing_everywhere(self):
         # n1..n3 clustered, n4 reachable only from n3
@@ -129,7 +144,7 @@ class TestOrganize:
         ])
         expected = feasibility_oracle(net)
         assert ("n3", "n4") in expected and ("n1", "n4") not in expected
-        assert net.table.links == expected
+        assert net.active_pairs() == expected
 
     def test_cs_no_client_client_links(self):
         _, net = make_network("cs", [
@@ -166,7 +181,7 @@ class TestJoinMove:
         ])
         net.add_node("n4", "peer", GeoPosition(0.0, deg(35), 300.0))
         net.handle_deploy("n4")  # organized network -> auto join
-        assert net.table.links == feasibility_oracle(net)
+        assert net.active_pairs() == feasibility_oracle(net)
         incident = {p for p in net.links if "n4" in p}
         assert incident == {("n1", "n4"), ("n2", "n4")}
 
@@ -197,10 +212,10 @@ class TestJoinMove:
             ("n2", "peer", 0.0, deg(10), 0.0),
         ])
         before = {p for p in net.links}
-        v_before = net.table.version
+        v_before = net.table_version
         net.move_node("n1", GeoPosition(0.0, deg(1), 0.0))
         assert {p for p in net.links} == before
-        assert net.table.version == v_before + 1
+        assert net.table_version == v_before + 1
 
     def test_move_out_of_range_drops_links(self):
         _, net = make_network("p2p", [
@@ -210,37 +225,62 @@ class TestJoinMove:
         ])
         net.move_node("n1", GeoPosition(60.0, 100.0, 0.0))
         assert all("n1" not in p for p in net.links)
-        assert net.table.links == feasibility_oracle(net)
+        assert net.active_pairs() == feasibility_oracle(net)
 
-    def test_random_churn_tracks_oracle(self):
+    @pytest.mark.parametrize("delay", [0.0, 0.5])
+    def test_random_churn_tracks_oracle(self, delay):
+        # Steps run through the engine 0.25 s apart (exact in binary), so a
+        # 0.5-s acquisition ends two steps later and some moves fall inside it.
         rng = np.random.default_rng(42)
         nodes = [(f"n{i:02d}", "peer",
                   float(rng.uniform(0, 1.0)), float(rng.uniform(0, 1.0)),
                   float(rng.uniform(0, 2000))) for i in range(12)]
-        _, net = make_network("p2p", nodes)
+        engine, net = make_network("p2p", nodes, acquire_delay_s=delay)
+        install_handler(engine, net, [])
         ids = [n[0] for n in nodes]
         pick = np.random.default_rng(7)
         for step in range(10):
+            at = 0.25 * (step + 1)
             if step % 3 == 0 and len(ids) < 20:
                 nid = f"n{len(ids):02d}"
                 net.add_node(nid, "peer", GeoPosition(float(rng.uniform(0, 1.0)),
                                                       float(rng.uniform(0, 1.0)),
                                                       float(rng.uniform(0, 2000))))
-                net.handle_deploy(nid)
+                engine.schedule(ScenarioEvent(at, "deploy", {"node": nid}))
                 ids.append(nid)
             else:
-                net.move_node(str(rng.choice(ids)),
-                              GeoPosition(float(rng.uniform(0, 1.0)),
-                                          float(rng.uniform(0, 1.0)),
-                                          float(rng.uniform(0, 2000))))
-            assert net.table.links == feasibility_oracle(net)
-            links = {p: net.links[p].distance_km for p in net.table.links}
+                engine.schedule(ScenarioEvent(at, "move", {"args": (
+                    str(rng.choice(ids)), float(rng.uniform(0, 1.0)),
+                    float(rng.uniform(0, 1.0)), float(rng.uniform(0, 2000)))}))
+            engine.run_until(at)
+            assert net.active_pairs() == {
+                p for p in feasibility_oracle(net)
+                if net.link_history[p].acquired_at + delay <= engine.now}
+            delays = acquisition_delays(engine)
+            assert delays == [delay] * len(delays)
+            links = {p: net.link_history[p].distance_km for p in net.active_pairs()}
             for _ in range(15):
                 src, dst = (str(n) for n in pick.choice(ids, size=2, replace=False))
                 assert (route_or_none(lambda: net.find_path(src, dst))
                         == route_or_none(lambda: _shortest_path_reference(
                             links, src, dst, lambda n: True)))
+        assert bool(delays) == (delay > 0)
         assert net.audit_tables() == []
+
+    def test_move_inside_delay_keeps_new_link_acquiring(self):
+        # The move at t=1 tears a~b down and acquires it again; the event of
+        # the torn-down link at t=2 must leave the new one acquiring until t=3.
+        engine, net = make_network("p2p", [
+            ("a", "peer", 0.0, 0.0, 0.0),
+            ("b", "peer", 0.0, deg(10), 0.0),
+        ], acquire_delay_s=2.0)
+        install_handler(engine, net, [])
+        engine.schedule(ScenarioEvent(1.0, "move", {"args": ("a", 0.0, deg(1), 0.0)}))
+        engine.run_until(2.5)
+        assert net.link_history[("a", "b")].state == "acquiring"
+        engine.run_until(3.0)
+        assert net.active_pairs() == {("a", "b")}
+        assert [r.time for r in engine.log if r.kind == "link_active"] == [3.0]
 
     def test_move_unknown_node(self):
         _, net = make_network("p2p", [("n1", "peer", 0.0, 0.0, 0.0)])
@@ -383,23 +423,14 @@ class TestFindPath:
             ("b", "peer", 0.0, deg(10), 0.0),
         ], acquire_delay_s=2.0)
         assert net.links[("a", "b")].state == "acquiring"
-        assert net.table.links == frozenset()
+        assert net.active_pairs() == frozenset()
         with pytest.raises(NoRouteError):
             net.find_path("a", "b")
-        version = net.table.version
-        net.activate_link(("a", "b"))
+        version = net.table_version
+        net.activate_link(net.link_history[("a", "b")])
         assert net.find_path("a", "b") == ["a", "b"]
-        assert net.table.version == version + 1
+        assert net.table_version == version + 1
         assert net.audit_tables() == []
-
-    def test_audit_catches_missed_refresh(self):
-        _, net = make_network("p2p", [
-            ("a", "peer", 0.0, 0.0, 0.0),
-            ("b", "peer", 0.0, deg(10), 0.0),
-        ], acquire_delay_s=2.0)
-        assert net.audit_tables() == []
-        net.links[("a", "b")].state = "active"  # no _refresh_tables
-        assert net.audit_tables() == ["tables do not match the active link set"]
 
     def test_audit_catches_corrupt_link_index(self):
         _, net = make_network("p2p", [
