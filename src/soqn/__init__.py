@@ -2,9 +2,9 @@
 
 Peer-to-peer and client/server organization protocols over simulated
 free-space optical links: location broadcast, link acquisition, routing
-tables, BB84 and plug-and-play key generation that samples only each
-session's sifted clicks, XOR trusted-relay key distribution, one-time-pad
-messaging, and eavesdropper models.
+tables, BB84 and plug-and-play key generation that draws only each
+session's counts and its final key bits, XOR trusted-relay key
+distribution, one-time-pad messaging, and eavesdropper models.
 """
 from ._kernels import backend_name
 from .channel import ChannelParams, path_loss_db, transmittance
@@ -14,7 +14,7 @@ from .network import (DeliveryRecord, KeyBuffer, Network, OpticalLink, RelayTick
                       decrypt_relay, encrypt)
 from .qkd import (EveConfig, ProtocolParams, SessionAbort, SessionRecord, binary_entropy,
                   estimate_qber, privacy_amplify, reconcile, run_bb84_session,
-                  run_plugplay_session, sift, trojan_monitor)
+                  run_plugplay_session, trojan_monitor)
 from .rng import RandomStream
 from .runner import run_scenario
 from .scenario import Scenario, ScenarioError, format_scenario, parse_scenario
@@ -28,6 +28,6 @@ __all__ = [
     "SessionAbort", "SessionRecord", "SimEngine", "backend_name", "binary_entropy", "decrypt",
     "decrypt_relay", "encrypt", "estimate_qber", "format_scenario", "geodesic_distance",
     "line_of_sight", "link_feasible", "parse_scenario", "path_loss_db", "privacy_amplify",
-    "reconcile", "run_bb84_session", "run_plugplay_session", "run_scenario", "sift",
-    "transmittance", "trojan_monitor",
+    "reconcile", "run_bb84_session", "run_plugplay_session", "run_scenario", "transmittance",
+    "trojan_monitor",
 ]

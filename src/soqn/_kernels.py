@@ -1,9 +1,11 @@
 """Numpy kernels: the per-pulse transmit kernel and the Toeplitz hash.
 
-Kernels never draw randomness themselves. Sessions sample their sifted
-clicks directly (``qkd._sifted_keys``); the transmit kernel is the per-gate
-detection of the dense per-pulse model the tests compare them against, and
-takes boolean masks thresholded from pre-drawn uniform arrays.
+Kernels never draw randomness themselves. Sessions draw their counts
+directly (``qkd._session``) and call neither kernel; both serve the
+bit-level pipeline the tests compare sessions against. The transmit kernel
+is the per-gate detection of the dense per-pulse model, and takes boolean
+masks thresholded from pre-drawn uniform arrays; ``qkd.privacy_amplify``
+runs the Toeplitz hash.
 """
 from __future__ import annotations
 

@@ -3,8 +3,8 @@
 The loss budget is a fixed system term plus a linear atmospheric term; each
 transmitted pulse gets exactly one gated detection opportunity. Dark counts
 and daylight background are lumped into a single per-gate noise probability.
-Sessions sample only the gates that click with matching bases
-(``qkd._sifted_keys``); ``_kernels.transmit_pulses`` is the per-gate
+Sessions draw only the counts of the gates that click with matching bases
+(``qkd.click_model``); ``_kernels.transmit_pulses`` is the per-gate
 detection of the dense per-pulse model the tests compare them against.
 """
 from __future__ import annotations

@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from ._kernels import backend_name
-from .runner import EXIT_PARSE_ERROR, run_scenario
+from .runner import EXIT_PARSE_ERROR, build_simulation, run_scenario
 from .scenario import MAX_SEED, PARAM_SPECS, ScenarioError, _Line, _parse_param_value, parse_scenario
 
 log = logging.getLogger("soqn")
@@ -95,6 +95,13 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_PARSE_ERROR
         runs = [(os.path.join(args.out, f"sweep-{name}-{v}"),
                  replace(sc, params={**sc.params, name: v})) for v in values]
+        # Reject the whole sweep before any run writes its directory.
+        try:
+            for _, run_sc in runs:
+                build_simulation(run_sc, args.seed)
+        except ValueError as exc:
+            print(f"soqn: invalid configuration: {exc}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
 
     worst = 0
     for out_dir, run_sc in runs:

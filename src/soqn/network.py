@@ -416,21 +416,8 @@ class Network:
                          outcome="abort" if rec.aborted else "ok",
                          reason=rec.abort_reason.value)
         if not rec.aborted:
-            offset = self._buffer(pair).append(rec.final_key)
-            self.keygen_events.append((pair, offset, len(rec.final_key)))
-            self.engine.emit("keygen", pair[0], peer=pair[1], offset=offset,
-                             bits=len(rec.final_key))
+            self._store_key(pair, rec.final_key)
         return rec
-
-    def preload_key(self, a: NodeId, b: NodeId, bits) -> None:
-        """Inject synthetic key material into a pairwise buffer, with the
-        same audit accounting as a QKD session. Intended for tests and
-        benchmarks that need known key values."""
-        pair = pair_key(a, b)
-        bits = as_bits(bits)
-        offset = self._buffer(pair).append(bits)
-        self.keygen_events.append((pair, offset, len(bits)))
-        self.engine.emit("keygen", pair[0], peer=pair[1], offset=offset, bits=len(bits))
 
     def find_path(self, src: NodeId, dst: NodeId) -> list[NodeId]:
         """Min-hop route over the active links; see ``shortest_path``.
@@ -640,6 +627,12 @@ class Network:
         if buf is None:
             buf = self.buffers[pair] = KeyBuffer(pair)
         return buf
+
+    def _store_key(self, pair: tuple[NodeId, NodeId], bits: np.ndarray) -> None:
+        """Append key bits to a pair's buffer, for the audit and the log."""
+        offset = self._buffer(pair).append(bits)
+        self.keygen_events.append((pair, offset, len(bits)))
+        self.engine.emit("keygen", pair[0], peer=pair[1], offset=offset, bits=len(bits))
 
     def _consume(self, pair: tuple[NodeId, NodeId], n: int, purpose: str) -> KeyBlock:
         block = self._buffer(pair).consume(n)

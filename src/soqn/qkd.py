@@ -3,9 +3,36 @@
 Two protocol flavors share one prepare-measure core: four-state BB84 between
 peers, and a polarization plug-and-play variant between a server (measuring
 party) and a client (encoding party) where only the returned single-photon
-leg sees channel statistics. A session samples its sifted clicks directly;
-post-processing is sampled error estimation, modeled reconciliation with
-entropy-based leakage accounting, and Toeplitz-hash privacy amplification.
+leg sees channel statistics. Post-processing is sampled error estimation,
+modeled reconciliation with entropy-based leakage accounting, and Toeplitz
+privacy amplification.
+
+A session draws the counts of that pipeline, not its bits. Pulses are
+i.i.d., so with p_click and q from ``click_model``:
+
+- the sifted length is k ~ Binomial(n_pulses, p_click / 2);
+- the sifted errors are E ~ Binomial(k, q);
+- s = ceil(sample_fraction * k) bits are disclosed, of which
+  e ~ Hypergeometric(E, k - E, s) are errors, and qber = e / s;
+- the leakage (``reconciliation_leak``) and the final length m
+  (``secret_key_length``) follow from k - s and qber;
+- the final key is m fresh fair bits.
+
+That is the law of the bit-level pipeline (``sift``, ``estimate_qber``,
+``reconcile``, ``privacy_amplify``), which the tests keep as the oracle.
+There, the sender's remaining n = k - s bits are uniform and independent
+of every count, since errors and the disclosed sample do not depend on bit
+values. The Toeplitz hash maps them to its m output bits through an
+m x n Toeplitz matrix T with a uniform seed. Each fixed nonzero
+combination of T's rows is then a uniform n-bit vector, so by a union
+bound over the 2^m - 1 combinations T has rank m except with probability
+below 2^-(n-m); when it has rank m, its output on a uniform key is exactly
+uniform. The hashed key therefore lies within total-variation distance
+2^-(n-m) of m fresh bits, and n - m >= n * h2(qber) + leak +
+safety_margin_bits. The bound is vacuous when n - m is small: at qber 0
+with ``safety_margin_bits 0``, m = n and a square Toeplitz matrix is
+singular half of the time. A session's cost does not grow with
+``n_pulses``, only with the m final bits.
 """
 from __future__ import annotations
 
@@ -112,8 +139,8 @@ def trojan_monitor(measured_intensity: float, expected_intensity: float,
 def sift(sender_bases, receiver_bases, sender_bits, receiver_bits, detected):
     """Keep positions that were detected and measured in the matching basis.
 
-    Sessions draw their sifted keys directly (``_sifted_keys``); this is the
-    sifting of per-pulse rounds, as the tests' dense reference does it."""
+    Sessions draw their counts directly (``_session``); this is the sifting
+    of per-pulse rounds, as the tests' dense reference does it."""
     sb = np.asarray(sender_bases, dtype=np.uint8)
     rb = np.asarray(receiver_bases, dtype=np.uint8)
     sx = np.asarray(sender_bits, dtype=np.uint8)
@@ -156,12 +183,30 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
+def reconciliation_leak(n_bits: int, qber: float, f_ec: float) -> int:
+    """Public bits charged for reconciling ``n_bits``: ceil(f_ec * h2(qber) * n_bits).
+
+    Raises ValueError when the leakage overflows to infinity (an ``f_ec``
+    near the float maximum)."""
+    leak = f_ec * binary_entropy(qber) * n_bits
+    if not math.isfinite(leak):
+        raise ValueError(f"reconciliation leakage is not finite (f_ec={f_ec})")
+    return math.ceil(leak)
+
+
+def secret_key_length(n_bits: int, qber: float, leak_bits: int, safety_margin_bits: int) -> int:
+    """Asymptotic secret length of an ``n_bits`` reconciled key:
+    floor(n_bits * (1 - h2(qber)) - leak_bits - safety_margin_bits), which
+    may be <= 0."""
+    return math.floor(n_bits * (1.0 - binary_entropy(qber)) - leak_bits - safety_margin_bits)
+
+
 def reconcile(sender_key, receiver_key, qber: float, f_ec: float = 1.16):
     """Modeled reconciliation: the receiver adopts the sender key and the
-    public leakage is charged as ceil(f_ec * h2(qber) * len).
+    public leakage is charged by ``reconciliation_leak``.
 
     Returns (corrected_receiver_key, leak_bits). Raises ValueError when the
-    leakage overflows to infinity (an ``f_ec`` near the float maximum).
+    leakage overflows to infinity.
     """
     sa = np.asarray(sender_key, dtype=np.uint8)
     sb = np.asarray(receiver_key, dtype=np.uint8)
@@ -169,25 +214,22 @@ def reconcile(sender_key, receiver_key, qber: float, f_ec: float = 1.16):
         raise ValueError("keys must have equal lengths")
     if not (0.0 <= qber < 0.5):
         raise ValueError("reconciliation requires qber < 0.5")
-    leak = f_ec * binary_entropy(qber) * len(sa)
-    if not math.isfinite(leak):
-        raise ValueError(f"reconciliation leakage is not finite (f_ec={f_ec})")
-    return sa.copy(), math.ceil(leak)
+    return sa.copy(), reconciliation_leak(len(sa), qber, f_ec)
 
 
 def privacy_amplify(key, qber: float, leak_bits: int, rng: RandomStream, *,
                     qber_abort: float = 0.11, safety_margin_bits: int = 0) -> np.ndarray:
     """Compress a reconciled key to its secret length via a Toeplitz hash.
 
-    Final length is floor(len * (1 - h2(qber)) - leak_bits - margin). Returns
-    an empty array (abort) when that is non-positive or qber exceeds the
-    abort threshold. Deterministic given the stream state.
+    The final length is ``secret_key_length``. Returns an empty array
+    (abort) when that is non-positive or qber exceeds the abort threshold.
+    Deterministic given the stream state.
     """
     k = np.asarray(key, dtype=np.uint8)
     n = len(k)
     if n == 0:
         raise ValueError("privacy amplification needs a non-empty key")
-    m = math.floor(n * (1.0 - binary_entropy(qber)) - leak_bits - safety_margin_bits)
+    m = secret_key_length(n, qber, leak_bits, safety_margin_bits)
     if m <= 0 or qber > qber_abort:
         return np.empty(0, dtype=np.uint8)
     t_bits = rng.bits(n + m - 1)
@@ -206,18 +248,15 @@ def _aborted(n_pulses: int, sifted_len: int, qber: float, reason: SessionAbort) 
     )
 
 
-def _sifted_keys(n_pulses: int, loss_db: float, eve: EveConfig,
-                 channel: ChannelParams, rng: RandomStream):
-    """The sender's and the receiver's sifted keys of ``n_pulses``
-    prepare -> (eve) -> channel -> measure rounds.
+def click_model(loss_db: float, eve: EveConfig, channel: ChannelParams) -> tuple[float, float]:
+    """(p_click, q): the probability that a gate clicks, and that a click
+    reads the wrong bit in the sender's basis.
 
-    Pulses are i.i.d., so only the sifted ones are drawn (thinning of a
-    Bernoulli process): a pulse is kept when it clicks and both bases match,
-    with probability p_click / 2, and a kept pulse reads the wrong bit with
-    probability q. The sifted length, the bits and the errors have the law
-    of the per-pulse rounds, whose order is exchangeable, so no positions
-    are drawn. Three draws in a fixed order, so a session replays bit for
-    bit from its stream.
+    With eta = transmittance * detector efficiency,
+    p_click = 1 - (1 - eta)(1 - p_noise). A signal click is wrong with the
+    intrinsic error probability e_sig (under intercept-resend
+    e_sig / 2 + 1/4: half of the pulses were resent in the wrong basis and
+    read a fair coin); a click without the signal photon reads a fair coin.
     """
     eta = transmittance(loss_db) * channel.detector_efficiency
     if not (0.0 < eta <= 1.0):
@@ -226,46 +265,41 @@ def _sifted_keys(n_pulses: int, loss_db: float, eve: EveConfig,
     p_click = 1.0 - (1.0 - eta) * (1.0 - p_noise)
     e_sig = channel.intrinsic_error_prob
     if eve.mode == "intercept_resend":
-        # half of the sifted pulses were resent in the wrong basis and read a fair coin
         e_sig = e_sig / 2 + 0.25
-    # a click without the signal photon reads a fair coin
-    q = (eta * e_sig + (1.0 - eta) * p_noise / 2) / p_click
-    k = rng.binomial(n_pulses, p_click / 2)
-    sender = rng.bits(k)
-    return sender, sender ^ (rng.uniforms(k) < q)
+    return p_click, (eta * e_sig + (1.0 - eta) * p_noise / 2) / p_click
 
 
-def _postprocess(n_pulses: int, sifted_a, sifted_b, rng: RandomStream,
-                 protocol: ProtocolParams) -> SessionRecord:
-    sifted_len = len(sifted_a)
+def _session(n_pulses: int, loss_db: float, eve: EveConfig, channel: ChannelParams,
+             rng: RandomStream, protocol: ProtocolParams) -> SessionRecord:
+    """Draw one session's counts, then its final key; see the module docstring.
+
+    At most four draws, in a fixed order (sifted length, errors, sample
+    errors, final key), so a session replays bit for bit from its stream,
+    and an aborted one stops drawing where it aborts.
+    """
+    p_click, q = click_model(loss_db, eve, channel)
+    sifted_len = rng.binomial(n_pulses, p_click / 2)
     # error estimation needs at least 2 bits regardless of the configured floor
     if sifted_len < max(protocol.min_sift_len, 2):
         return _aborted(n_pulses, sifted_len, 0.0, SessionAbort.INSUFFICIENT_DETECTIONS)
-    qber, rem_a, rem_b = estimate_qber(sifted_a, sifted_b, protocol.sample_fraction, rng)
+    errors = rng.binomial(sifted_len, q)
+    sample = math.ceil(protocol.sample_fraction * sifted_len)
+    qber = rng.hypergeometric(errors, sifted_len - errors, sample) / sample
     if qber > protocol.qber_abort:
         return _aborted(n_pulses, sifted_len, qber, SessionAbort.QBER_EXCEEDS_THRESHOLD)
-    if len(rem_a) == 0:
+    remaining = sifted_len - sample
+    leak = reconciliation_leak(remaining, qber, protocol.f_ec)
+    m = secret_key_length(remaining, qber, leak, protocol.safety_margin_bits)
+    if m <= 0:
+        # qber cleared the abort threshold but the sample, the leakage and
+        # the margin ate the whole key; there is nothing left to distill.
         return _aborted(n_pulses, sifted_len, qber, SessionAbort.INSUFFICIENT_DETECTIONS)
-    corrected, leak = reconcile(rem_a, rem_b, qber, protocol.f_ec)
-    # Key agreement is asserted, not assumed: after reconciliation both ends
-    # must hold the sender key bit for bit.
-    if not np.array_equal(corrected, rem_a):
-        raise AssertionError("reconciled keys disagree")
-    final = privacy_amplify(corrected, qber, leak, rng,
-                            qber_abort=protocol.qber_abort,
-                            safety_margin_bits=protocol.safety_margin_bits)
-    if len(final) == 0:
-        # qber cleared the abort threshold but the leakage plus margin ate
-        # the whole key; there is nothing left to distill.
-        reason = (SessionAbort.QBER_EXCEEDS_THRESHOLD if qber > protocol.qber_abort
-                  else SessionAbort.INSUFFICIENT_DETECTIONS)
-        return _aborted(n_pulses, sifted_len, qber, reason)
     return SessionRecord(
         n_pulses=n_pulses,
         sifted_len=sifted_len,
         qber=qber,
         reconciliation_leak_bits=leak,
-        final_key=final,
+        final_key=rng.bits(m),
         aborted=False,
         abort_reason=SessionAbort.NONE,
     )
@@ -286,8 +320,7 @@ def run_bb84_session(link, n_pulses: int, eve: EveConfig, rng: RandomStream,
     loss_db = _require_active(link)
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
-    sifted = _sifted_keys(n_pulses, loss_db, eve, channel, rng)
-    return _postprocess(n_pulses, *sifted, rng, protocol)
+    return _session(n_pulses, loss_db, eve, channel, rng, protocol)
 
 
 def run_plugplay_session(server_link, n_pulses: int, eve: EveConfig, rng: RandomStream,
@@ -316,5 +349,4 @@ def run_plugplay_session(server_link, n_pulses: int, eve: EveConfig, rng: Random
         return _aborted(n_pulses, 0, 0.0, SessionAbort.TROJAN_ALARM)
 
     # Only an intercept-resend Eve acts on the returned leg's rounds.
-    sifted = _sifted_keys(n_pulses, loss_db, eve, channel, rng)
-    return _postprocess(n_pulses, *sifted, rng, protocol)
+    return _session(n_pulses, loss_db, eve, channel, rng, protocol)

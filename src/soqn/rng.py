@@ -54,6 +54,14 @@ class RandomStream:
         self.position += 1
         return int(self._gen.binomial(n, p))
 
+    def hypergeometric(self, ngood: int, nbad: int, nsample: int) -> int:
+        """The number of good items among ``nsample`` drawn without
+        replacement from ``ngood`` good and ``nbad`` bad ones, as one draw
+        (also when ``ngood`` is 0). numpy requires ``ngood`` and ``nbad``
+        below 10**9."""
+        self.position += 1
+        return int(self._gen.hypergeometric(ngood, nbad, nsample))
+
     def bits(self, n: int) -> np.ndarray:
         """n independent fair bits as uint8.
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from soqn.channel import ChannelParams, path_loss_db, transmittance
-from soqn.qkd import EveConfig, _sifted_keys
+from soqn.network import OpticalLink
+from soqn.qkd import EveConfig, run_bb84_session
 from soqn.rng import RandomStream
 
 
@@ -61,13 +62,14 @@ class TestChannelParams:
 
 
 class TestClickRate:
-    """Sifted-click rates of the sampler every session runs: a pulse is
-    sifted when it clicks and both bases match, with probability p_click / 2."""
+    """Sifted-click rates of the sessions: a pulse is sifted when it clicks
+    and both bases match, with probability p_click / 2."""
 
     @staticmethod
     def sifted_fraction(channel, n, seed):
-        sifted, _ = _sifted_keys(n, 0.0, EveConfig(), channel, RandomStream(seed, "clicks"))
-        return len(sifted) / n
+        link = OpticalLink(("a", "b"), 0.0, 0.0, 0.0, "active")
+        rec = run_bb84_session(link, n, EveConfig(), RandomStream(seed, "clicks"), channel)
+        return rec.sifted_len / n
 
     def test_click_rate_binomial(self):
         # binomial oracle: sifted clicks ~ B(n, eta / 2) at eta = 0.5

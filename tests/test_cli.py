@@ -195,6 +195,16 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("spec", ["pulses_per_session=2048,0", "acquire_fine_s=0.5,-1"])
+    def test_sweep_with_a_bad_later_value_writes_nothing(self, scenario_file, tmp_path, capsys,
+                                                         spec):
+        # the first run's directory used to be written before the second failed
+        out = tmp_path / "o"
+        assert main(["--scenario", scenario_file, "--out", str(out), "--sweep", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "invalid configuration" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
     def test_seed_outside_64_bits_is_2(self, scenario_file, tmp_path, capsys, seed):
         # the seed is hashed as 64 bits: 2**64 + 1 would silently replay seed 1

@@ -309,6 +309,17 @@ class TestRandomStreams:
         assert a.binomial(0, 0.5) == 0 and a.binomial(7, 1.0) == 7
         assert a.position == 7
 
+    def test_hypergeometric_replays_and_counts_one_draw(self):
+        a, b = RandomStream(3, "hypergeometric"), RandomStream(3, "hypergeometric")
+        draws = [a.hypergeometric(300, 700, 500) for _ in range(5)]
+        assert draws == [b.hypergeometric(300, 700, 500) for _ in range(5)]
+        assert all(type(e) is int and 0 <= e <= 300 for e in draws)
+        assert len(set(draws)) > 1
+        assert a.position == 5
+        # a sample of no good items is still one draw
+        assert a.hypergeometric(0, 500, 250) == 0 and a.hypergeometric(9, 0, 9) == 9
+        assert a.position == 7
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bits_match_the_integers_draw(self, seed):
         # Top bits of random bytes equal integers(0, 2, dtype=uint8): same
@@ -329,3 +340,39 @@ class TestRandomStreams:
         e1 = SimEngine(1).stream("s")
         e2 = SimEngine(2).stream("s")
         assert not np.array_equal(e1.uniforms(20), e2.uniforms(20))
+
+
+class TestDrawKnownAnswers:
+    """The first values of each draw primitive on one (seed, label).
+
+    Every golden pin rests on these draws, and numpy may change a
+    ``Generator`` method's algorithm between releases (NEP 19 keeps only
+    the bit generator's raw stream stable). A failure here names the draw
+    that moved. Binomial and hypergeometric are pinned on both sides of
+    numpy's switch between its small-mean and its rejection algorithm.
+    """
+
+    @staticmethod
+    def stream():
+        return RandomStream(2024, "known-answer")
+
+    def test_uniforms(self):
+        assert self.stream().uniforms(4).tolist() == [
+            0.5139385336724716, 0.4294223538546973, 0.11572680095006516, 0.889827367327649]
+
+    def test_bits(self):
+        assert self.stream().bits(20).tolist() == [
+            1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 1, 0]
+
+    def test_binomial(self):
+        s = self.stream()
+        assert [s.binomial(50, 0.1) for _ in range(4)] == [5, 4, 3, 8]
+        assert [s.binomial(1000, 0.3) for _ in range(4)] == [295, 306, 295, 295]
+
+    def test_permutation(self):
+        assert self.stream().permutation(12).tolist() == [3, 0, 9, 11, 6, 8, 2, 1, 7, 5, 4, 10]
+
+    def test_hypergeometric(self):
+        s = self.stream()
+        assert [s.hypergeometric(3, 7, 5) for _ in range(4)] == [1, 2, 2, 1]
+        assert [s.hypergeometric(300, 700, 500) for _ in range(4)] == [152, 151, 139, 151]

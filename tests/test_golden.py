@@ -29,16 +29,16 @@ import workloads  # noqa: E402
 
 GOLDEN = {
     "cs_backbone.soqn": {
-        "events.log": "853b8dfaf26dcd9050fbb458cbaef61c654a21172d58c5d02d55d79876db2985",
-        "events.log v2": "f93590aae91f112687b02e974c6a6ea3ffcfbd5a5bb8ceb677b0fe227e659784",
-        "report.txt": "25eea5c842293ac8e346abda64ad6f1772f4e8520c50081ca984538e088bf9b7",
-        "records.tsv": "e5d17609ed9d22420c16b3fe0d781e8799fbf347fd32756ae9c11eae810833a9",
+        "events.log": "9121fa1b8f0476e4bb61b2ef7beb981771e55a705657b374e391f92531054b01",
+        "events.log v2": "ba6f35c19e48107fee02adf1c2b6dd38ec47a61893de4518610776cc476c2066",
+        "report.txt": "f01e0254ebe45a2413633e8c71bc795a46acdbd0f3afa143878325d66c298e77",
+        "records.tsv": "599e0cd06bb7ae6cb45c829f75472e56d2b55bd4e7d87f433639c70fe153a91e",
     },
     "p2p_relay.soqn": {
-        "events.log": "ae27315b9eefc1faa4b9ae0432ada09cc3945bf2ac501793551da258f8655739",
-        "events.log v2": "32db42901619615341900a57b7076e9bd182fc9f79c053cb32014fde1924a400",
-        "report.txt": "afd4f8059d58ebc1890a5067fe64e7c2e9d3194663a347991996d0b726e9e088",
-        "records.tsv": "6620f0dada69a5a6367624cfd3cefdbbb48ee2593532521c9d7ec53fddbea77f",
+        "events.log": "5eabfa320896647a1ad35ec355662260d8a0be30f21e441f88f26664ba83bef9",
+        "events.log v2": "03df858475e6a0efcd6f1872a93a6b169cb670ca44908872c354286947f03920",
+        "report.txt": "c40214331b2563fb2bd813cfbd0e2622b45b6df97ef0aa2e6806003916e2757f",
+        "records.tsv": "c3268616ca89ce9aa64a9aebdd31fd90f18cb5db6d770e8ac9e27869077cc957",
     },
 }
 
@@ -49,28 +49,28 @@ SNAPSHOT_TIMES = (0.0, 1.0, 2.5, 3.5, 5.2, 5.6, 9.0)
 
 GOLDEN_SNAPSHOTS = {
     ("cs_backbone.soqn", None): {
-        "events.log": "853b8dfaf26dcd9050fbb458cbaef61c654a21172d58c5d02d55d79876db2985",
-        "events.log v2": "f93590aae91f112687b02e974c6a6ea3ffcfbd5a5bb8ceb677b0fe227e659784",
-        "report.txt": "05f2c69685a4d54de0bf0541a633e606f56de86a89df29d86434762cb39ed59d",
-        "records.tsv": "50c748b4583fa05830c7f4ece63c5787305cba4c7cac4bc7510b830aed490437",
+        "events.log": "9121fa1b8f0476e4bb61b2ef7beb981771e55a705657b374e391f92531054b01",
+        "events.log v2": "ba6f35c19e48107fee02adf1c2b6dd38ec47a61893de4518610776cc476c2066",
+        "report.txt": "56743ea8d2f8cd4c6a8b5e2bb638557abef0ce0736e520e9f4712a157d39bb39",
+        "records.tsv": "f5a423beea1686aa2aed3e1eb145322a62fe067b4edb33cb97fa7ee0dbc55d66",
     },
     ("cs_backbone.soqn", 0.5): {
-        "events.log": "fb3f85217af00eec856b16474a0114890726c386cfab2cb8dafac08f86993821",
-        "events.log v2": "8a718849c23e4d928670f538609186547338b179349e58a21294481cabef73ec",
-        "report.txt": "f4ab3d3b6b55c446c835aabecde514f3ac8b274ecbc99313cd107a21fd909c4f",
-        "records.tsv": "28b4cf86309561d97f96ee21c48552f17ac7de8a9cdc8719b640e969c480dbe3",
+        "events.log": "1e115f2b08a62692a9dbee40e22cd31cf9f26a27c8eca63f48e5768f6f866bf7",
+        "events.log v2": "8633c16d942f9f984b47674521d3228bae567533144664ea77500b57c1c426fd",
+        "report.txt": "bde2f701358dae1ac7e790d72e0bae0656f95fce5d4898bba55becce098953e5",
+        "records.tsv": "f5d98dce6b821c8b99557fda9cf5f5bee6d492276a8d9439f8ad81059595f574",
     },
     ("p2p_relay.soqn", None): {
-        "events.log": "ae27315b9eefc1faa4b9ae0432ada09cc3945bf2ac501793551da258f8655739",
-        "events.log v2": "32db42901619615341900a57b7076e9bd182fc9f79c053cb32014fde1924a400",
-        "report.txt": "6ac725aec3250d8190d1e5d778b7be91dbb106eba1b1c435a796d2bdcbe02b20",
-        "records.tsv": "207fa5e3109dc73251f1f694a133fe29db0975aa8605f3d7e62fd1d3dd782a4c",
+        "events.log": "5eabfa320896647a1ad35ec355662260d8a0be30f21e441f88f26664ba83bef9",
+        "events.log v2": "03df858475e6a0efcd6f1872a93a6b169cb670ca44908872c354286947f03920",
+        "report.txt": "984423d6d0eee3b4cf1a0186f5881dc472e790d8123794131f930e3214949e30",
+        "records.tsv": "9263fe777e327509018d045cba7f9ce1a396706a6be9d9a1f2026ed406323ab7",
     },
     ("p2p_relay.soqn", 0.5): {
-        "events.log": "c536267580ff63f06a199c24df456003286fa2cb54eb5784a1631e4195ab08c7",
-        "events.log v2": "d24a4c3819b45cb7a90381504279421f5ad3521b6d76c6cd699ee726b9619198",
-        "report.txt": "9219a1e5ef764e9cc895a21015005a9c2029ae88deac083585767729e99c649d",
-        "records.tsv": "a8b02262b48a02a208661817b4dcd58b488041c87e6484d167eae4887374df7e",
+        "events.log": "d8a76e364937f0a656b117ed825230cdf18c1576ea12789c2a04b5d22c8677d8",
+        "events.log v2": "75904ccfd2b6c2e0c4d42e9aafbacf07dba4ea99ba337241a2f3069de589f410",
+        "report.txt": "d5f4a9f5238d41b7ef13295a453406e5be86775b82e256e8a3a20e701f2b55d0",
+        "records.tsv": "89d9858d35f696961dadcb761ee198bb48bd72274f121ddc1c4591928e3c0ba5",
     },
 }
 
@@ -134,22 +134,22 @@ def test_golden_replay_with_snapshots(name, acquire_delay, tmp_path):
 # qkd_bulk_chain long QKD sessions.
 GOLDEN_WORKLOADS = {
     "cs_mobility": {
-        "events.log": "26d9dd70014c254ef1aff85621d77942574d0b471e769a1f61e5d32925a2eeb6",
-        "events.log v2": "22323c05f6215bf369d75f2e73b1cd2e3bad6674e81b37f766cfa41686ed1c4a",
-        "report.txt": "6e2d58d490a0b740f7744dfb420159f5e51405fe64c3ad34de9ceb9603c7813d",
-        "records.tsv": "fc0da2b9cad30c00bcab15e03b590bbcc76001fc64f714265237ded1ae354e59",
+        "events.log": "91e5f61065afe6dcf928fb948cf53ce1b3cb5c9a70d51726fc3bd9c1297dd5d8",
+        "events.log v2": "3bb39d54616991c5112955d455d1a6924f40d9f3949b6174e6c1e428e9950e73",
+        "report.txt": "3dfd50ab1e1cc11a83cc30ceab3fef19ba70dccdebcf81eef60044387564d73d",
+        "records.tsv": "aa04ed4132dcc52968c85dec9a0b723cebdb4ecb1ef9616b88e91d6604093c3f",
     },
     "p2p_mesh_sends": {
-        "events.log": "5784c4f4517e774f79a162b322d7dbb979c284f0dd248c173df4511f73efb016",
-        "events.log v2": "7e1ee214a716c77c50d02519f6323d62510e8ceb2cea1952b274abf450936a5c",
-        "report.txt": "1bf4f4bd7379d345d8edbb2cc5ac029764f6581f77fcb0a77c34abede330064e",
-        "records.tsv": "8400373074041d30ffc2176c8d73f4c52289312be4e88248f0d4dbf3bfd9d915",
+        "events.log": "9d822334f135047ce7a104ddcc316ccd09f0c32e51a3988dbe2ef7dad5d61455",
+        "events.log v2": "780e90cbb9bf0147b13b516a4faf56449062e60f538c0f45b83c83ea06ed2887",
+        "report.txt": "0051e40d9095f882f1c33b990efe8825598beeae8277528806eb732579c6f705",
+        "records.tsv": "a907836331e0b1301891f77a8a62c768ea0da34df7a525cf8542fe9b4cafc9db",
     },
     "qkd_bulk_chain": {
-        "events.log": "5d64707fdb01f888d9bee07255a9ee44d76a2311a3793ecbfc19132534770032",
-        "events.log v2": "56b7feb830c27a22c91291dc424c46daae553fec795f3a5b07f249123ab324d0",
-        "report.txt": "e7849c3abef8e930d39c52835155779beccde00e8b9e9a6fd93a11f6b52a3e33",
-        "records.tsv": "81f9600323d06a244c3624c80e3110a8456996033f77f3868a7fe39d3c3652dd",
+        "events.log": "0bb80f84aeaecc3b1bcff95bce387e53d93bdd5c747e0e4cffe7ae01b1e38e7b",
+        "events.log v2": "ca8ec663fa41ed353a9ad052f51fb8c392fce85671f33bdeaae9be682cfc2daf",
+        "report.txt": "46bb1caf35d26167df3f406d9cc8e35d5c0bbf92a422c5c2ec7bb8a36fe786a7",
+        "records.tsv": "27513d61cd7c3d258f2c2ffe3d971d0a940411b47eb5f65e7505f46278bf3fa4",
     },
 }
 
@@ -164,10 +164,10 @@ def test_golden_replay_of_workload(name, tmp_path):
 # before any send asks for key.
 GOLDEN_PARAMS = {
     ("p2p_relay.soqn", "precharge_bits", 256): {
-        "events.log": "1fd1c6dedd1f4b8da3de4a7163fb13a7ebc8fbb9d1be50c57140fd4c368c890b",
-        "events.log v2": "2152771c33456d1f00ad820eac4965eabe14536ce09a9439ccf86f8eb9053f06",
-        "report.txt": "7e0ae89ae4b197d5922ba52c441ed39e307a09c16a96286c9b361d18394774c7",
-        "records.tsv": "a60940bef0f8d33cff014480035315dd06534456c6597d9148288b81af3348ec",
+        "events.log": "79cf9d7b6eca253c53ca5b293141c2bcd2dd03831a58b0c81ec537e06bd68913",
+        "events.log v2": "0b62d81ddbf5b8a3a45b028ea87bca45073172cd620c36dbfcadbdc35cf65bb9",
+        "report.txt": "117c474ba8a9592d1798a5a77e10eb6c69552171d16f06b789933b97392e75c6",
+        "records.tsv": "fffff7a6202454237eec399e362a759aeac76055083eb86c8467120c4f1e46dd",
     },
 }
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soqn.bitops import as_bits
 from soqn.channel import ChannelParams
 from soqn.engine import ScenarioEvent, SimEngine
 from soqn.geo import GeoPosition, link_feasible
@@ -558,6 +559,12 @@ class TestOtpOps:
         assert len(decrypt_relay(empty, empty, ticket)) == 0
 
 
+def preload_key(net, a, b, bits):
+    """Put known key bits into a pair's buffer, with the audit accounting
+    and the ``keygen`` record of a QKD session's key."""
+    net._store_key(pair_key(a, b), as_bits(bits))
+
+
 def relay_chain_oracle(message, hop_keys):
     """Brute-force check: xor everything public plus the receiver key."""
     out = np.bitwise_xor(message, hop_keys[0])  # the ciphertext
@@ -573,8 +580,8 @@ class TestRelaySetup:
 
     def test_known_xor_broadcast(self):
         _, net = self._line_network(3)
-        net.preload_key("n0", "n1", [1, 0, 1, 0])
-        net.preload_key("n1", "n2", [0, 1, 1, 0])
+        preload_key(net, "n0", "n1", [1, 0, 1, 0])
+        preload_key(net, "n1", "n2", [0, 1, 1, 0])
         ticket, first, last = net.relay_key_setup(["n0", "n1", "n2"], 4)
         assert len(ticket.broadcasts) == 1
         relay, block = ticket.broadcasts[0]
@@ -592,7 +599,7 @@ class TestRelaySetup:
         for a, b in zip(path, path[1:]):
             k = rng.bits(40)
             keys.append(k)
-            net.preload_key(a, b, k)
+            preload_key(net, a, b, k)
         message = rng.bits(40)
         ticket, first, last = net.relay_key_setup(path, 40)
         cipher = encrypt(message, first)
@@ -602,15 +609,15 @@ class TestRelaySetup:
 
     def test_consumption_marked_both_ends(self):
         _, net = self._line_network(3)
-        net.preload_key("n0", "n1", np.ones(8, dtype=np.uint8))
-        net.preload_key("n1", "n2", np.ones(8, dtype=np.uint8))
+        preload_key(net, "n0", "n1", np.ones(8, dtype=np.uint8))
+        preload_key(net, "n1", "n2", np.ones(8, dtype=np.uint8))
         net.relay_key_setup(["n0", "n1", "n2"], 8)
         assert net.buffers[("n0", "n1")].available == 0
         assert net.buffers[("n1", "n2")].available == 0
 
     def test_starving_hop_named(self):
         _, net = self._line_network(3)
-        net.preload_key("n0", "n1", np.ones(8, dtype=np.uint8))
+        preload_key(net, "n0", "n1", np.ones(8, dtype=np.uint8))
         with pytest.raises(KeyStarvationError) as err:
             net.relay_key_setup(["n0", "n1", "n2"], 8)
         assert err.value.hop == ("n1", "n2")
@@ -628,7 +635,7 @@ class TestRelaySetup:
         _, net = self._line_network(4)
         path = ["n0", "n1", "n2", "n3"]
         for a, b in zip(path, path[1:]):
-            net.preload_key(a, b, rng.bits(64))
+            preload_key(net, a, b, rng.bits(64))
         message = rng.bits(64)
         ticket, first, last = net.relay_key_setup(path, 64)
         cipher = encrypt(message, first)

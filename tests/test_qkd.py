@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from soqn.channel import ChannelParams
+from soqn import qkd
+from soqn.channel import ChannelParams, transmittance
 from soqn.network import OpticalLink
 from soqn.qkd import (EveConfig, ProtocolParams, SessionAbort, SessionRecord, binary_entropy,
                       estimate_qber, privacy_amplify, reconcile, run_bb84_session,
@@ -337,6 +338,71 @@ class TestPlugPlaySession:
                                    ideal_channel, protocol)
         assert rec.abort_reason is not SessionAbort.TROJAN_ALARM
         assert not rec.aborted
+
+
+class TestSessionCost:
+    """A session draws its counts, not its key bits: its stream advances by
+    one draw per count and by the m final bits, whatever ``n_pulses`` is."""
+
+    @pytest.mark.parametrize("errors", ["none", "some"])
+    def test_successful_session_draws_three_counts_and_the_key(self, ideal_link, ideal_channel,
+                                                               errors):
+        # the sample's error count is drawn even when there are no errors
+        channel = ideal_channel if errors == "none" else ChannelParams()
+        for n in (10**4, 10**5, 10**7):
+            stream = RandomStream(40, "cost")
+            rec = run_bb84_session(ideal_link, n, EveConfig(), stream, channel)
+            assert not rec.aborted and (rec.qber == 0.0) == (errors == "none")
+            assert stream.position == 3 + len(rec.final_key)
+
+    def test_aborted_sessions_count_only_the_draws_made(self, ideal_link, protocol):
+        cases = [
+            # too few sifted bits: the sifted length alone
+            (run_bb84_session, 10, EveConfig(), protocol,
+             SessionAbort.INSUFFICIENT_DETECTIONS, 1),
+            # qber over the threshold: the three counts
+            (run_bb84_session, 10**4, EveConfig("intercept_resend"), protocol,
+             SessionAbort.QBER_EXCEEDS_THRESHOLD, 3),
+            # qber under a lax threshold, but the leakage eats the key: the three counts
+            (run_bb84_session, 10**4, EveConfig("intercept_resend"), ProtocolParams(qber_abort=0.4),
+             SessionAbort.INSUFFICIENT_DETECTIONS, 3),
+            # a Trojan alarm before any quantum rounds: nothing
+            (run_plugplay_session, 10**4, EveConfig("trojan_probe", probe_intensity=1.0), protocol,
+             SessionAbort.TROJAN_ALARM, 0),
+        ]
+        for run, n, eve, params, reason, draws in cases:
+            stream = RandomStream(42, "cost")
+            rec = run(ideal_link, n, eve, stream, ChannelParams(), params)
+            assert rec.abort_reason is reason
+            assert stream.position == draws
+
+    def test_two_to_the_forty_pulses(self):
+        # 70 dB with a noiseless, perfect detector: a pulse is sifted with
+        # p = 1e-7 / 2, so k ~ Binomial(2**40, p) with mean about 55,000
+        channel = ChannelParams(dark_count_prob=0.0, detector_efficiency=1.0)
+        link = OpticalLink(("a", "b"), 0.0, 70.0, 0.0, "active")
+        n, p, runs = 2**40, transmittance(70.0) / 2, 30
+        lengths = []
+        for seed in range(runs):
+            stream = RandomStream(seed, "2**40")
+            rec = run_bb84_session(link, n, EveConfig(), stream, channel)
+            assert not rec.aborted and stream.position == 3 + len(rec.final_key)
+            lengths.append(rec.sifted_len)
+        mean_sd = math.sqrt(n * p * (1 - p) / runs)
+        assert abs(sum(lengths) / runs - n * p) < 4 * mean_sd
+
+    def test_sessions_never_touch_key_bits(self, monkeypatch, ideal_link):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a session ran the bit-level pipeline")
+
+        for name in ("sift", "estimate_qber", "reconcile", "privacy_amplify", "toeplitz_hash"):
+            monkeypatch.setattr(qkd, name, forbidden)
+        for name in ("uniforms", "uniform", "bit", "permutation"):
+            monkeypatch.setattr(RandomStream, name, forbidden)
+        for run in (run_bb84_session, run_plugplay_session):
+            for eve in (EveConfig(), EveConfig("intercept_resend")):
+                rec = run(ideal_link, 10**4, eve, RandomStream(43, "no-bits"), ChannelParams())
+                assert rec.aborted == (eve.mode == "intercept_resend")
 
 
 class TestRecordsAndConfigs:

@@ -238,7 +238,12 @@ node a peer 0 0 0
 node b peer 0 0.45 0
 at 1 send a b hex:ab
 """
-# One 1600-bit send that takes three lazy sessions to cover.
+# One 1600-bit send that takes two lazy sessions to cover: one 8192-pulse
+# session at 2.8 dB sifts about 2150 bits (sigma 40) and distils about 800,
+# and 1600 final bits need a sifted length of at least 3400 (half of it
+# disclosed, 100 bits of margin), about 30 sigma above the mean. So with
+# max_session_attempts 1 the send fails, and with the default it is
+# delivered.
 LONG_SEND = f"""\
 mode p2p
 param detector_efficiency 1.0
@@ -264,7 +269,7 @@ PARAM_CHANGES = {
     "f_ec": (P2P_RELAY, 1.3),
     "safety_margin_bits": (P2P_RELAY, 50),
     "pulses_per_session": (P2P_RELAY, 4096),
-    "max_session_attempts": (LONG_SEND, 2),
+    "max_session_attempts": (LONG_SEND, 1),
     "precharge_bits": (P2P_RELAY, 256),
     "acquire_coarse_s": (P2P_RELAY, 0.5),
     "acquire_fine_s": (P2P_RELAY, 0.5),
