@@ -70,6 +70,13 @@ def _central_angle_rad(a: GeoPosition, b: GeoPosition) -> float:
     return 2.0 * math.asin(min(1.0, math.sqrt(s)))
 
 
+def _distance_km(a: GeoPosition, b: GeoPosition, angle: float, earth_radius_km: float) -> float:
+    mean_alt_km = (a.altitude_m + b.altitude_m) / 2000.0
+    surface = (earth_radius_km + mean_alt_km) * angle
+    dalt_km = abs(b.altitude_m - a.altitude_m) / 1000.0
+    return math.hypot(surface, dalt_km)
+
+
 def geodesic_distance(a: GeoPosition, b: GeoPosition, earth_radius_km: float = EARTH_RADIUS_KM) -> float:
     """Distance in km between two node positions.
 
@@ -77,15 +84,17 @@ def geodesic_distance(a: GeoPosition, b: GeoPosition, earth_radius_km: float = E
     mean altitude, composed with the altitude difference as
     sqrt(surface**2 + dalt**2). Symmetric; exactly zero for identical inputs.
     """
-    mean_alt_km = (a.altitude_m + b.altitude_m) / 2000.0
-    surface = (earth_radius_km + mean_alt_km) * _central_angle_rad(a, b)
-    dalt_km = abs(b.altitude_m - a.altitude_m) / 1000.0
-    return math.hypot(surface, dalt_km)
+    return _distance_km(a, b, _central_angle_rad(a, b), earth_radius_km)
 
 
 def _horizon_km(altitude_m: float, earth_radius_km: float) -> float:
     h_km = max(altitude_m, MIN_EYE_HEIGHT_M) / 1000.0
     return math.sqrt(2.0 * earth_radius_km * h_km)
+
+
+def _in_sight(a: GeoPosition, b: GeoPosition, angle: float, earth_radius_km: float) -> bool:
+    r = earth_radius_km
+    return r * angle <= _horizon_km(a.altitude_m, r) + _horizon_km(b.altitude_m, r)
 
 
 def line_of_sight(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams) -> bool:
@@ -95,9 +104,7 @@ def line_of_sight(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams)
     sqrt(2*R*h); the pair has line of sight when the surface separation does
     not exceed the sum of the two horizon distances.
     """
-    r = params.earth_radius_km
-    surface = r * _central_angle_rad(a, b)
-    return surface <= _horizon_km(a.altitude_m, r) + _horizon_km(b.altitude_m, r)
+    return _in_sight(a, b, _central_angle_rad(a, b), params.earth_radius_km)
 
 
 def surely_out_of_range(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams) -> bool:
@@ -114,14 +121,53 @@ def surely_out_of_range(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityP
     return scale * chord * (1.0 - 1e-9) > params.max_range_km
 
 
+def cell_side(params: LinkFeasibilityParams) -> float:
+    """Side of the cubic cells of ``GeoPosition.unit_vector`` within which
+    every pair that ``surely_out_of_range`` keeps lies in neighbouring cells.
+
+    Altitudes are at least -500 m, so the scale in ``surely_out_of_range`` is
+    at least R - 0.5 km, and a pair it keeps has a unit-vector chord of at
+    most ``max_range_km / ((R - 0.5)(1 - 1e-9)) + 1e-12``: its own margins.
+    No coordinate differs by more than the chord, so with a cell side of at
+    least the chord the floored coordinates differ by at most 1. A further
+    relative 1e-9 and absolute 1e-12 cover the rounding of this bound, of
+    the coordinate differences and of the floor division (coordinates are
+    within [-1, 1], so each is within a few 1e-16). For R <= 0.5 km the
+    scale has no positive floor; the side is infinite and every position
+    shares one cell.
+    """
+    floor_km = params.earth_radius_km - 0.5
+    if floor_km <= 0.0:
+        return math.inf
+    chord = params.max_range_km / (floor_km * (1.0 - 1e-9)) + 1e-12
+    return chord * (1.0 + 1e-9) + 1e-12
+
+
+def cell_of(p: GeoPosition, side: float) -> tuple[int, int, int]:
+    """The cell of side ``side`` (see ``cell_side``) that holds p's unit vector."""
+    x, y, z = p.unit_vector
+    return (math.floor(x / side), math.floor(y / side), math.floor(z / side))
+
+
+def feasible_distance(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams) -> float | None:
+    """``geodesic_distance`` of a pair that ``link_feasible`` accepts, else None.
+
+    One central angle serves the range check, the line-of-sight check and
+    the distance, with the same values as those three functions.
+    """
+    angle = _central_angle_rad(a, b)
+    dist = _distance_km(a, b, angle, params.earth_radius_km)
+    if dist > params.max_range_km:
+        return None
+    if params.require_los and not _in_sight(a, b, angle, params.earth_radius_km):
+        return None
+    return dist
+
+
 def link_feasible(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams) -> bool:
     """True iff an optical link between a and b can be acquired.
 
     Requires the 3D distance to be within ``max_range_km`` and, when
     ``require_los`` is set, an unobstructed horizon path.
     """
-    if geodesic_distance(a, b, params.earth_radius_km) > params.max_range_km:
-        return False
-    if params.require_los and not line_of_sight(a, b, params):
-        return False
-    return True
+    return feasible_distance(a, b, params) is not None

@@ -22,8 +22,9 @@ import numpy as np
 from .bitops import as_bits, hex_from_bits, xor_bits
 from .channel import ChannelParams, path_loss_db
 from .engine import ScenarioEvent, SimEngine
-from .geo import (GeoPosition, LinkFeasibilityParams, geodesic_distance, link_feasible,
+from .geo import (GeoPosition, LinkFeasibilityParams, cell_of, cell_side, feasible_distance,
                   surely_out_of_range)
+from .geo import geodesic_distance, link_feasible  # unused here; perfbench/tracing.py wraps them
 from .qkd import (EVE_OFF, EveConfig, ProtocolParams, SessionRecord,
                   run_bb84_session, run_plugplay_session)
 
@@ -35,6 +36,12 @@ ROLE_PEER = "peer"
 ROLE_SERVER = "server"
 ROLE_CLIENT = "client"
 ROLES = (ROLE_PEER, ROLE_SERVER, ROLE_CLIENT)
+
+# mode -> role -> the roles it may link to. Clients never link to clients.
+_LINKABLE = {
+    "p2p": {ROLE_PEER: (ROLE_PEER,)},
+    "cs": {ROLE_SERVER: (ROLE_SERVER, ROLE_CLIENT), ROLE_CLIENT: (ROLE_SERVER,)},
+}
 
 
 class NetworkError(Exception):
@@ -262,7 +269,17 @@ def shortest_path(adj: dict[NodeId, dict[NodeId, OpticalLink]], src: NodeId, dst
 
 
 class Network:
-    """Protocol state machine; all mutation runs on the engine's event loop."""
+    """Protocol state machine; all mutation runs on the engine's event loop.
+
+    Link acquisition searches a cell index of the deployed nodes, keyed by
+    role and by the cube of side ``geo.cell_side`` that holds the node's
+    ``unit_vector``. That side bounds the chord of every pair
+    ``geo.surely_out_of_range`` keeps, so every feasible pair lies in
+    neighbouring cells: a node tests only the nodes of the roles it may
+    link to in its own and the 26 surrounding cells. The candidates are
+    tried in the order nodes were added, so links come up in the order of
+    a test of every deployed node.
+    """
 
     def __init__(self, mode: str, engine: SimEngine,
                  feasibility: LinkFeasibilityParams | None = None,
@@ -293,6 +310,21 @@ class Network:
         self.precharge_bits = precharge_bits
 
         self.nodes: dict[NodeId, NodeInfo] = {}
+        # Each node's place in the order nodes were added in, and the reverse.
+        self._order: dict[NodeId, int] = {}
+        self._ids: list[NodeId] = []
+        self._linkable = _LINKABLE[mode]
+        # The cell index: the places of the deployed nodes by role and by the
+        # cell of their position, and each one's cell. The cell (ix, iy, iz) of
+        # ``geo.cell_of`` is keyed as the integer (ix * k + iy) * k + iz. Unit
+        # vectors lie in [-1, 1], so k exceeds the span of cell coordinates
+        # (probed neighbours included), and distinct cells get distinct keys.
+        self._cell_side = side = cell_side(self.feasibility)
+        self._cell_stride = k = 2 * math.floor(1.0 / side) + 4
+        self._neighbourhood = frozenset((dx * k + dy) * k + dz for dx in (-1, 0, 1)
+                                        for dy in (-1, 0, 1) for dz in (-1, 0, 1))
+        self._cells: dict[str, dict[int, set[int]]] = {role: {} for role in self._linkable}
+        self._cell_at: dict[NodeId, int] = {}
         # The latest link of each pair, in any state.
         self.link_history: dict[tuple[NodeId, NodeId], OpticalLink] = {}
         # Every link not torn down under both of its ends, in acquisition order.
@@ -323,6 +355,8 @@ class Network:
         if self.mode == "cs" and role == ROLE_PEER:
             raise RoleModeError("cs networks contain only servers and clients")
         self.nodes[node_id] = NodeInfo(node_id, role, position)
+        self._order[node_id] = len(self._ids)
+        self._ids.append(node_id)
 
     def handle_deploy(self, node_id: NodeId) -> None:
         node = self._node(node_id)
@@ -331,6 +365,7 @@ class Network:
         self.engine.mark_deployed(node_id, role=node.role,
                                   lat=node.position.latitude_deg, lon=node.position.longitude_deg,
                                   alt=node.position.altitude_m)
+        self._place(node, node.position)
         if self.organized:
             self.join_network(node_id)
 
@@ -339,8 +374,9 @@ class Network:
         deployed = [n for n in self.nodes if self.engine.is_deployed(n)]
         for nid in deployed:
             self.engine.broadcast(nid, "location", self._loc_payload(nid))
-        for i, a in enumerate(deployed):
-            for b in deployed[i + 1 :]:
+        order = self._order
+        for a in deployed:
+            for b in self._candidates(a, order[a]):
                 self._try_acquire(a, b)
         for nid in deployed:
             self.engine.broadcast(nid, "link_report", f"links={self._incident_count(nid)}")
@@ -368,7 +404,7 @@ class Network:
             pair = link.endpoints
             link.state = "torn_down"
             self.engine.emit("link_down", node_id, pair=f"{pair[0]}~{pair[1]}", reason="move")
-        node.position = new_pos
+        self._place(node, new_pos)
         self._announce_and_acquire(node_id, "location")
         self.engine.emit("move", node_id, lat=new_pos.latitude_deg,
                          lon=new_pos.longitude_deg, alt=new_pos.altitude_m)
@@ -521,7 +557,9 @@ class Network:
 
     def audit_tables(self) -> list[str]:
         """Check that the link index, which routing searches, holds every
-        link not torn down under both ends and nothing else."""
+        link not torn down under both ends and nothing else, and that the
+        cell index, which acquisition searches, holds every deployed node
+        in the cell of its position and nothing else."""
         links = self.links
         adj = self._adj
         problems = [f"link {a}~{b} missing from the index of {end}"
@@ -534,6 +572,30 @@ class Network:
             problems += [f"index of {a} lists {b} with no link"
                          for a, nbrs in adj.items() for b, link in nbrs.items()
                          if links.get(pair_key(a, b)) is not link]
+        return problems + self._audit_cells()
+
+    def _audit_cells(self) -> list[str]:
+        is_deployed = self.engine.is_deployed
+        key, cell_at, order = self._cell_key, self._cell_at, self._order
+        problems: list[str] = []
+        placed = 0
+        for nid, node in self.nodes.items():
+            if is_deployed(nid):
+                cell = key(node.position)
+                if cell_at.get(nid) == cell and order[nid] in self._cells[node.role].get(cell, ()):
+                    placed += 1
+                else:
+                    problems.append(f"node {nid} missing from the cell of its position")
+        # As above: entries beyond the nodes in place are stale.
+        if (len(cell_at) != placed
+                or sum(len(bucket) for cells in self._cells.values() for bucket in cells.values()) != placed):
+            problems += [f"cell index lists {nid} where it is not"
+                         for role, cells in self._cells.items()
+                         for cell, bucket in cells.items() for nid in map(self._ids.__getitem__, bucket)
+                         if not (is_deployed(nid) and self.nodes[nid].role == role
+                                 and key(self.nodes[nid].position) == cell == cell_at.get(nid))]
+            problems += [f"cell index places {nid}, which is not deployed"
+                         for nid in cell_at if not is_deployed(nid)]
         return problems
 
     def audit_roles(self) -> list[str]:
@@ -542,7 +604,7 @@ class Network:
         if self.mode != "cs":
             return problems
         for a, b in self.link_history:
-            if self.nodes[a].role == ROLE_CLIENT and self.nodes[b].role == ROLE_CLIENT:
+            if not self._eligible(a, b):
                 problems.append(f"client-client link {a}~{b}")
         for rec in self.deliveries:
             if rec.path is not None:
@@ -567,34 +629,77 @@ class Network:
         return len(self._adj.get(nid, _NO_LINKS))
 
     def _eligible(self, a: NodeId, b: NodeId) -> bool:
-        ra, rb = self.nodes[a].role, self.nodes[b].role
-        if self.mode == "p2p":
-            return ra == ROLE_PEER and rb == ROLE_PEER
-        return not (ra == ROLE_CLIENT and rb == ROLE_CLIENT)
+        return self.nodes[b].role in self._linkable[self.nodes[a].role]
+
+    def _cell_key(self, position: GeoPosition) -> int:
+        ix, iy, iz = cell_of(position, self._cell_side)
+        return (ix * self._cell_stride + iy) * self._cell_stride + iz
+
+    def _place(self, node: NodeInfo, position: GeoPosition) -> None:
+        """Put a deployed node at ``position``, in the cell index too."""
+        node.position = position
+        old = self._cell_at.get(node.node_id)
+        new = self._cell_at[node.node_id] = self._cell_key(position)
+        if new != old:
+            cells = self._cells[node.role]
+            place = self._order[node.node_id]
+            if old is not None:
+                bucket = cells[old]
+                bucket.remove(place)
+                if not bucket:
+                    del cells[old]
+            bucket = cells.get(new)
+            if bucket is None:
+                cells[new] = {place}
+            else:
+                bucket.add(place)
+
+    def _candidates(self, node_id: NodeId, after: int = -1) -> list[NodeId]:
+        """The deployed nodes added after the ``after``-th node, ``node_id``
+        itself excepted, that lie in the cells around ``node_id``'s and have
+        a role it may link to, in the order they were added.
+
+        Looks up the 27 cells, or, when a role occupies fewer cells, tests
+        each occupied one: both find the same nodes."""
+        cell = self._cell_at[node_id]
+        near = self._neighbourhood
+        found: list[int] = []
+        for role in self._linkable[self.nodes[node_id].role]:
+            cells = self._cells[role]
+            if len(cells) < len(near):
+                for key, bucket in cells.items():
+                    if key - cell in near:
+                        found += bucket
+            else:
+                for offset in near:
+                    bucket = cells.get(cell + offset)
+                    if bucket:
+                        found += bucket
+        found.sort()
+        ids, me = self._ids, self._order[node_id]
+        return [ids[i] for i in found if i > after and i != me]
 
     def _announce_and_acquire(self, node_id: NodeId, topic: str) -> None:
         """Broadcast a node's location under ``topic``, try a link to every
-        other deployed node in the order nodes were added, report the
-        node's links and number the topology change."""
+        candidate (``_candidates``), report the node's links and number the
+        topology change."""
         self.engine.broadcast(node_id, topic, self._loc_payload(node_id))
-        is_deployed = self.engine.is_deployed
-        for other in self.nodes:
-            if other != node_id and is_deployed(other):
-                self._try_acquire(node_id, other)
+        for other in self._candidates(node_id):
+            self._try_acquire(node_id, other)
         self.engine.broadcast(node_id, "link_report", f"links={self._incident_count(node_id)}")
         self._refresh_tables()
 
     def _try_acquire(self, a: NodeId, b: NodeId) -> OpticalLink | None:
+        """Acquire a link between a and a candidate b (``_candidates``: b's
+        role is one a may link to) if none is up and the pair is feasible."""
         if b in self._adj.get(a, _NO_LINKS):
-            return None
-        if not self._eligible(a, b):
             return None
         pa, pb = self.nodes[a].position, self.nodes[b].position
         if surely_out_of_range(pa, pb, self.feasibility):
             return None
-        if not link_feasible(pa, pb, self.feasibility):
+        dist = feasible_distance(pa, pb, self.feasibility)
+        if dist is None:
             return None
-        dist = geodesic_distance(pa, pb, self.feasibility.earth_radius_km)
         loss = path_loss_db(dist, self.channel)
         state = "active" if self.acquire_delay_s == 0.0 else "acquiring"
         pair = pair_key(a, b)

@@ -37,6 +37,7 @@ singular half of the time. A session's cost does not grow with
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,6 +72,11 @@ class EveConfig:
 
 EVE_OFF = EveConfig()
 
+# The largest f_ec whose leakage f_ec * h2(qber) * n stays finite for every
+# sifted length n below 2**63, which covers every key that fits in memory
+# and every count numpy's binomial can draw.
+MAX_F_EC = sys.float_info.max / 2**63
+
 
 @dataclass(frozen=True)
 class ProtocolParams:
@@ -90,8 +96,9 @@ class ProtocolParams:
             raise ValueError("sample_fraction must be in (0, 1)")
         if not (0.0 <= self.qber_abort < 0.5):
             raise ValueError("qber_abort must be in [0, 0.5)")
-        if not (1.0 <= self.f_ec < math.inf):
-            raise ValueError("f_ec must be finite and >= 1")
+        if not (1.0 <= self.f_ec <= MAX_F_EC):
+            raise ValueError(f"f_ec must be in [1, {MAX_F_EC:.4g}], so that the leakage "
+                             "of any sifted key is finite")
         if self.safety_margin_bits < 0:
             raise ValueError("safety_margin_bits must be >= 0")
         if not (0.0 < self.trojan_tolerance < 1.0):

@@ -13,6 +13,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
+# numpy's Generator.hypergeometric takes ngood and nbad below this.
+HYPERGEOMETRIC_LIMIT = 10**9
+
 
 def _entropy(seed: int, label: str) -> list[int]:
     digest = hashlib.sha256(label.encode("utf-8")).digest()
@@ -57,8 +60,16 @@ class RandomStream:
     def hypergeometric(self, ngood: int, nbad: int, nsample: int) -> int:
         """The number of good items among ``nsample`` drawn without
         replacement from ``ngood`` good and ``nbad`` bad ones, as one draw
-        (also when ``ngood`` is 0). numpy requires ``ngood`` and ``nbad``
-        below 10**9."""
+        (also when ``ngood`` is 0).
+
+        numpy requires ``ngood`` and ``nbad`` below 10**9; beyond that this
+        raises ValueError before drawing. A QKD session draws its sample's
+        errors this way, so its sifted key must hold fewer than 10**9
+        errors and fewer than 10**9 correct bits."""
+        if ngood >= HYPERGEOMETRIC_LIMIT or nbad >= HYPERGEOMETRIC_LIMIT:
+            raise ValueError(
+                f"sifted key too long for the error sample draw: {ngood} errors and "
+                f"{nbad} correct bits, each must be below 10**9 (numpy's hypergeometric limit)")
         self.position += 1
         return int(self._gen.hypergeometric(ngood, nbad, nsample))
 

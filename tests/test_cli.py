@@ -205,6 +205,16 @@ class TestCliExitCodes:
         assert err.count("\n") == 1 and "invalid configuration" in err
         assert not out.exists()
 
+    def test_sweep_with_an_overflowing_f_ec_writes_nothing(self, tmp_path, capsys):
+        # 1e308 used to fail only inside the session, after sweep-f_ec-1.1/ was written
+        path = tmp_path / "noisy.soqn"
+        path.write_text(NOISY_QKD)
+        out = tmp_path / "o"
+        assert main(["--scenario", str(path), "--out", str(out), "--sweep", "f_ec=1.1,1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "invalid configuration" in err and "f_ec" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
     def test_seed_outside_64_bits_is_2(self, scenario_file, tmp_path, capsys, seed):
         # the seed is hashed as 64 bits: 2**64 + 1 would silently replay seed 1

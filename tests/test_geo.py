@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from soqn.geo import (EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams,
-                      geodesic_distance, line_of_sight, link_feasible,
+from soqn.geo import (EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams, cell_of, cell_side,
+                      feasible_distance, geodesic_distance, line_of_sight, link_feasible,
                       surely_out_of_range)
 
 # Independent hand computations, frozen before the build:
@@ -247,3 +247,91 @@ class TestSurelyOutOfRange:
         assert p.unit_vector == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
         assert GeoPosition(0.0, 180.0, 0.0).unit_vector == pytest.approx((-1.0, 0.0, 0.0))
         assert p.unit_vector is p.unit_vector
+
+
+altitudes = st.one_of(st.sampled_from([-500.0, 0.0, 20_000.0]), st.floats(-500.0, 20_000.0))
+
+
+@st.composite
+def nearby_pairs(draw):
+    """(a, b, params): b within about 1.5 ranges of a, anywhere on the
+    sphere (poles and the antimeridian included), on spheres from 0.1 km to
+    20,000 km and with ranges from 1 m to beyond the sphere's diameter."""
+    radius = draw(st.one_of(st.sampled_from([0.1, 0.5, 0.5000001, 1.0, EARTH_RADIUS_KM, 20_000.0]),
+                            st.floats(0.1, 20_000.0)))
+    max_range = draw(st.one_of(st.sampled_from([1e-3, 144.0, 40_001.0, 1e5]),
+                               st.floats(1e-3, 1e5)))
+    params = LinkFeasibilityParams(max_range_km=max_range, earth_radius_km=radius,
+                                   require_los=draw(st.booleans()))
+    lat = draw(st.one_of(st.sampled_from([-90.0, 90.0]), st.floats(-90.0, 90.0)))
+    lon = draw(st.one_of(st.sampled_from([-180.0, 179.9999, 180.0]), st.floats(-180.0, 180.0)))
+    reach = math.degrees(min(max_range / radius, math.pi)) * draw(st.floats(0.0, 1.5))
+    bearing = draw(st.floats(0.0, 2.0 * math.pi))
+    a = GeoPosition(lat, lon, draw(altitudes))
+    b = GeoPosition(min(90.0, max(-90.0, lat + reach * math.cos(bearing))),
+                    lon + reach * math.sin(bearing), draw(altitudes))
+    return a, b, params
+
+
+class TestFeasibleDistance:
+    @given(nearby_pairs())
+    @settings(max_examples=300)
+    def test_matches_the_range_los_and_distance_functions(self, case):
+        a, b, params = case
+        dist = geodesic_distance(a, b, params.earth_radius_km)
+        ok = dist <= params.max_range_km and (not params.require_los
+                                              or line_of_sight(a, b, params))
+        assert feasible_distance(a, b, params) == (dist if ok else None)
+        assert link_feasible(a, b, params) == ok
+
+
+class TestCells:
+    """Every pair ``surely_out_of_range`` keeps, feasible pairs among them,
+    lies in neighbouring cells of side ``cell_side``: the exactness of the
+    acquisition index in ``Network``."""
+
+    @given(nearby_pairs())
+    @settings(max_examples=1000)
+    def test_kept_pairs_lie_in_neighbouring_cells(self, case):
+        a, b, params = case
+        side = cell_side(params)
+        if not surely_out_of_range(a, b, params):
+            assert all(abs(i - j) <= 1 for i, j in zip(cell_of(a, side), cell_of(b, side)))
+        else:
+            assert not link_feasible(a, b, params)
+
+    @pytest.mark.parametrize("radius,max_range", [(1.0, 0.2), (2.0, 1.0), (6371.0, 144.0),
+                                                  (20_000.0, 1e-3), (0.6, 0.01)])
+    def test_longest_kept_chord_reaches_only_the_next_cell(self, radius, max_range):
+        # a sits on the equator at 90 deg east, just inside cell 0 along x; b
+        # moves east along the equator, where x falls as -sin(theta), almost
+        # the whole chord. At -500 m (the lowest scale), bisect for the widest
+        # angle surely_out_of_range keeps: that b must still be in cell -1.
+        params = LinkFeasibilityParams(max_range_km=max_range, earth_radius_km=radius,
+                                       require_los=False)
+        a = GeoPosition(0.0, 90.0, -500.0)
+
+        def b_at(theta):
+            return GeoPosition(0.0, 90.0 + math.degrees(theta), -500.0)
+
+        lo, hi = 0.0, math.pi / 2
+        assert surely_out_of_range(a, b_at(hi), params)
+        for _ in range(100):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if surely_out_of_range(a, b_at(mid), params) else (mid, hi)
+        side = cell_side(params)
+        assert cell_of(a, side)[0] == 0 and cell_of(b_at(lo), side)[0] == -1
+
+    @pytest.mark.parametrize("radius", [0.1, 0.5])
+    def test_side_is_infinite_without_a_positive_scale(self, radius):
+        # R + mean altitude can reach 0 when R <= 0.5 km: no chord bound, one cell
+        params = LinkFeasibilityParams(max_range_km=1e-3, earth_radius_km=radius)
+        assert cell_side(params) == math.inf
+        for p in (GeoPosition(90.0, 0.0, 0.0), GeoPosition(-90.0, 0.0, 0.0),
+                  GeoPosition(0.0, -180.0, 0.0), GeoPosition(-30.0, 100.0, 0.0)):
+            assert cell_of(p, math.inf) == (0, 0, 0)
+
+    def test_side_keeps_the_bound_margins(self):
+        params = LinkFeasibilityParams(max_range_km=144.0)
+        assert cell_side(params) > 144.0 / ((EARTH_RADIUS_KM - 0.5) * (1 - 1e-9)) + 1e-12
+        assert cell_side(params) < 144.0 / (EARTH_RADIUS_KM - 0.5) * 1.001

@@ -1,4 +1,6 @@
 import heapq
+import math
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from soqn.bitops import as_bits
 from soqn.channel import ChannelParams
 from soqn.engine import ScenarioEvent, SimEngine
-from soqn.geo import GeoPosition, link_feasible
+from soqn.geo import EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams, cell_side, link_feasible
 from soqn.network import (DuplicateNodeError, KeyBlock, KeyBuffer, KeyReuseError,
                           KeyStarvationError, LinkInactiveError, Network, NoRouteError,
                           OpticalLink, RelayTicket, RoleModeError, UnknownNodeError,
@@ -287,6 +289,160 @@ class TestJoinMove:
         _, net = make_network("p2p", [("n1", "peer", 0.0, 0.0, 0.0)])
         with pytest.raises(UnknownNodeError):
             net.move_node("ghost", GeoPosition(0, 0, 0))
+
+
+class AllPairsNetwork(Network):
+    """The reference for the cell index: every other deployed node added
+    after the ``after``-th is a candidate, in the order nodes were added,
+    clients never for clients (the all-pairs loop the index replaces)."""
+
+    def _candidates(self, node_id, after=-1):
+        role = self.nodes[node_id].role
+        return [b for b in list(self.nodes)[after + 1:]
+                if b != node_id and self.engine.is_deployed(b)
+                and not (role == "client" == self.nodes[b].role)]
+
+
+ALTITUDES = st.one_of(st.sampled_from([-500.0, 0.0, 20_000.0]), st.floats(-500.0, 20_000.0))
+
+
+@st.composite
+def churn_layouts(draw):
+    """(mode, feasibility, nodes, late, moves): 2-10 nodes within about two
+    ranges of a point anywhere on the sphere (poles and the antimeridian
+    included), the indices of the nodes that deploy after the organize
+    round, and (index, position) moves. Spheres run from 0.1 to 20,000 km
+    and ranges from 1 m to beyond the diameter."""
+    mode = draw(st.sampled_from(["p2p", "cs"]))
+    radius = draw(st.one_of(st.sampled_from([0.1, 1.0, EARTH_RADIUS_KM, 20_000.0]),
+                            st.floats(0.1, 20_000.0)))
+    max_range = draw(st.one_of(st.sampled_from([1e-3, 144.0, 1e5]), st.floats(1e-3, 1e5)))
+    feasibility = LinkFeasibilityParams(max_range_km=max_range, earth_radius_km=radius,
+                                        require_los=draw(st.booleans()))
+    lat0 = draw(st.one_of(st.sampled_from([-90.0, 0.0, 90.0]), st.floats(-90.0, 90.0)))
+    lon0 = draw(st.one_of(st.sampled_from([-180.0, 179.9999]), st.floats(-180.0, 180.0)))
+    reach = math.degrees(min(max_range / radius, math.pi))
+
+    def spot():
+        lat = lat0 + reach * draw(st.floats(-2.0, 2.0))
+        return GeoPosition(min(90.0, max(-90.0, lat)), lon0 + reach * draw(st.floats(-2.0, 2.0)),
+                           draw(ALTITUDES))
+
+    n = draw(st.integers(2, 10))
+    roles = (["peer"] * n if mode == "p2p"
+             else draw(st.lists(st.sampled_from(["server", "client"]), min_size=n, max_size=n)))
+    nodes = [(f"n{i}", role, spot()) for i, role in enumerate(roles)]
+    late = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    moves = [(draw(st.integers(0, n - 1)), spot()) for _ in range(draw(st.integers(0, 6)))]
+    return mode, feasibility, nodes, late, moves
+
+
+def run_churn(cls, mode, feasibility, nodes, late, moves):
+    """Organize the early nodes, then deploy the late ones and make the
+    moves of deployed nodes, alternately; returns the network."""
+    engine = SimEngine(0)
+    net = cls(mode, engine, feasibility=feasibility, channel=IDEAL_CHANNEL,
+              protocol=FAST_PROTOCOL)
+    for nid, role, pos in nodes:
+        net.add_node(nid, role, pos)
+    for i, (nid, _, _) in enumerate(nodes):
+        if i not in late:
+            net.handle_deploy(nid)
+    net.organize_network()
+    joins = [nodes[i][0] for i in sorted(late)]
+    for step in range(max(len(joins), len(moves))):
+        if step < len(joins):
+            net.handle_deploy(joins[step])
+        if step < len(moves):
+            nid = nodes[moves[step][0]][0]
+            if engine.is_deployed(nid):
+                net.move_node(nid, moves[step][1])
+    return net
+
+
+def link_records(engine):
+    return [line for line in engine.log_lines() if line.split("\t")[2] in ("link_up", "link_down")]
+
+
+class TestCellIndex:
+    @given(churn_layouts())
+    @settings(max_examples=300, deadline=None)
+    def test_every_feasible_pair_is_a_candidate(self, layout):
+        mode, feasibility, nodes, _, moves = layout
+        net = run_churn(Network, mode, feasibility, nodes, set(), moves)
+        order = {nid: i for i, (nid, _, _) in enumerate(nodes)}
+        for a in net.nodes:
+            found, later = set(net._candidates(a)), set(net._candidates(a, order[a]))
+            for b in net.nodes:
+                if a != b and net._eligible(a, b) and link_feasible(
+                        net.nodes[a].position, net.nodes[b].position, feasibility):
+                    assert b in found
+                    assert (b in later) == (order[b] > order[a])
+        assert net.audit_tables() == []
+
+    @given(churn_layouts())
+    @settings(max_examples=200, deadline=None)
+    def test_links_match_a_test_of_every_pair(self, layout):
+        net = run_churn(Network, *layout)
+        ref = run_churn(AllPairsNetwork, *layout)
+        assert link_records(net.engine) == link_records(ref.engine)
+        assert net.engine.log_lines() == ref.engine.log_lines()
+        assert net.audit_tables() == []
+
+    def test_acquisition_tests_stay_linear_in_nodes(self, monkeypatch):
+        # 20 x 20 peers 130 km apart astride the equator, 1000 m up (every
+        # pair in range has line of sight), organized, then 20 moves.
+        calls = 0
+        try_acquire = Network._try_acquire
+
+        def counting(self, a, b):
+            nonlocal calls
+            calls += 1
+            return try_acquire(self, a, b)
+
+        monkeypatch.setattr(Network, "_try_acquire", counting)
+        spacing = 130.0
+        grid = [(f"g{r:02d}{c:02d}", "peer", deg((r - 9.5) * spacing), deg((c - 9.5) * spacing),
+                 1000.0) for r in range(20) for c in range(20)]
+        _, net = make_network("p2p", grid)
+        rng = random.Random(5)
+        for _ in range(20):
+            net.move_node(rng.choice(grid)[0], GeoPosition(deg(rng.uniform(-9.5, 9.5) * spacing),
+                                                           deg(rng.uniform(-9.5, 9.5) * spacing),
+                                                           1000.0))
+        n, moves = len(grid), 20
+        # A candidate lies in the 3 x 3 x 3 cells around the node's, so its
+        # unit vector is at most 2 cell sides away along each axis: a chord
+        # of at most 2 sqrt(3) sides, r = 2 sqrt(3) * side * R km on the
+        # surface (the arc exceeds R times the chord by under 0.1% here). A
+        # grid point owns its spacing-by-spacing square, which lies within
+        # r + spacing / sqrt(2) of any point it is within r of; longitude
+        # spacing is at least cos(11.1 deg) = 0.98 of the latitude one, so at
+        # most pi (r / spacing + 1)^2 grid points lie within r of any point.
+        r = 2 * math.sqrt(3) * cell_side(net.feasibility) * EARTH_RADIUS_KM * 1.001
+        near = math.pi * (r / spacing + 1) ** 2
+        # Organize tests each neighbouring pair once; each move tests at most
+        # the grid points near its new position plus the 20 moved nodes.
+        multiple = (n * near / 2 + moves * (near + moves)) / n
+        assert multiple < 42  # about 74 nodes near each; all pairs would be 219 N
+        assert calls <= multiple * n
+        assert net.active_pairs() == feasibility_oracle(net)
+
+    def test_audit_reports_cell_index_faults(self):
+        _, net = make_network("p2p", [("a", "peer", 0.0, 0.0, 0.0),
+                                      ("b", "peer", 0.0, deg(10), 0.0)])
+        net.add_node("c", "peer", GeoPosition(0.0, deg(20), 0.0))  # not deployed
+        assert net.audit_tables() == []
+        net.nodes["a"].position = GeoPosition(40.0, 40.0, 0.0)  # behind the index's back
+        assert net.audit_tables() == ["node a missing from the cell of its position",
+                                      "cell index lists a where it is not"]
+        net.move_node("a", GeoPosition(0.0, 0.0, 0.0))
+        assert net.audit_tables() == []
+        net._cells["peer"][net._cell_at["b"]].add(net._order["c"])
+        assert net.audit_tables() == ["cell index lists c where it is not"]
+        net._cells["peer"][net._cell_at["b"]].remove(net._order["c"])
+        net._cell_at["c"] = net._cell_at["b"]
+        assert net.audit_tables() == ["cell index places c, which is not deployed"]
 
 
 class TestPrecharge:

@@ -9,9 +9,10 @@ import pytest
 from soqn import qkd
 from soqn.channel import ChannelParams, transmittance
 from soqn.network import OpticalLink
-from soqn.qkd import (EveConfig, ProtocolParams, SessionAbort, SessionRecord, binary_entropy,
-                      estimate_qber, privacy_amplify, reconcile, run_bb84_session,
-                      run_plugplay_session, sift, trojan_monitor)
+from soqn.qkd import (MAX_F_EC, EveConfig, ProtocolParams, SessionAbort, SessionRecord,
+                      binary_entropy, estimate_qber, privacy_amplify, reconcile,
+                      reconciliation_leak, run_bb84_session, run_plugplay_session, sift,
+                      trojan_monitor)
 from soqn.rng import RandomStream
 
 
@@ -391,6 +392,14 @@ class TestSessionCost:
         mean_sd = math.sqrt(n * p * (1 - p) / runs)
         assert abs(sum(lengths) / runs - n * p) < 4 * mean_sd
 
+    def test_sifted_length_beyond_the_sample_draw_is_named(self, ideal_link, ideal_channel):
+        # lossless and error-free: k ~ Binomial(4e9, 1/2), about 2e9 correct
+        # bits, beyond numpy's hypergeometric; it raises before any key is drawn
+        stream = RandomStream(3, "huge")
+        with pytest.raises(ValueError, match=r"sifted key too long .* below 10\*\*9"):
+            run_bb84_session(ideal_link, 4 * 10**9, EveConfig(), stream, ideal_channel)
+        assert stream.position == 2
+
     def test_sessions_never_touch_key_bits(self, monkeypatch, ideal_link):
         def forbidden(*args, **kwargs):
             raise AssertionError("a session ran the bit-level pipeline")
@@ -435,6 +444,15 @@ class TestRecordsAndConfigs:
             make = lambda v: ProtocolParams(**{field: v})
         with pytest.raises(ValueError):
             make(value)
+
+    def test_f_ec_bounded_so_the_leakage_stays_finite(self):
+        # every sifted length numpy can draw is below 2**63, and h2 <= 1
+        ProtocolParams(f_ec=MAX_F_EC)
+        assert math.isfinite(MAX_F_EC * binary_entropy(0.5) * (2**63 - 1))
+        assert reconciliation_leak(2**62, 0.11, MAX_F_EC) > 0
+        for value in (math.nextafter(MAX_F_EC, math.inf), 1e308):
+            with pytest.raises(ValueError, match="leakage of any sifted key is finite"):
+                ProtocolParams(f_ec=value)
 
     def test_entropy_endpoints(self):
         assert binary_entropy(0.0) == 0.0
