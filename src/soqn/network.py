@@ -310,20 +310,20 @@ class Network:
         self.precharge_bits = precharge_bits
 
         self.nodes: dict[NodeId, NodeInfo] = {}
-        # Each node's place in the order nodes were added in, and the reverse.
+        # Each node's place in the order nodes were added in.
         self._order: dict[NodeId, int] = {}
-        self._ids: list[NodeId] = []
         self._linkable = _LINKABLE[mode]
-        # The cell index: the places of the deployed nodes by role and by the
-        # cell of their position, and each one's cell. The cell (ix, iy, iz) of
-        # ``geo.cell_of`` is keyed as the integer (ix * k + iy) * k + iz. Unit
+        # The cell index: the deployed nodes by role and by the cell of their
+        # position, and each one's cell. The cell (ix, iy, iz) of
+        # ``geo.cell_of`` is keyed as the integer (ix * k + iy) * k + iz, so
+        # the keys of its 27 neighbours are its own plus fixed offsets. Unit
         # vectors lie in [-1, 1], so k exceeds the span of cell coordinates
-        # (probed neighbours included), and distinct cells get distinct keys.
+        # (neighbours included), and distinct cells get distinct keys.
         self._cell_side = side = cell_side(self.feasibility)
         self._cell_stride = k = 2 * math.floor(1.0 / side) + 4
-        self._neighbourhood = frozenset((dx * k + dy) * k + dz for dx in (-1, 0, 1)
-                                        for dy in (-1, 0, 1) for dz in (-1, 0, 1))
-        self._cells: dict[str, dict[int, set[int]]] = {role: {} for role in self._linkable}
+        self._neighbourhood = tuple((dx * k + dy) * k + dz for dx in (-1, 0, 1)
+                                    for dy in (-1, 0, 1) for dz in (-1, 0, 1))
+        self._cells: dict[str, dict[int, set[NodeId]]] = {role: {} for role in self._linkable}
         self._cell_at: dict[NodeId, int] = {}
         # The latest link of each pair, in any state.
         self.link_history: dict[tuple[NodeId, NodeId], OpticalLink] = {}
@@ -355,8 +355,7 @@ class Network:
         if self.mode == "cs" and role == ROLE_PEER:
             raise RoleModeError("cs networks contain only servers and clients")
         self.nodes[node_id] = NodeInfo(node_id, role, position)
-        self._order[node_id] = len(self._ids)
-        self._ids.append(node_id)
+        self._order[node_id] = len(self._order)
 
     def handle_deploy(self, node_id: NodeId) -> None:
         node = self._node(node_id)
@@ -575,14 +574,13 @@ class Network:
         return problems + self._audit_cells()
 
     def _audit_cells(self) -> list[str]:
-        is_deployed = self.engine.is_deployed
-        key, cell_at, order = self._cell_key, self._cell_at, self._order
+        is_deployed, cell_at, key = self.engine.is_deployed, self._cell_at, self._cell_key
         problems: list[str] = []
         placed = 0
         for nid, node in self.nodes.items():
             if is_deployed(nid):
                 cell = key(node.position)
-                if cell_at.get(nid) == cell and order[nid] in self._cells[node.role].get(cell, ()):
+                if cell_at.get(nid) == cell and nid in self._cells[node.role].get(cell, ()):
                     placed += 1
                 else:
                     problems.append(f"node {nid} missing from the cell of its position")
@@ -591,7 +589,7 @@ class Network:
                 or sum(len(bucket) for cells in self._cells.values() for bucket in cells.values()) != placed):
             problems += [f"cell index lists {nid} where it is not"
                          for role, cells in self._cells.items()
-                         for cell, bucket in cells.items() for nid in map(self._ids.__getitem__, bucket)
+                         for cell, bucket in cells.items() for nid in bucket
                          if not (is_deployed(nid) and self.nodes[nid].role == role
                                  and key(self.nodes[nid].position) == cell == cell_at.get(nid))]
             problems += [f"cell index places {nid}, which is not deployed"
@@ -604,7 +602,7 @@ class Network:
         if self.mode != "cs":
             return problems
         for a, b in self.link_history:
-            if not self._eligible(a, b):
+            if self.nodes[a].role == ROLE_CLIENT and self.nodes[b].role == ROLE_CLIENT:
                 problems.append(f"client-client link {a}~{b}")
         for rec in self.deliveries:
             if rec.path is not None:
@@ -638,46 +636,33 @@ class Network:
     def _place(self, node: NodeInfo, position: GeoPosition) -> None:
         """Put a deployed node at ``position``, in the cell index too."""
         node.position = position
-        old = self._cell_at.get(node.node_id)
-        new = self._cell_at[node.node_id] = self._cell_key(position)
+        nid = node.node_id
+        old = self._cell_at.get(nid)
+        new = self._cell_at[nid] = self._cell_key(position)
         if new != old:
             cells = self._cells[node.role]
-            place = self._order[node.node_id]
             if old is not None:
                 bucket = cells[old]
-                bucket.remove(place)
+                bucket.remove(nid)
                 if not bucket:
                     del cells[old]
-            bucket = cells.get(new)
-            if bucket is None:
-                cells[new] = {place}
-            else:
-                bucket.add(place)
+            cells.setdefault(new, set()).add(nid)
 
     def _candidates(self, node_id: NodeId, after: int = -1) -> list[NodeId]:
         """The deployed nodes added after the ``after``-th node, ``node_id``
-        itself excepted, that lie in the cells around ``node_id``'s and have
-        a role it may link to, in the order they were added.
-
-        Looks up the 27 cells, or, when a role occupies fewer cells, tests
-        each occupied one: both find the same nodes."""
+        itself excepted, that lie in the 27 cells around ``node_id``'s and
+        have a role it may link to, in the order they were added."""
         cell = self._cell_at[node_id]
-        near = self._neighbourhood
-        found: list[int] = []
+        found: list[NodeId] = []
         for role in self._linkable[self.nodes[node_id].role]:
             cells = self._cells[role]
-            if len(cells) < len(near):
-                for key, bucket in cells.items():
-                    if key - cell in near:
-                        found += bucket
-            else:
-                for offset in near:
-                    bucket = cells.get(cell + offset)
-                    if bucket:
-                        found += bucket
-        found.sort()
-        ids, me = self._ids, self._order[node_id]
-        return [ids[i] for i in found if i > after and i != me]
+            for offset in self._neighbourhood:
+                bucket = cells.get(cell + offset)
+                if bucket:
+                    found += bucket
+        order = self._order
+        found.sort(key=order.__getitem__)
+        return [nid for nid in found if order[nid] > after and nid != node_id]
 
     def _announce_and_acquire(self, node_id: NodeId, topic: str) -> None:
         """Broadcast a node's location under ``topic``, try a link to every

@@ -438,9 +438,9 @@ class TestCellIndex:
                                       "cell index lists a where it is not"]
         net.move_node("a", GeoPosition(0.0, 0.0, 0.0))
         assert net.audit_tables() == []
-        net._cells["peer"][net._cell_at["b"]].add(net._order["c"])
+        net._cells["peer"][net._cell_at["b"]].add("c")
         assert net.audit_tables() == ["cell index lists c where it is not"]
-        net._cells["peer"][net._cell_at["b"]].remove(net._order["c"])
+        net._cells["peer"][net._cell_at["b"]].remove("c")
         net._cell_at["c"] = net._cell_at["b"]
         assert net.audit_tables() == ["cell index places c, which is not deployed"]
 
