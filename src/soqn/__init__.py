@@ -14,7 +14,7 @@ from .network import (DeliveryRecord, KeyBuffer, Network, OpticalLink, RelayTick
                       decrypt_relay, encrypt)
 from .qkd import (EveConfig, ProtocolParams, SessionAbort, SessionRecord, binary_entropy,
                   estimate_qber, privacy_amplify, reconcile, run_bb84_session,
-                  run_plugplay_session, trojan_monitor)
+                  run_plugplay_session)
 from .rng import RandomStream
 from .runner import run_scenario
 from .scenario import Scenario, ScenarioError, format_scenario, parse_scenario
@@ -29,5 +29,4 @@ __all__ = [
     "decrypt_relay", "encrypt", "estimate_qber", "format_scenario", "geodesic_distance",
     "line_of_sight", "link_feasible", "parse_scenario", "path_loss_db", "privacy_amplify",
     "reconcile", "run_bb84_session", "run_plugplay_session", "run_scenario", "transmittance",
-    "trojan_monitor",
 ]

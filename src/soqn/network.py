@@ -25,7 +25,7 @@ from .engine import ScenarioEvent, SimEngine
 from .geo import (GeoPosition, LinkFeasibilityParams, cell_of, cell_side, feasible_distance,
                   surely_out_of_range)
 from .geo import geodesic_distance, link_feasible  # unused here; perfbench/tracing.py wraps them
-from .qkd import (EVE_OFF, EveConfig, ProtocolParams, SessionRecord,
+from .qkd import (EVE_OFF, MAX_PULSES, EveConfig, ProtocolParams, SessionRecord,
                   run_bb84_session, run_plugplay_session)
 
 NodeId = str
@@ -293,8 +293,9 @@ class Network:
             raise ValueError(f"mode must be p2p or cs, got {mode!r}")
         if not 0.0 <= acquire_delay_s < math.inf:
             raise ValueError("acquire_delay_s must be finite and >= 0")
-        if pulses_per_session < 1:
-            raise ValueError("pulses_per_session must be >= 1")
+        if not 1 <= pulses_per_session <= MAX_PULSES:
+            raise ValueError("pulses_per_session must be in [1, 2**63 - 1], "
+                             "the trials numpy's binomial takes")
         if max_session_attempts < 0:
             raise ValueError("max_session_attempts must be >= 0")
         if precharge_bits < 0:
@@ -339,7 +340,6 @@ class Network:
         self.keygen_events: list[tuple[tuple[NodeId, NodeId], int, int]] = []
         self.consume_events: list[tuple[tuple[NodeId, NodeId], int, int, str]] = []
         self.organized = False
-        self._session_counts: dict[tuple[NodeId, NodeId], int] = {}
 
     # -- node lifecycle ---------------------------------------------------
 
@@ -438,8 +438,7 @@ class Network:
             raise LinkInactiveError(f"no active link {pair[0]}~{pair[1]}")
         roles = {self.nodes[a].role, self.nodes[b].role}
         proto = "plugplay" if roles == {ROLE_SERVER, ROLE_CLIENT} else "bb84"
-        index = self._session_counts.get(pair, 0)
-        self._session_counts[pair] = index + 1
+        index = len(self.session_stats.get(pair, ()))
         stream = self.engine.stream(f"qkd/{pair[0]}/{pair[1]}/{index}")
         eve = self.eve.get(pair, EVE_OFF)
         run = run_plugplay_session if proto == "plugplay" else run_bb84_session

@@ -1,11 +1,11 @@
 """QKD sessions over an acquired optical link.
 
-Two protocol flavors share one prepare-measure core: four-state BB84 between
-peers, and a polarization plug-and-play variant between a server (measuring
-party) and a client (encoding party) where only the returned single-photon
-leg sees channel statistics. Post-processing is sampled error estimation,
-modeled reconciliation with entropy-based leakage accounting, and Toeplitz
-privacy amplification.
+Two protocol flavors share one prepare-measure session: four-state BB84
+between peers, and a polarization plug-and-play variant between a server
+(measuring party) and a client (encoding party) where only the returned
+single-photon leg sees channel statistics. Post-processing is sampled error
+estimation, modeled reconciliation with entropy-based leakage accounting,
+and Toeplitz privacy amplification.
 
 A session draws the counts of that pipeline, not its bits. Pulses are
 i.i.d., so with p_click and q from ``click_model``:
@@ -53,24 +53,22 @@ class SessionAbort(str, Enum):
     NONE = "none"
     INSUFFICIENT_DETECTIONS = "insufficient_detections"
     QBER_EXCEEDS_THRESHOLD = "qber_exceeds_threshold"
-    TROJAN_ALARM = "trojan_alarm"
 
 
 @dataclass(frozen=True)
 class EveConfig:
-    mode: str = "none"  # none | intercept_resend | trojan_probe
-    probe_intensity: float = 0.0
+    mode: str = "none"  # none | intercept_resend
 
     def __post_init__(self):
-        if self.mode not in ("none", "intercept_resend", "trojan_probe"):
+        if self.mode not in ("none", "intercept_resend"):
             raise ValueError(f"unknown eve mode: {self.mode}")
-        if not math.isfinite(self.probe_intensity):
-            raise ValueError("probe_intensity must be finite")
-        if self.mode == "trojan_probe" and self.probe_intensity <= 0:
-            raise ValueError("trojan_probe requires probe_intensity > 0")
 
 
 EVE_OFF = EveConfig()
+
+# numpy's binomial takes at most 2**63 - 1 trials, so a session sends at
+# most that many pulses.
+MAX_PULSES = 2**63 - 1
 
 # The largest f_ec whose leakage f_ec * h2(qber) * n stays finite for every
 # sifted length n below 2**63, which covers every key that fits in memory
@@ -85,9 +83,6 @@ class ProtocolParams:
     qber_abort: float = 0.11
     f_ec: float = 1.16
     safety_margin_bits: int = 100
-    # API-only: the scenario language cannot set up a trojan_probe EveConfig.
-    trojan_tolerance: float = 0.25
-    strong_pulse_intensity: float = 1e6
 
     def __post_init__(self):
         if self.min_sift_len < 1:
@@ -101,10 +96,6 @@ class ProtocolParams:
                              "of any sifted key is finite")
         if self.safety_margin_bits < 0:
             raise ValueError("safety_margin_bits must be >= 0")
-        if not (0.0 < self.trojan_tolerance < 1.0):
-            raise ValueError("trojan_tolerance must be in (0, 1)")
-        if not (1.0 < self.strong_pulse_intensity < math.inf):
-            raise ValueError("strong_pulse_intensity must be finite and > 1")
 
 
 @dataclass(frozen=True)
@@ -129,18 +120,6 @@ class SessionRecord:
             raise ValueError("recorded qber must be in [0, 0.5]")
         if self.sifted_len > self.n_pulses or len(self.final_key) > self.sifted_len:
             raise ValueError("key lengths must shrink along the pipeline")
-
-
-def trojan_monitor(measured_intensity: float, expected_intensity: float,
-                   tolerance_fraction: float) -> bool:
-    """True (alarm) unless the monitored intensity is within
-    ``tolerance_fraction`` of the expected one relatively; a reading that
-    cannot be compared (NaN) raises the alarm."""
-    if expected_intensity <= 0:
-        raise ValueError("expected_intensity must be > 0")
-    if not (0.0 < tolerance_fraction < 1.0):
-        raise ValueError("tolerance_fraction must be in (0, 1)")
-    return not abs(measured_intensity - expected_intensity) / expected_intensity <= tolerance_fraction
 
 
 def sift(sender_bases, receiver_bases, sender_bits, receiver_bits, detected):
@@ -264,12 +243,17 @@ def click_model(loss_db: float, eve: EveConfig, channel: ChannelParams) -> tuple
     intrinsic error probability e_sig (under intercept-resend
     e_sig / 2 + 1/4: half of the pulses were resent in the wrong basis and
     read a fair coin); a click without the signal photon reads a fair coin.
+    eta is 0 when the loss underflows the transmittance: then only noise
+    clicks. When nothing can click, (0.0, 0.5): the session aborts on its
+    empty sifted key before q is used.
     """
     eta = transmittance(loss_db) * channel.detector_efficiency
-    if not (0.0 < eta <= 1.0):
-        raise ValueError(f"eta_total out of (0, 1]: {eta}")
+    if not (0.0 <= eta <= 1.0):
+        raise ValueError(f"eta_total out of [0, 1]: {eta}")
     p_noise = channel.noise_prob
     p_click = 1.0 - (1.0 - eta) * (1.0 - p_noise)
+    if p_click == 0.0:
+        return 0.0, 0.5
     e_sig = channel.intrinsic_error_prob
     if eve.mode == "intercept_resend":
         e_sig = e_sig / 2 + 0.25
@@ -321,39 +305,17 @@ def _require_active(link) -> float:
 def run_bb84_session(link, n_pulses: int, eve: EveConfig, rng: RandomStream,
                      channel: ChannelParams | None = None,
                      protocol: ProtocolParams | None = None) -> SessionRecord:
-    """Run one BB84 session over an active link; see module docstring."""
+    """Run one BB84 session of ``n_pulses`` (1 to ``MAX_PULSES``) over an
+    active link; see module docstring."""
     channel = channel or ChannelParams()
     protocol = protocol or ProtocolParams()
     loss_db = _require_active(link)
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be >= 1")
+    if not 1 <= n_pulses <= MAX_PULSES:
+        raise ValueError("n_pulses must be in [1, 2**63 - 1], the trials numpy's binomial takes")
     return _session(n_pulses, loss_db, eve, channel, rng, protocol)
 
 
-def run_plugplay_session(server_link, n_pulses: int, eve: EveConfig, rng: RandomStream,
-                         channel: ChannelParams | None = None,
-                         protocol: ProtocolParams | None = None) -> SessionRecord:
-    """Run one polarization plug-and-play session over an active link.
-
-    The server's strong forward pulse always arrives; the client splits it,
-    monitors half on the intensity detector, encodes and attenuates the
-    other half, and returns it. Only that returned single-photon leg runs
-    through the channel statistics. An intensity anomaly on the monitor
-    aborts before any quantum rounds.
-    """
-    channel = channel or ChannelParams()
-    protocol = protocol or ProtocolParams()
-    loss_db = _require_active(server_link)
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be >= 1")
-
-    expected_monitor = protocol.strong_pulse_intensity / 2.0  # 50/50 split
-    if eve.mode == "trojan_probe":
-        monitor_reading = eve.probe_intensity
-    else:
-        monitor_reading = expected_monitor
-    if trojan_monitor(monitor_reading, expected_monitor, protocol.trojan_tolerance):
-        return _aborted(n_pulses, 0, 0.0, SessionAbort.TROJAN_ALARM)
-
-    # Only an intercept-resend Eve acts on the returned leg's rounds.
-    return _session(n_pulses, loss_db, eve, channel, rng, protocol)
+# A polarization plug-and-play session is the same session: the server's
+# strong forward pulse always arrives, and only the client's returned
+# single-photon leg sees the channel and an intercept-resend Eve.
+run_plugplay_session = run_bb84_session

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .bitops import bits_from_hex
 from .network import _ID_RE, ROLES
+from .qkd import MAX_PULSES
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -91,6 +92,15 @@ class Scenario:
         return [n.node_id for n in self.nodes]
 
 
+def _literal(tok: str) -> str:
+    """``tok`` if it may be read as a number. Python's int and float also
+    read digit separators (``1_0``) and non-ASCII digits; a scenario's
+    numbers are ASCII literals without them."""
+    if not tok.isascii() or "_" in tok:
+        raise ValueError(tok)
+    return tok
+
+
 class _Line:
     """One directive line plus enough position info for diagnostics."""
 
@@ -120,7 +130,7 @@ class _Line:
         """The token at ``index`` as a finite number, after ``prefix``."""
         tok = self.token(index, what)[len(prefix):]
         try:
-            v = float(tok)
+            v = float(_literal(tok))
         except ValueError:
             raise self.error(index, f"{what} must be a number, got {tok!r}") from None
         if v != v or v in (float("inf"), float("-inf")):
@@ -130,7 +140,7 @@ class _Line:
     def int_at(self, index: int, what: str) -> int:
         tok = self.token(index, what)
         try:
-            return int(tok, 10)
+            return int(_literal(tok), 10)
         except ValueError:
             raise self.error(index, f"{what} must be an integer, got {tok!r}") from None
 
@@ -240,11 +250,11 @@ def parse_scenario(text: str) -> Scenario:
                 if not tok.startswith("pulses="):
                     raise line.error(5, f"expected pulses=<n>, got {tok!r}")
                 try:
-                    pulses = int(tok[len("pulses="):], 10)
+                    pulses = int(_literal(tok[len("pulses="):]), 10)
                 except ValueError:
                     raise line.error(5, f"bad pulse count in {tok!r}") from None
-                if pulses < 1:
-                    raise line.error(5, "pulses must be >= 1")
+                if not 1 <= pulses <= MAX_PULSES:
+                    raise line.error(5, "pulses must be in [1, 2**63 - 1]")
                 line.end(6)
                 ev = EventDecl(at, "qkd", (a, b, pulses))
             elif kind == "send":

@@ -19,7 +19,7 @@ from soqn.geo import (EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams,
                       geodesic_distance, line_of_sight)
 from soqn.network import Network, OpticalLink, RelayTicket, decrypt_relay, encrypt, pair_key
 from soqn.qkd import (EveConfig, ProtocolParams, SessionAbort, privacy_amplify, reconcile,
-                      run_bb84_session, run_plugplay_session, trojan_monitor)
+                      run_bb84_session)
 from soqn.rng import RandomStream
 from soqn.runner import run_scenario
 from soqn.scenario import parse_scenario
@@ -368,24 +368,6 @@ def test_08_determinism_and_stream_independence(tmp_path):
     assert base == extra
     _pass(8, f"byte-identical reruns; {len(base)} session transcripts unchanged "
              f"by an unrelated node")
-
-
-def test_09_trojan_monitor():
-    protocol = ProtocolParams()
-    expected = protocol.strong_pulse_intensity / 2.0
-    for i in range(10):
-        eve = EveConfig("trojan_probe", probe_intensity=2.0 * expected)
-        rec = run_plugplay_session(ideal_link(), 2048, eve,
-                                   RandomStream(109, f"acc9/{i}"), IDEAL, protocol)
-        assert rec.aborted and rec.abort_reason is SessionAbort.TROJAN_ALARM
-    for factor in (0.76, 0.9, 1.1, 1.24, 1.25):
-        eve = EveConfig("trojan_probe", probe_intensity=factor * expected)
-        rec = run_plugplay_session(ideal_link(), 2048, eve,
-                                   RandomStream(109, f"acc9/w{factor}"), IDEAL, protocol)
-        assert rec.abort_reason is not SessionAbort.TROJAN_ALARM, factor
-    assert trojan_monitor(2.0 * expected, expected, 0.25)
-    assert not trojan_monitor(1.2 * expected, expected, 0.25)
-    _pass(9, "2x probe always alarms and aborts; probes inside the 25% window never do")
 
 
 def test_10_geodesy_oracles():

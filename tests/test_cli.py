@@ -1,4 +1,5 @@
 import os
+import pathlib
 
 import pytest
 
@@ -32,6 +33,8 @@ node a peer 0 0 500
 node b peer 0 0.05 500
 at 1 qkd a b pulses=20000
 """
+
+P2P_RELAY = (pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "p2p_relay.soqn").read_text()
 
 NO_ROUTE = """\
 mode p2p
@@ -95,6 +98,22 @@ class TestCliRuns:
                      "--sweep", "pulses_per_session=2048,4096"]) == 0
         assert os.path.isdir(os.path.join(out, "sweep-pulses_per_session-2048"))
         assert os.path.isdir(os.path.join(out, "sweep-pulses_per_session-4096"))
+
+    # 40 dB/km puts 4000 dB on a 100 km hop, and the transmittance underflows
+    # to 0: every session aborts, with (p2p_relay) or without (GOOD) dark counts
+    @pytest.mark.parametrize("text,atm", [(P2P_RELAY, "0.05"), (GOOD, "0.0")],
+                             ids=["p2p_relay", "no_dark_counts"])
+    def test_underflowed_links_abort_every_session(self, tmp_path, capsys, text, atm):
+        path = tmp_path / "lossy.soqn"
+        path.write_text(text.replace(f"param atm_loss_db_per_km {atm}\n",
+                                     "param atm_loss_db_per_km 40\n"))
+        out = tmp_path / "o"
+        assert main(["--scenario", str(path), "--out", str(out)]) == 0
+        summary = dict(kv.split("=") for kv in capsys.readouterr().out.split()[2:])
+        assert int(summary["sessions"]) > 0
+        assert summary["sessions_aborted"] == summary["sessions"]
+        assert summary["delivered_ok"] == "0"
+        assert (out / "events.log").exists()
 
 
 ACQUIRE_DELAY = """\
@@ -166,7 +185,8 @@ class TestCliExitCodes:
         assert "invalid configuration" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("spec", ["acquire_coarse_s=nan", "pulses_per_session=1.5",
-                                      "f_ec=inf", "require_los=yes", "f_ec=1,,2"])
+                                      "f_ec=inf", "require_los=yes", "f_ec=1,,2",
+                                      "pulses_per_session=2_048", "f_ec=\u0661.5"])
     def test_sweep_values_typed_like_param_lines(self, spec):
         # called directly: a NaN acquisition delay used to hang the run
         with pytest.raises(ValueError):
@@ -239,6 +259,7 @@ class TestCliExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("name,value", [("pulses_per_session", "0"),
+                                            ("pulses_per_session", str(2**63)),
                                             ("max_session_attempts", "-3"),
                                             ("precharge_bits", "-5"),
                                             ("acquire_coarse_s", "-1"),

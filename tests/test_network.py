@@ -802,6 +802,24 @@ class TestRelaySetup:
 
 
 class TestGenerateDirectKey:
+    def test_pulses_per_session_within_numpys_binomial(self):
+        with pytest.raises(ValueError, match=r"pulses_per_session must be in \[1, 2\*\*63 - 1\]"):
+            Network("p2p", SimEngine(0), pulses_per_session=2**63)
+        Network("p2p", SimEngine(0), pulses_per_session=2**63 - 1)
+
+    def test_session_index_counts_the_pair_sessions(self):
+        engine, net = make_network("p2p", [
+            ("a", "peer", 0.0, 0.0, 0.0),
+            ("b", "peer", 0.0, deg(5), 0.0),
+            ("c", "peer", 0.0, deg(10), 0.0),
+        ])
+        for a, b in (("a", "b"), ("b", "c"), ("b", "a")):
+            net.generate_direct_key(a, b, 2048)
+        indices = [(r.origin, dict(kv.split("=") for kv in r.details.split())["index"])
+                   for r in engine.log if r.kind == "qkd"]
+        assert indices == [("a", "0"), ("b", "0"), ("a", "1")]
+        assert [len(net.session_stats[p]) for p in (("a", "b"), ("b", "c"))] == [2, 1]
+
     def test_buffer_grows(self):
         _, net = make_network("p2p", [
             ("a", "peer", 0.0, 0.0, 0.0),

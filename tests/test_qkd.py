@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +9,8 @@ from soqn import qkd
 from soqn.channel import ChannelParams, transmittance
 from soqn.network import OpticalLink
 from soqn.qkd import (MAX_F_EC, EveConfig, ProtocolParams, SessionAbort, SessionRecord,
-                      binary_entropy, estimate_qber, privacy_amplify, reconcile,
-                      reconciliation_leak, run_bb84_session, run_plugplay_session, sift,
-                      trojan_monitor)
+                      binary_entropy, click_model, estimate_qber, privacy_amplify, reconcile,
+                      reconciliation_leak, run_bb84_session, run_plugplay_session, sift)
 from soqn.rng import RandomStream
 
 
@@ -197,27 +195,6 @@ class TestPrivacyAmplify:
             privacy_amplify(np.empty(0, dtype=np.uint8), 0.0, 0, RandomStream(1, "pa"))
 
 
-class TestTrojanMonitor:
-    def test_exact_match(self):
-        assert trojan_monitor(1.0, 1.0, 0.25) is False
-
-    def test_double_intensity(self):
-        assert trojan_monitor(2.0, 1.0, 0.25) is True
-
-    def test_small_deviation(self):
-        assert trojan_monitor(1.1, 1.0, 0.25) is False
-
-    def test_boundary_not_alarmed(self):
-        assert trojan_monitor(1.25, 1.0, 0.25) is False
-
-    def test_rejects_nonpositive_expected(self):
-        with pytest.raises(ValueError):
-            trojan_monitor(1.0, 0.0, 0.25)
-
-    def test_nan_reading_alarms(self):
-        assert trojan_monitor(math.nan, 1.0, 0.25) is True
-
-
 class TestBb84Session:
     def test_ideal_session(self, ideal_link, ideal_channel):
         n = 10**4
@@ -292,6 +269,30 @@ class TestBb84Session:
             run_bb84_session(link, 100, EveConfig(), RandomStream(28, "s"),
                              ideal_channel, ProtocolParams())
 
+    @pytest.mark.parametrize("dark_count_prob", [1e-6, 0.0])
+    def test_underflowed_link_aborts_after_one_draw(self, dark_count_prob):
+        # 4000 dB: the transmittance underflows to 0.0, so at most noise clicks
+        link = OpticalLink(("a", "b"), 0.0, 4000.0, 0.0, "active")
+        stream = RandomStream(50, "dark")
+        rec = run_bb84_session(link, 10**4, EveConfig(), stream,
+                               ChannelParams(dark_count_prob=dark_count_prob))
+        assert rec.aborted and rec.abort_reason is SessionAbort.INSUFFICIENT_DETECTIONS
+        assert stream.position == 1
+
+
+class TestClickModel:
+    def test_underflowed_signal_leaves_fair_noise_clicks(self):
+        channel = ChannelParams(background_prob=1e-4)
+        assert transmittance(4000.0) == 0.0
+        p_click, q = click_model(4000.0, EveConfig(), channel)
+        assert p_click == pytest.approx(channel.noise_prob) and q == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("loss_db", [4000.0, 200.0])
+    def test_nothing_clicks_without_signal_or_noise(self, loss_db):
+        # at 200 dB eta = 1e-20 is positive, but 1 - eta rounds to 1
+        channel = ChannelParams(dark_count_prob=0.0)
+        assert click_model(loss_db, EveConfig(), channel) == (0.0, 0.5)
+
 
 class TestPlugPlaySession:
     def test_ideal_session(self, ideal_link, ideal_channel):
@@ -307,38 +308,6 @@ class TestPlugPlaySession:
         sample = math.ceil(0.5 * rec.sifted_len)
         assert abs(rec.qber - 0.25) < 3 * math.sqrt(0.25 * 0.75 / sample)
         assert rec.aborted
-
-    def test_trojan_probe_alarms(self, ideal_link, ideal_channel, protocol):
-        expected = protocol.strong_pulse_intensity / 2.0
-        eve = EveConfig("trojan_probe", probe_intensity=2.0 * expected)
-        rec = run_plugplay_session(ideal_link, 1000, eve, RandomStream(31, "s"),
-                                   ideal_channel, protocol)
-        assert rec.aborted and rec.abort_reason is SessionAbort.TROJAN_ALARM
-
-    def test_probe_inside_window_passes(self, ideal_link, ideal_channel, protocol):
-        expected = protocol.strong_pulse_intensity / 2.0
-        eve = EveConfig("trojan_probe", probe_intensity=1.1 * expected)
-        rec = run_plugplay_session(ideal_link, 10**4, eve, RandomStream(32, "s"),
-                                   ideal_channel, protocol)
-        assert rec.abort_reason is not SessionAbort.TROJAN_ALARM
-
-    def test_nan_probe_alarms(self, ideal_link, ideal_channel, protocol):
-        # EveConfig rejects a NaN probe; a NaN reading that arrives anyway
-        # must fail closed, not pass the monitor
-        eve = SimpleNamespace(mode="trojan_probe", probe_intensity=math.nan)
-        rec = run_plugplay_session(ideal_link, 10**4, eve, RandomStream(49, "s"),
-                                   ideal_channel, protocol)
-        assert rec.aborted and rec.abort_reason is SessionAbort.TROJAN_ALARM
-
-    def test_low_probe_with_hot_target_does_not_crash(self, ideal_link, ideal_channel):
-        # probe below expected but inside the window: the session proceeds
-        protocol = ProtocolParams()
-        expected = protocol.strong_pulse_intensity / 2.0
-        eve = EveConfig("trojan_probe", probe_intensity=0.76 * expected)
-        rec = run_plugplay_session(ideal_link, 10**4, eve, RandomStream(48, "s"),
-                                   ideal_channel, protocol)
-        assert rec.abort_reason is not SessionAbort.TROJAN_ALARM
-        assert not rec.aborted
 
 
 class TestSessionCost:
@@ -359,21 +328,17 @@ class TestSessionCost:
     def test_aborted_sessions_count_only_the_draws_made(self, ideal_link, protocol):
         cases = [
             # too few sifted bits: the sifted length alone
-            (run_bb84_session, 10, EveConfig(), protocol,
-             SessionAbort.INSUFFICIENT_DETECTIONS, 1),
+            (10, EveConfig(), protocol, SessionAbort.INSUFFICIENT_DETECTIONS, 1),
             # qber over the threshold: the three counts
-            (run_bb84_session, 10**4, EveConfig("intercept_resend"), protocol,
+            (10**4, EveConfig("intercept_resend"), protocol,
              SessionAbort.QBER_EXCEEDS_THRESHOLD, 3),
             # qber under a lax threshold, but the leakage eats the key: the three counts
-            (run_bb84_session, 10**4, EveConfig("intercept_resend"), ProtocolParams(qber_abort=0.4),
+            (10**4, EveConfig("intercept_resend"), ProtocolParams(qber_abort=0.4),
              SessionAbort.INSUFFICIENT_DETECTIONS, 3),
-            # a Trojan alarm before any quantum rounds: nothing
-            (run_plugplay_session, 10**4, EveConfig("trojan_probe", probe_intensity=1.0), protocol,
-             SessionAbort.TROJAN_ALARM, 0),
         ]
-        for run, n, eve, params, reason, draws in cases:
+        for n, eve, params, reason, draws in cases:
             stream = RandomStream(42, "cost")
-            rec = run(ideal_link, n, eve, stream, ChannelParams(), params)
+            rec = run_bb84_session(ideal_link, n, eve, stream, ChannelParams(), params)
             assert rec.abort_reason is reason
             assert stream.position == draws
 
@@ -391,6 +356,17 @@ class TestSessionCost:
             lengths.append(rec.sifted_len)
         mean_sd = math.sqrt(n * p * (1 - p) / runs)
         assert abs(sum(lengths) / runs - n * p) < 4 * mean_sd
+
+    def test_pulses_beyond_numpys_binomial_are_named(self, ideal_link):
+        stream = RandomStream(3, "huge")
+        with pytest.raises(ValueError, match=r"\[1, 2\*\*63 - 1\]"):
+            run_bb84_session(ideal_link, 2**63, EveConfig(), stream)
+        assert stream.position == 0
+        # the limit itself is drawn: nothing clicks over 4000 dB without noise
+        link = OpticalLink(("a", "b"), 0.0, 4000.0, 0.0, "active")
+        rec = run_bb84_session(link, 2**63 - 1, EveConfig(), stream,
+                               ChannelParams(dark_count_prob=0.0))
+        assert rec.n_pulses == 2**63 - 1 and rec.sifted_len == 0 and stream.position == 1
 
     def test_sifted_length_beyond_the_sample_draw_is_named(self, ideal_link, ideal_channel):
         # lossless and error-free: k ~ Binomial(4e9, 1/2), about 2e9 correct
@@ -431,19 +407,13 @@ class TestRecordsAndConfigs:
 
     def test_eve_config_validation(self):
         with pytest.raises(ValueError):
-            EveConfig("trojan_probe", probe_intensity=0.0)
-        with pytest.raises(ValueError):
             EveConfig("other")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("field", ["probe_intensity", "f_ec", "strong_pulse_intensity"])
+    @pytest.mark.parametrize("field", ["f_ec"])
     def test_nonfinite_configs_rejected(self, field, value):
-        if field == "probe_intensity":
-            make = lambda v: EveConfig("trojan_probe", probe_intensity=v)
-        else:
-            make = lambda v: ProtocolParams(**{field: v})
         with pytest.raises(ValueError):
-            make(value)
+            ProtocolParams(**{field: value})
 
     def test_f_ec_bounded_so_the_leakage_stays_finite(self):
         # every sifted length numpy can draw is below 2**63, and h2 <= 1

@@ -116,6 +116,24 @@ class TestDiagnostics:
         assert (err.value.line, err.value.col) == (2, 7)
         assert err.value.message.startswith("unknown param")
 
+    # Python's int and float also read digit separators and non-ASCII digits
+    @pytest.mark.parametrize("text,line,fragment", [
+        ("mode p2p\nseed 1_0\n", 2, "seed must be an integer"),
+        ("mode p2p\nnode b peer 0 \u0663 0\n", 2, "longitude must be a number"),
+        ("mode p2p\nparam min_sift_len \uff11\uff10\n", 2, "param min_sift_len must be an integer"),
+        ("mode p2p\nparam f_ec 1.1_6\n", 2, "param f_ec must be a number"),
+        (MINIMAL + "at 1 qkd n1 n2 pulses=1_000\n", 4, "bad pulse count"),
+        (MINIMAL + "at 1_0 join n2\n", 4, "time must be a number"),
+    ], ids=["seed", "longitude", "int_param", "float_param", "pulses", "event_time"])
+    def test_numbers_are_ascii_literals(self, text, line, fragment):
+        self.expect_error(text, line, fragment)
+
+    def test_pulses_beyond_numpys_binomial(self):
+        self.expect_error(MINIMAL + f"at 1 qkd n1 n2 pulses={2**63}\n", 4,
+                          "pulses must be in [1, 2**63 - 1]")
+        sc = parse_scenario(MINIMAL + f"at 1 qkd n1 n2 pulses={2**63 - 1}\n")
+        assert sc.events[0].args[2] == 2**63 - 1
+
     def test_int_param_rejects_float(self):
         self.expect_error("mode p2p\nparam min_sift_len 10.5\n", 2, "integer")
 

@@ -215,8 +215,7 @@ def test_session_counts_match_the_oracle_law(path, mode):
         outcomes = [expected_outcome(k, i, protocol) for i in range(s + 1)]
         tally.add("e", e, range(s + 1), pmf)
         for r in SessionAbort:
-            if r is not SessionAbort.TROJAN_ALARM:
-                tally.add(r.value, reason is r, [o[0] is r for o in outcomes], pmf)
+            tally.add(r.value, reason is r, [o[0] is r for o in outcomes], pmf)
         tally.add("leak", leak, [o[1] for o in outcomes], pmf)
         tally.add("m", m, [o[2] for o in outcomes], pmf)
     assert_binomial_moments(lengths, N_PULSES, p_click / 2, "sifted length")
