@@ -12,9 +12,8 @@ from .engine import ScenarioEvent, SimEngine
 from .geo import GeoPosition, LinkFeasibilityParams, geodesic_distance, line_of_sight, link_feasible
 from .network import (DeliveryRecord, KeyBuffer, Network, OpticalLink, RelayTicket, decrypt,
                       decrypt_relay, encrypt)
-from .qkd import (EveConfig, ProtocolParams, SessionAbort, SessionRecord, binary_entropy,
-                  estimate_qber, privacy_amplify, reconcile, run_bb84_session,
-                  run_plugplay_session)
+from .qkd import (ProtocolParams, SessionAbort, SessionRecord, binary_entropy, estimate_qber,
+                  privacy_amplify, reconcile, run_bb84_session, run_plugplay_session)
 from .rng import RandomStream
 from .runner import run_scenario
 from .scenario import Scenario, ScenarioError, format_scenario, parse_scenario
@@ -22,7 +21,7 @@ from .scenario import Scenario, ScenarioError, format_scenario, parse_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelParams", "DeliveryRecord", "EveConfig", "GeoPosition", "KeyBuffer",
+    "ChannelParams", "DeliveryRecord", "GeoPosition", "KeyBuffer",
     "LinkFeasibilityParams", "Network", "OpticalLink", "ProtocolParams", "RandomStream",
     "RelayTicket", "Scenario", "ScenarioError", "ScenarioEvent",
     "SessionAbort", "SessionRecord", "SimEngine", "backend_name", "binary_entropy", "decrypt",

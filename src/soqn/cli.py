@@ -13,7 +13,7 @@ from dataclasses import replace
 
 from ._kernels import backend_name
 from .runner import EXIT_PARSE_ERROR, build_simulation, run_scenario
-from .scenario import MAX_SEED, PARAM_SPECS, ScenarioError, _Line, _parse_param_value, parse_scenario
+from .scenario import PARAM_SPECS, ScenarioError, parse_scenario, parse_value
 
 log = logging.getLogger("soqn")
 
@@ -30,16 +30,24 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="Simulate a self-organizing free-space QKD network scenario.")
     p.add_argument("--scenario", required=True, help="scenario file to run")
     p.add_argument("--out", default="soqn_out", help="output directory (default: soqn_out)")
-    p.add_argument("--until", type=float, default=None,
+    p.add_argument("--until", default=None,
                    help="stop after processing events up to this time")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when any message fails to deliver")
-    p.add_argument("--snapshot", type=float, action="append", default=[],
+    p.add_argument("--snapshot", action="append", default=[],
                    help="capture a routing-table snapshot at this time (repeatable)")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p.add_argument("--seed", default=None, help="override the scenario seed")
     p.add_argument("--sweep", default=None, metavar="PARAM=V1,V2,...",
                    help="run once per value of a param, each in its own subdirectory")
     return p
+
+
+def _read(option: str, kind: str, text: str):
+    """An option's value read by ``parse_value``; ValueError names the option."""
+    try:
+        return parse_value(kind, text)
+    except ScenarioError as exc:
+        raise ValueError(f"{option}: {exc.message}") from None
 
 
 def _parse_sweep(spec: str) -> tuple[str, list]:
@@ -54,13 +62,7 @@ def _parse_sweep(spec: str) -> tuple[str, list]:
         raise ValueError(f"unknown sweep param {name!r}")
     parsed = []
     for raw in values.split(","):
-        line = _Line(0, raw)
-        if line.tokens != [raw.strip()]:
-            raise ValueError(f"--sweep {name}: expected one value, got {raw!r}")
-        try:
-            value = _parse_param_value(line, 0, name, PARAM_SPECS[name][1])
-        except ScenarioError as exc:
-            raise ValueError(f"--sweep {name}: {exc.message}") from None
+        value = _read(f"--sweep {name}", name, raw)
         if value in parsed:
             raise ValueError(f"--sweep {name}: {raw.strip()!r} repeats an earlier value")
         parsed.append(value)
@@ -70,8 +72,12 @@ def _parse_sweep(spec: str) -> tuple[str, list]:
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
-    if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
-        print("soqn: --seed must fit in 64 unsigned bits", file=sys.stderr)
+    try:
+        seed = None if args.seed is None else _read("--seed", "seed", args.seed)
+        until = None if args.until is None else _read("--until", "time", args.until)
+        snapshots = tuple(_read("--snapshot", "time", t) for t in args.snapshot)
+    except ValueError as exc:
+        print(f"soqn: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     try:
         with open(args.scenario) as fh:
@@ -98,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         # Reject the whole sweep before any run writes its directory.
         try:
             for _, run_sc in runs:
-                build_simulation(run_sc, args.seed)
+                build_simulation(run_sc, seed)
         except ValueError as exc:
             print(f"soqn: invalid configuration: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
@@ -107,8 +113,8 @@ def main(argv: list[str] | None = None) -> int:
     for out_dir, run_sc in runs:
         try:
             report, code = run_scenario(
-                run_sc, until=args.until, strict=args.strict,
-                snapshot_times=tuple(args.snapshot), seed_override=args.seed,
+                run_sc, until=until, strict=args.strict,
+                snapshot_times=snapshots, seed_override=seed,
                 out_dir=out_dir)
         except ValueError as exc:
             print(f"soqn: invalid configuration: {exc}", file=sys.stderr)

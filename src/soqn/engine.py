@@ -16,7 +16,7 @@ record per receiver, exactly.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .rng import RandomStream
@@ -33,8 +33,8 @@ class UndeployedOriginError(ValueError):
 @dataclass(frozen=True)
 class ScenarioEvent:
     at: float
-    kind: str  # deploy | organize | move | qkd | send | eve | link_active | snapshot
-    payload: dict = field(default_factory=dict)
+    kind: str  # join | deploy | organize | move | qkd | send | eve | link_active | snapshot
+    args: tuple = ()  # as on the scenario line; (node,) for deploy, (link,) for link_active
 
     def __post_init__(self):
         if not self.at >= 0:  # also rejects NaN

@@ -25,8 +25,7 @@ from .engine import ScenarioEvent, SimEngine
 from .geo import (GeoPosition, LinkFeasibilityParams, cell_of, cell_side, feasible_distance,
                   surely_out_of_range)
 from .geo import geodesic_distance, link_feasible  # unused here; perfbench/tracing.py wraps them
-from .qkd import (EVE_OFF, MAX_PULSES, EveConfig, ProtocolParams, SessionRecord,
-                  run_bb84_session, run_plugplay_session)
+from .qkd import MAX_PULSES, ProtocolParams, SessionRecord, run_bb84_session, run_plugplay_session
 
 NodeId = str
 
@@ -332,7 +331,8 @@ class Network:
         self._adj: dict[NodeId, dict[NodeId, OpticalLink]] = {}
         self.table_version = 0
         self.buffers: dict[tuple[NodeId, NodeId], KeyBuffer] = {}
-        self.eve: dict[tuple[NodeId, NodeId], EveConfig] = {}
+        # The pairs an intercept-resend Eve sits on.
+        self.eve: set[tuple[NodeId, NodeId]] = set()
         self.deliveries: list[DeliveryRecord] = []
         self.session_stats: dict[tuple[NodeId, NodeId], list[SessionRecord]] = {}
         # (pair, offset, n) and (pair, offset, n, purpose): the audit trail
@@ -419,15 +419,17 @@ class Network:
 
     # -- key generation and transfer ---------------------------------------
 
-    def set_eve(self, a: NodeId, b: NodeId, eve: EveConfig) -> None:
+    def set_eve(self, a: NodeId, b: NodeId, on: bool) -> None:
+        """Start (``on``) or stop an intercept-resend attack on the pair's link."""
         pair = pair_key(a, b)
         self._node(a)
         self._node(b)
-        if eve.mode == "none":
-            self.eve.pop(pair, None)
+        if on:
+            self.eve.add(pair)
         else:
-            self.eve[pair] = eve
-        self.engine.emit("eve", "-", pair=f"{pair[0]}~{pair[1]}", mode=eve.mode)
+            self.eve.discard(pair)
+        self.engine.emit("eve", "-", pair=f"{pair[0]}~{pair[1]}",
+                         mode="intercept_resend" if on else "none")
 
     def generate_direct_key(self, a: NodeId, b: NodeId, n_pulses: int) -> SessionRecord:
         """Run the mode-appropriate QKD session over an active link and, on
@@ -440,9 +442,8 @@ class Network:
         proto = "plugplay" if roles == {ROLE_SERVER, ROLE_CLIENT} else "bb84"
         index = len(self.session_stats.get(pair, ()))
         stream = self.engine.stream(f"qkd/{pair[0]}/{pair[1]}/{index}")
-        eve = self.eve.get(pair, EVE_OFF)
         run = run_plugplay_session if proto == "plugplay" else run_bb84_session
-        rec = run(link, n_pulses, eve, stream, self.channel, self.protocol)
+        rec = run(link, n_pulses, pair in self.eve, stream, self.channel, self.protocol)
         self.session_stats.setdefault(pair, []).append(rec)
         self.engine.emit("qkd", pair[0], peer=pair[1], proto=proto, index=index,
                          pulses=n_pulses, sifted=rec.sifted_len, qber=rec.qber,
@@ -695,7 +696,7 @@ class Network:
                          loss_db=loss, state=state)
         if state == "acquiring":
             self.engine.schedule(ScenarioEvent(self.engine.now + self.acquire_delay_s,
-                                               "link_active", {"link": link}))
+                                               "link_active", (link,)))
         return link
 
     @property

@@ -55,17 +55,6 @@ class SessionAbort(str, Enum):
     QBER_EXCEEDS_THRESHOLD = "qber_exceeds_threshold"
 
 
-@dataclass(frozen=True)
-class EveConfig:
-    mode: str = "none"  # none | intercept_resend
-
-    def __post_init__(self):
-        if self.mode not in ("none", "intercept_resend"):
-            raise ValueError(f"unknown eve mode: {self.mode}")
-
-
-EVE_OFF = EveConfig()
-
 # numpy's binomial takes at most 2**63 - 1 trials, so a session sends at
 # most that many pulses.
 MAX_PULSES = 2**63 - 1
@@ -234,7 +223,8 @@ def _aborted(n_pulses: int, sifted_len: int, qber: float, reason: SessionAbort) 
     )
 
 
-def click_model(loss_db: float, eve: EveConfig, channel: ChannelParams) -> tuple[float, float]:
+def click_model(loss_db: float, intercept_resend: bool,
+                channel: ChannelParams) -> tuple[float, float]:
     """(p_click, q): the probability that a gate clicks, and that a click
     reads the wrong bit in the sender's basis.
 
@@ -255,12 +245,12 @@ def click_model(loss_db: float, eve: EveConfig, channel: ChannelParams) -> tuple
     if p_click == 0.0:
         return 0.0, 0.5
     e_sig = channel.intrinsic_error_prob
-    if eve.mode == "intercept_resend":
+    if intercept_resend:
         e_sig = e_sig / 2 + 0.25
     return p_click, (eta * e_sig + (1.0 - eta) * p_noise / 2) / p_click
 
 
-def _session(n_pulses: int, loss_db: float, eve: EveConfig, channel: ChannelParams,
+def _session(n_pulses: int, loss_db: float, intercept_resend: bool, channel: ChannelParams,
              rng: RandomStream, protocol: ProtocolParams) -> SessionRecord:
     """Draw one session's counts, then its final key; see the module docstring.
 
@@ -268,7 +258,7 @@ def _session(n_pulses: int, loss_db: float, eve: EveConfig, channel: ChannelPara
     errors, final key), so a session replays bit for bit from its stream,
     and an aborted one stops drawing where it aborts.
     """
-    p_click, q = click_model(loss_db, eve, channel)
+    p_click, q = click_model(loss_db, intercept_resend, channel)
     sifted_len = rng.binomial(n_pulses, p_click / 2)
     # error estimation needs at least 2 bits regardless of the configured floor
     if sifted_len < max(protocol.min_sift_len, 2):
@@ -297,22 +287,23 @@ def _session(n_pulses: int, loss_db: float, eve: EveConfig, channel: ChannelPara
 
 
 def _require_active(link) -> float:
-    if getattr(link, "state", "active") != "active":
-        raise ValueError(f"link {getattr(link, 'endpoints', link)} is not active")
+    if link.state != "active":
+        raise ValueError(f"link {link.endpoints} is not active")
     return float(link.loss_db)
 
 
-def run_bb84_session(link, n_pulses: int, eve: EveConfig, rng: RandomStream,
+def run_bb84_session(link, n_pulses: int, intercept_resend: bool, rng: RandomStream,
                      channel: ChannelParams | None = None,
                      protocol: ProtocolParams | None = None) -> SessionRecord:
     """Run one BB84 session of ``n_pulses`` (1 to ``MAX_PULSES``) over an
-    active link; see module docstring."""
+    active link, through an intercept-resend Eve if ``intercept_resend``;
+    see module docstring."""
     channel = channel or ChannelParams()
     protocol = protocol or ProtocolParams()
     loss_db = _require_active(link)
     if not 1 <= n_pulses <= MAX_PULSES:
         raise ValueError("n_pulses must be in [1, 2**63 - 1], the trials numpy's binomial takes")
-    return _session(n_pulses, loss_db, eve, channel, rng, protocol)
+    return _session(n_pulses, loss_db, intercept_resend, channel, rng, protocol)
 
 
 # A polarization plug-and-play session is the same session: the server's

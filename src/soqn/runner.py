@@ -1,7 +1,6 @@
 """Load a parsed scenario into the engine, run it, and build the report."""
 from __future__ import annotations
 
-import math
 import os
 
 from .bitops import bits_from_hex
@@ -9,7 +8,7 @@ from .channel import ChannelParams
 from .engine import ScenarioEvent, SimEngine
 from .geo import GeoPosition, LinkFeasibilityParams
 from .network import Network, NetworkError
-from .qkd import EVE_OFF, EveConfig, ProtocolParams
+from .qkd import ProtocolParams
 from .report import Report, Snapshot, build_report, render_human, render_records
 from .scenario import PARAM_SPECS, Scenario, resolve_deploy_times
 
@@ -29,31 +28,24 @@ def _grouped_params(sc: Scenario) -> dict[str, dict]:
 def build_simulation(sc: Scenario, seed_override: int | None = None) -> tuple[SimEngine, Network]:
     """Construct the engine and network for a scenario and schedule its events."""
     groups = _grouped_params(sc)
-    net_params = groups["network"]
-    for name in ("acquire_coarse_s", "acquire_fine_s"):
-        if not 0.0 <= net_params.get(name, 0.0) < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0")
-    delay = net_params.pop("acquire_coarse_s", 0.0) + net_params.pop("acquire_fine_s", 0.0)
     engine = SimEngine(sc.seed if seed_override is None else seed_override)
     network = Network(
         sc.mode, engine,
         feasibility=LinkFeasibilityParams(**groups["feasibility"]),
         channel=ChannelParams(**groups["channel"]),
         protocol=ProtocolParams(**groups["protocol"]),
-        acquire_delay_s=delay,
-        **net_params,
+        **groups["network"],
     )
     for n in sc.nodes:
         network.add_node(n.node_id, n.role, GeoPosition(n.lat, n.lon, n.alt))
     deploys = resolve_deploy_times(sc)
     for n in sc.nodes:
-        engine.schedule(ScenarioEvent(deploys[n.node_id], "deploy", {"node": n.node_id}))
+        engine.schedule(ScenarioEvent(deploys[n.node_id], "deploy", (n.node_id,)))
     if sc.nodes:
         engine.schedule(ScenarioEvent(min(deploys.values()), "organize"))
     for ev in sc.events:
-        if ev.kind == "join":
-            continue  # joins became deploy events above
-        engine.schedule(ScenarioEvent(ev.at, ev.kind, {"args": ev.args}))
+        if ev.kind != "join":  # joins became deploy events above
+            engine.schedule(ev)
     return engine, network
 
 
@@ -62,26 +54,25 @@ def install_handler(engine: SimEngine, network: Network,
     def handler(ev: ScenarioEvent) -> None:
         kind = ev.kind
         if kind == "deploy":
-            network.handle_deploy(ev.payload["node"])
+            network.handle_deploy(*ev.args)
         elif kind == "organize":
             network.organize_network()
         elif kind == "move":
-            nid, lat, lon, alt = ev.payload["args"]
+            nid, lat, lon, alt = ev.args
             network.move_node(nid, GeoPosition(lat, lon, alt))
         elif kind == "qkd":
-            a, b, pulses = ev.payload["args"]
+            a, b, pulses = ev.args
             try:
                 network.generate_direct_key(a, b, pulses)
             except NetworkError as exc:
                 engine.emit("error", a, msg=str(exc))
         elif kind == "send":
-            src, dst, payload = ev.payload["args"]
+            src, dst, payload = ev.args
             network.send_message(src, dst, bits_from_hex(payload))
         elif kind == "eve":
-            a, b, on = ev.payload["args"]
-            network.set_eve(a, b, EveConfig("intercept_resend") if on else EVE_OFF)
+            network.set_eve(*ev.args)
         elif kind == "link_active":
-            network.activate_link(ev.payload["link"])
+            network.activate_link(*ev.args)
         elif kind == "snapshot":
             snapshots_out.append(Snapshot(engine.now, network.table_version,
                                           tuple(sorted(network.active_pairs()))))

@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass, field
 
 from .bitops import bits_from_hex
+from .engine import ScenarioEvent
 from .network import _ID_RE, ROLES
 from .qkd import MAX_PULSES
 
@@ -48,8 +49,7 @@ PARAM_SPECS: dict[str, tuple[str, type]] = {
     "pulses_per_session": ("network", int),
     "max_session_attempts": ("network", int),
     "precharge_bits": ("network", int),
-    "acquire_coarse_s": ("network", float),
-    "acquire_fine_s": ("network", float),
+    "acquire_delay_s": ("network", float),
 }
 
 
@@ -73,20 +73,13 @@ class NodeDecl:
     deploy: float | None = None
 
 
-@dataclass(frozen=True)
-class EventDecl:
-    at: float
-    kind: str  # join | move | qkd | send | eve
-    args: tuple
-
-
 @dataclass
 class Scenario:
     mode: str = "p2p"
     seed: int = 0
     params: dict[str, float | int | bool] = field(default_factory=dict)
     nodes: list[NodeDecl] = field(default_factory=list)
-    events: list[EventDecl] = field(default_factory=list)
+    events: list[ScenarioEvent] = field(default_factory=list)
 
     def node_ids(self) -> list[str]:
         return [n.node_id for n in self.nodes]
@@ -156,18 +149,36 @@ class _Line:
             raise self.error(index, f"{what} must be >= 0")
         return v
 
+    def seed_at(self, index: int) -> int:
+        seed = self.int_at(index, "seed")
+        if not 0 <= seed <= MAX_SEED:
+            raise self.error(index, "seed must fit in 64 unsigned bits")
+        return seed
 
-def _parse_param_value(line: _Line, index: int, name: str, typ: type):
-    tok = line.token(index, "param value")
-    if typ is bool:
-        if tok == "true":
-            return True
-        if tok == "false":
-            return False
-        raise line.error(index, f"param {name} expects true or false, got {tok!r}")
-    if typ is int:
-        return line.int_at(index, f"param {name}")
-    return line.float_at(index, f"param {name}")
+    def param_at(self, index: int, name: str):
+        """The value of param ``name`` (a key of PARAM_SPECS), typed by its spec."""
+        typ = PARAM_SPECS[name][1]
+        tok = self.token(index, "param value")
+        if typ is int:
+            return self.int_at(index, f"param {name}")
+        if typ is float:
+            return self.float_at(index, f"param {name}")
+        if tok in ("true", "false"):
+            return tok == "true"
+        raise self.error(index, f"param {name} expects true or false, got {tok!r}")
+
+
+def parse_value(kind: str, text: str) -> int | float | bool:
+    """``text``, one token, read as a scenario reads a value of ``kind``:
+    ``seed``, ``time`` or a param name. Raises ScenarioError on any defect."""
+    line = _Line(0, text)
+    if line.tokens != [text.strip()]:
+        raise line.error(0, f"expected one value, got {text!r}")
+    if kind == "seed":
+        return line.seed_at(0)
+    if kind == "time":
+        return line.time_at(0)
+    return line.param_at(0, kind)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -195,20 +206,16 @@ def parse_scenario(text: str) -> Scenario:
         elif head == "seed":
             if seed_seen:
                 raise line.error(0, "duplicate seed directive")
-            seed = line.int_at(1, "seed")
-            if not (0 <= seed <= MAX_SEED):
-                raise line.error(1, "seed must fit in 64 unsigned bits")
+            sc.seed = line.seed_at(1)
             line.end(2)
-            sc.seed = seed
             seed_seen = True
         elif head == "param":
             name = line.token(1, "param name")
-            spec = PARAM_SPECS.get(name)
-            if spec is None:
+            if name not in PARAM_SPECS:
                 raise line.error(1, f"unknown param {name!r}")
             if name in sc.params:
                 raise line.error(1, f"duplicate param {name!r}")
-            sc.params[name] = _parse_param_value(line, 2, name, spec[1])
+            sc.params[name] = line.param_at(2, name)
             line.end(3)
         elif head == "node":
             nid = line.id_at(1, "node id")
@@ -235,14 +242,14 @@ def parse_scenario(text: str) -> Scenario:
             if kind == "join":
                 nid = line.id_at(3, "node id")
                 line.end(4)
-                ev = EventDecl(at, "join", (nid,))
+                ev = ScenarioEvent(at, "join", (nid,))
             elif kind == "move":
                 nid = line.id_at(3, "node id")
                 lat = line.float_at(4, "latitude")
                 lon = line.float_at(5, "longitude")
                 alt = line.float_at(6, "altitude")
                 line.end(7)
-                ev = EventDecl(at, "move", (nid, lat, lon, alt))
+                ev = ScenarioEvent(at, "move", (nid, lat, lon, alt))
             elif kind == "qkd":
                 a = line.id_at(3, "node id")
                 b = line.id_at(4, "node id")
@@ -256,7 +263,7 @@ def parse_scenario(text: str) -> Scenario:
                 if not 1 <= pulses <= MAX_PULSES:
                     raise line.error(5, "pulses must be in [1, 2**63 - 1]")
                 line.end(6)
-                ev = EventDecl(at, "qkd", (a, b, pulses))
+                ev = ScenarioEvent(at, "qkd", (a, b, pulses))
             elif kind == "send":
                 src = line.id_at(3, "source id")
                 dst = line.id_at(4, "destination id")
@@ -269,7 +276,7 @@ def parse_scenario(text: str) -> Scenario:
                 except ValueError as exc:
                     raise line.error(5, str(exc)) from None
                 line.end(6)
-                ev = EventDecl(at, "send", (src, dst, payload))
+                ev = ScenarioEvent(at, "send", (src, dst, payload))
             elif kind == "eve":
                 a = line.id_at(3, "node id")
                 b = line.id_at(4, "node id")
@@ -280,7 +287,7 @@ def parse_scenario(text: str) -> Scenario:
                 if state not in ("on", "off"):
                     raise line.error(6, f"expected on or off, got {state!r}")
                 line.end(7)
-                ev = EventDecl(at, "eve", (a, b, state == "on"))
+                ev = ScenarioEvent(at, "eve", (a, b, state == "on"))
             else:
                 raise line.error(2, f"unknown event kind {kind!r}")
             sc.events.append(ev)
@@ -331,7 +338,7 @@ def _validate(sc: Scenario, node_lines: dict[str, int], event_lines: list[int]) 
                                     f"before its deploy time t={deploys[nid]:g}")
 
 
-def _event_node_refs(ev: EventDecl):
+def _event_node_refs(ev: ScenarioEvent):
     if ev.kind in ("join", "move"):
         return (ev.args[0],)
     return (ev.args[0], ev.args[1])

@@ -19,7 +19,7 @@ from soqn.qkd import (SessionAbort, SessionRecord, _aborted, click_model, estima
                       privacy_amplify, reconcile, sift)
 
 
-def _prepare_measure_rounds(n_pulses, loss_db, eve, channel, rng):
+def _prepare_measure_rounds(n_pulses, loss_db, intercept_resend, channel, rng):
     """One batch of prepare -> (eve) -> channel -> measure rounds.
 
     Returns (sender_bits, sender_bases, receiver_bases, detected,
@@ -31,7 +31,7 @@ def _prepare_measure_rounds(n_pulses, loss_db, eve, channel, rng):
         raise ValueError(f"eta_total out of (0, 1]: {eta_total}")
     sender_bits = rng.bits(n_pulses)
     sender_bases = rng.bits(n_pulses)
-    if eve.mode == "intercept_resend":
+    if intercept_resend:
         eve_bases = rng.bits(n_pulses)
         eve_coin = rng.bits(n_pulses)
         tx_bits = np.where(eve_bases == sender_bases, sender_bits, eve_coin).astype(np.uint8)
@@ -52,14 +52,14 @@ def _prepare_measure_rounds(n_pulses, loss_db, eve, channel, rng):
     return sender_bits, sender_bases, receiver_bases, detected, receiver_bits
 
 
-def dense_sifted_keys(n_pulses, loss_db, eve, channel, rng):
+def dense_sifted_keys(n_pulses, loss_db, intercept_resend, channel, rng):
     """The sifted keys of the dense rounds: the sampler's contract."""
     sender_bits, sender_bases, receiver_bases, detected, receiver_bits = \
-        _prepare_measure_rounds(n_pulses, loss_db, eve, channel, rng)
+        _prepare_measure_rounds(n_pulses, loss_db, intercept_resend, channel, rng)
     return sift(sender_bases, receiver_bases, sender_bits, receiver_bits, detected)
 
 
-def sifted_keys(n_pulses, loss_db, eve, channel, rng):
+def sifted_keys(n_pulses, loss_db, intercept_resend, channel, rng):
     """The sender's and the receiver's sifted keys of ``n_pulses``
     prepare -> (eve) -> channel -> measure rounds.
 
@@ -71,7 +71,7 @@ def sifted_keys(n_pulses, loss_db, eve, channel, rng):
     are drawn. Three draws in a fixed order, so a session replays bit for
     bit from its stream.
     """
-    p_click, q = click_model(loss_db, eve, channel)
+    p_click, q = click_model(loss_db, intercept_resend, channel)
     k = rng.binomial(n_pulses, p_click / 2)
     sender = rng.bits(k)
     return sender, sender ^ (rng.uniforms(k) < q)
@@ -114,7 +114,7 @@ def postprocess(n_pulses, sifted_a, sifted_b, rng, protocol):
     )
 
 
-def bit_level_session(n_pulses, loss_db, eve, channel, rng, protocol):
+def bit_level_session(n_pulses, loss_db, intercept_resend, channel, rng, protocol):
     """The bit-level pipeline with the signature of ``qkd._session``."""
-    return postprocess(n_pulses, *sifted_keys(n_pulses, loss_db, eve, channel, rng),
+    return postprocess(n_pulses, *sifted_keys(n_pulses, loss_db, intercept_resend, channel, rng),
                        rng, protocol)

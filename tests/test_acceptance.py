@@ -18,8 +18,7 @@ from soqn.engine import SimEngine
 from soqn.geo import (EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams,
                       geodesic_distance, line_of_sight)
 from soqn.network import Network, OpticalLink, RelayTicket, decrypt_relay, encrypt, pair_key
-from soqn.qkd import (EveConfig, ProtocolParams, SessionAbort, privacy_amplify, reconcile,
-                      run_bb84_session)
+from soqn.qkd import ProtocolParams, SessionAbort, privacy_amplify, reconcile, run_bb84_session
 from soqn.rng import RandomStream
 from soqn.runner import run_scenario
 from soqn.scenario import parse_scenario
@@ -42,14 +41,14 @@ def _pass(number: int, message: str) -> None:
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
     """Run one small session first, so one-time set-up stays outside the timed sections."""
-    run_bb84_session(ideal_link(), 512, EveConfig(), RandomStream(0, "warmup"),
+    run_bb84_session(ideal_link(), 512, False, RandomStream(0, "warmup"),
                      IDEAL, ProtocolParams(min_sift_len=64, safety_margin_bits=0))
 
 
 def test_01_intercept_resend_detection():
     n_pulses = 440_000
     t0 = time.perf_counter()
-    rec = run_bb84_session(ideal_link(), n_pulses, EveConfig("intercept_resend"),
+    rec = run_bb84_session(ideal_link(), n_pulses, True,
                            RandomStream(101, "acc1"), IDEAL, ProtocolParams())
     elapsed = time.perf_counter() - t0
     sample = math.ceil(0.5 * rec.sifted_len)
@@ -67,7 +66,7 @@ def test_02_honest_channel_sifting():
     channel = ChannelParams(atm_loss_db_per_km=0.0, fixed_system_loss_db=0.0,
                             dark_count_prob=0.0, background_prob=0.0,
                             detector_efficiency=1.0, intrinsic_error_prob=0.01)
-    rec = run_bb84_session(ideal_link(), n_pulses, EveConfig(),
+    rec = run_bb84_session(ideal_link(), n_pulses, False,
                            RandomStream(102, "acc2"), channel, ProtocolParams())
     frac = rec.sifted_len / n_pulses
     sigma_sift = math.sqrt(0.25 / n_pulses)

@@ -5,7 +5,7 @@ import pytest
 
 from soqn.channel import ChannelParams, path_loss_db, transmittance
 from soqn.network import OpticalLink
-from soqn.qkd import EveConfig, run_bb84_session
+from soqn.qkd import run_bb84_session
 from soqn.rng import RandomStream
 
 
@@ -68,7 +68,7 @@ class TestClickRate:
     @staticmethod
     def sifted_fraction(channel, n, seed):
         link = OpticalLink(("a", "b"), 0.0, 0.0, 0.0, "active")
-        rec = run_bb84_session(link, n, EveConfig(), RandomStream(seed, "clicks"), channel)
+        rec = run_bb84_session(link, n, False, RandomStream(seed, "clicks"), channel)
         return rec.sifted_len / n
 
     def test_click_rate_binomial(self):

@@ -118,8 +118,7 @@ class TestCliRuns:
 
 ACQUIRE_DELAY = """\
 mode p2p
-param acquire_coarse_s 2.0
-param acquire_fine_s 1.0
+param acquire_delay_s 3.0
 param detector_efficiency 1.0
 param fixed_system_loss_db 0.0
 param atm_loss_db_per_km 0.0
@@ -147,6 +146,41 @@ class TestAcquisitionDelay:
         assert "outcome=delivered" in messages[1]
         log = read(os.path.join(out, "events.log")).decode()
         assert "\tlink_active\t" in log
+
+
+# an ideal channel: an honest session reads qber 0, an eavesdropped one about 0.25
+EVE_TOGGLE = """\
+mode p2p
+param detector_efficiency 1.0
+param fixed_system_loss_db 0.0
+param atm_loss_db_per_km 0.0
+param dark_count_prob 0.0
+param intrinsic_error_prob 0.0
+param min_sift_len 64
+param safety_margin_bits 0
+node a peer 0 0 500
+node b peer 0 0.05 500
+at 1 eve a b intercept_resend on
+at 2 qkd a b pulses=20000
+at 3 eve b a intercept_resend off
+at 4 qkd a b pulses=20000
+"""
+
+
+class TestEveToggle:
+    def test_eve_off_after_on_makes_the_next_session_honest(self, tmp_path):
+        path = tmp_path / "eve.soqn"
+        path.write_text(EVE_TOGGLE)
+        out = tmp_path / "o"
+        assert main(["--scenario", str(path), "--out", str(out)]) == 0
+        records = [line.split("\t") for line in (out / "events.log").read_text().splitlines()]
+        eve = [(r[0], r[4]) for r in records if r[2] == "eve"]
+        assert eve == [("1.000000", "pair=a~b mode=intercept_resend"),
+                       ("3.000000", "pair=a~b mode=none")]
+        qkd = [dict(kv.split("=") for kv in r[4].split()) for r in records if r[2] == "qkd"]
+        assert [(q["outcome"], q["reason"]) for q in qkd] == [
+            ("abort", "qber_exceeds_threshold"), ("ok", "none")]
+        assert abs(float(qkd[0]["qber"]) - 0.25) < 0.05 and float(qkd[1]["qber"]) == 0.0
 
 
 class TestCliExitCodes:
@@ -184,7 +218,7 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "invalid configuration" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("spec", ["acquire_coarse_s=nan", "pulses_per_session=1.5",
+    @pytest.mark.parametrize("spec", ["acquire_delay_s=nan", "pulses_per_session=1.5",
                                       "f_ec=inf", "require_los=yes", "f_ec=1,,2",
                                       "pulses_per_session=2_048", "f_ec=\u0661.5"])
     def test_sweep_values_typed_like_param_lines(self, spec):
@@ -215,7 +249,7 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("spec", ["pulses_per_session=2048,0", "acquire_fine_s=0.5,-1"])
+    @pytest.mark.parametrize("spec", ["pulses_per_session=2048,0", "acquire_delay_s=0.5,-1"])
     def test_sweep_with_a_bad_later_value_writes_nothing(self, scenario_file, tmp_path, capsys,
                                                          spec):
         # the first run's directory used to be written before the second failed
@@ -249,21 +283,45 @@ class TestCliExitCodes:
         assert main(["--scenario", scenario_file, "--out", str(out), "--seed", str(2**64 - 1)]) == 0
         assert f"seed={2**64 - 1}" in (out / "report.txt").read_text()
 
-    @pytest.mark.parametrize("until", ["nan", "-1"])
-    def test_bad_until_is_2(self, scenario_file, tmp_path, capsys, until):
+    @pytest.mark.parametrize("until,message", [("nan", "time must be finite"),
+                                               ("-1", "time must be >= 0")], ids=["nan", "-1"])
+    def test_bad_until_is_2(self, scenario_file, tmp_path, capsys, until, message):
         # a NaN or negative stop time used to run no events and exit 0
         out = tmp_path / "o"
         assert main(["--scenario", scenario_file, "--out", str(out), "--until", until]) == 2
+        assert capsys.readouterr().err == f"soqn: --until: {message}\n"
+        assert not out.exists()
+
+    # --seed, --until and --snapshot are read as a scenario reads its
+    # numbers: Python's int and float also took 1_0 and non-ASCII digits
+    OPTION_VALUES = [
+        ("--seed", "1_0", "seed must be an integer"),
+        ("--seed", "\u0661\u0660", "seed must be an integer"),
+        ("--seed", "10.0", "seed must be an integer"),
+        ("--until", "1_0", "time must be a number"),
+        ("--until", "\u0661\u0660", "time must be a number"),
+        ("--until", "inf", "time must be finite"),
+        ("--snapshot", "2_0", "time must be a number"),
+        ("--snapshot", "-1", "time must be >= 0"),
+        ("--snapshot", "nan", "time must be finite"),
+        ("--snapshot", "1 2", "expected one value"),
+    ]
+
+    @pytest.mark.parametrize("option,value,message", OPTION_VALUES,
+                             ids=[f"{o}={v}" for o, v, _ in OPTION_VALUES])
+    def test_option_values_are_scenario_literals(self, scenario_file, tmp_path, capsys,
+                                                 option, value, message):
+        out = tmp_path / "o"
+        assert main(["--scenario", scenario_file, "--out", str(out), option, value]) == 2
         err = capsys.readouterr().err
-        assert err == "soqn: invalid configuration: until must be >= 0\n"
+        assert err.count("\n") == 1 and err.startswith(f"soqn: {option}: {message}")
         assert not out.exists()
 
     @pytest.mark.parametrize("name,value", [("pulses_per_session", "0"),
                                             ("pulses_per_session", str(2**63)),
                                             ("max_session_attempts", "-3"),
                                             ("precharge_bits", "-5"),
-                                            ("acquire_coarse_s", "-1"),
-                                            ("acquire_fine_s", "-0.5")])
+                                            ("acquire_delay_s", "-1")])
     def test_out_of_range_network_param_is_2(self, tmp_path, capsys, name, value):
         # these used to run: silently as 0, or until a session or event failed
         path = tmp_path / "network.soqn"
@@ -275,10 +333,13 @@ class TestCliExitCodes:
         assert err.count("\n") == 1 and f"invalid configuration: {name} must be" in err
         assert not out.exists()
 
-    # removed for changing no run
+    # removed for changing no run, or (the two acquisition stages) for
+    # acting only through their sum, which acquire_delay_s sets
     @pytest.mark.parametrize("name,value", [("signal_mean_photons", "0.5"),
                                             ("trojan_tolerance", "0.2"),
-                                            ("strong_pulse_intensity", "2")])
+                                            ("strong_pulse_intensity", "2"),
+                                            ("acquire_coarse_s", "2.0"),
+                                            ("acquire_fine_s", "1.0")])
     def test_removed_params_are_2(self, scenario_file, tmp_path, capsys, name, value):
         path = tmp_path / "removed.soqn"
         path.write_text(f"mode p2p\nparam {name} {value}\n")

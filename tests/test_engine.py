@@ -16,7 +16,7 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 def collector(engine):
     seen = []
-    engine.handler = lambda ev: seen.append((engine.now, ev.kind, dict(ev.payload)))
+    engine.handler = lambda ev: seen.append((engine.now, ev.kind, ev.args))
     return seen
 
 

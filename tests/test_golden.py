@@ -101,7 +101,7 @@ def snapshot_digests(key, out_dir):
     name, acquire_delay = key
     sc = parse_scenario((SCENARIOS / name).read_text())
     if acquire_delay is not None:
-        sc.params["acquire_coarse_s"] = acquire_delay  # as `--sweep` overrides it
+        sc.params["acquire_delay_s"] = acquire_delay  # as `--sweep` overrides it
     return _replay(sc, out_dir, snapshot_times=SNAPSHOT_TIMES)
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from soqn import _kernels
 from soqn.channel import ChannelParams, transmittance
-from soqn.qkd import EveConfig
 from soqn.rng import RandomStream
 
 from dense_rounds import _prepare_measure_rounds
@@ -41,13 +40,13 @@ def _transmit_reference(tx_bits, tx_bases, rx_bases, eta, p_noise, p_flip,
     return detected, bits
 
 
-def _rounds_reference(n_pulses, loss_db, eve, channel, rng):
+def _rounds_reference(n_pulses, loss_db, intercept_resend, channel, rng):
     """The prepare-measure rounds as they were first written: all five
     uniform arrays drawn, then the per-pulse loop over them."""
     eta_total = transmittance(loss_db) * channel.detector_efficiency
     sender_bits = rng.bits(n_pulses)
     sender_bases = rng.bits(n_pulses)
-    if eve.mode == "intercept_resend":
+    if intercept_resend:
         eve_bases = rng.bits(n_pulses)
         eve_coin = rng.bits(n_pulses)
         tx_bits = np.where(eve_bases == sender_bases, sender_bits, eve_coin).astype(np.uint8)
@@ -94,10 +93,10 @@ class TestPrepareMeasureDrawOrder:
         # noisy enough that every branch of the per-pulse contract is taken
         channel = ChannelParams(dark_count_prob=0.05, background_prob=0.05,
                                 intrinsic_error_prob=0.1)
-        eve = EveConfig(mode=mode)
+        intercept_resend = mode == "intercept_resend"
         fresh, second = RandomStream(11, "rounds"), RandomStream(11, "rounds")
-        got = _prepare_measure_rounds(3000, 3.0, eve, channel, fresh)
-        want = _rounds_reference(3000, 3.0, eve, channel, second)
+        got = _prepare_measure_rounds(3000, 3.0, intercept_resend, channel, fresh)
+        want = _rounds_reference(3000, 3.0, intercept_resend, channel, second)
         assert fresh.position == second.position
         for g, w in zip(got, want, strict=True):
             assert g.dtype == np.uint8

@@ -15,7 +15,7 @@ from soqn.network import (DuplicateNodeError, KeyBlock, KeyBuffer, KeyReuseError
                           KeyStarvationError, LinkInactiveError, Network, NoRouteError,
                           OpticalLink, RelayTicket, RoleModeError, UnknownNodeError,
                           decrypt, decrypt_relay, encrypt, pair_key, shortest_path)
-from soqn.qkd import EveConfig, ProtocolParams
+from soqn.qkd import ProtocolParams
 from soqn.rng import RandomStream
 from soqn.runner import install_handler
 
@@ -249,12 +249,12 @@ class TestJoinMove:
                 net.add_node(nid, "peer", GeoPosition(float(rng.uniform(0, 1.0)),
                                                       float(rng.uniform(0, 1.0)),
                                                       float(rng.uniform(0, 2000))))
-                engine.schedule(ScenarioEvent(at, "deploy", {"node": nid}))
+                engine.schedule(ScenarioEvent(at, "deploy", (nid,)))
                 ids.append(nid)
             else:
-                engine.schedule(ScenarioEvent(at, "move", {"args": (
+                engine.schedule(ScenarioEvent(at, "move", (
                     str(rng.choice(ids)), float(rng.uniform(0, 1.0)),
-                    float(rng.uniform(0, 1.0)), float(rng.uniform(0, 2000)))}))
+                    float(rng.uniform(0, 1.0)), float(rng.uniform(0, 2000)))))
             engine.run_until(at)
             assert net.active_pairs() == {
                 p for p in feasibility_oracle(net)
@@ -278,7 +278,7 @@ class TestJoinMove:
             ("b", "peer", 0.0, deg(10), 0.0),
         ], acquire_delay_s=2.0)
         install_handler(engine, net, [])
-        engine.schedule(ScenarioEvent(1.0, "move", {"args": ("a", 0.0, deg(1), 0.0)}))
+        engine.schedule(ScenarioEvent(1.0, "move", ("a", 0.0, deg(1), 0.0)))
         engine.run_until(2.5)
         assert net.link_history[("a", "b")].state == "acquiring"
         engine.run_until(3.0)
@@ -455,7 +455,7 @@ class TestPrecharge:
             ("c", "peer", deg(5), 0.0, 0.0),
             ("e", "peer", 0.0, deg(300), 0.0),
         ], organize=False, precharge_bits=1000)
-        net.set_eve("a", "c", EveConfig("intercept_resend"))
+        net.set_eve("a", "c", True)
 
         def charged_and_aborted():
             pairs = net.active_pairs()
@@ -834,7 +834,7 @@ class TestGenerateDirectKey:
             ("a", "peer", 0.0, 0.0, 0.0),
             ("b", "peer", 0.0, deg(5), 0.0),
         ])
-        net.set_eve("a", "b", EveConfig("intercept_resend"))
+        net.set_eve("a", "b", True)
         rec = net.generate_direct_key("a", "b", 2048)
         assert rec.aborted
         assert ("a", "b") not in net.buffers or net.buffers[("a", "b")].available == 0
@@ -913,7 +913,7 @@ class TestSendMessage:
             ("r", "peer", 0.0, deg(100), 500.0),
             ("b", "peer", 0.0, deg(200), 3000.0),
         ], max_session_attempts=2)
-        net.set_eve("b", "r", EveConfig("intercept_resend"))
+        net.set_eve("b", "r", True)
         rec = net.send_message("a", "b", np.ones(16, dtype=np.uint8))
         assert rec.outcome == "qkd_abort"
         assert rec.failing_hop == ("b", "r")

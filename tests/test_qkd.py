@@ -8,7 +8,7 @@ import pytest
 from soqn import qkd
 from soqn.channel import ChannelParams, transmittance
 from soqn.network import OpticalLink
-from soqn.qkd import (MAX_F_EC, EveConfig, ProtocolParams, SessionAbort, SessionRecord,
+from soqn.qkd import (MAX_F_EC, ProtocolParams, SessionAbort, SessionRecord,
                       binary_entropy, click_model, estimate_qber, privacy_amplify, reconcile,
                       reconciliation_leak, run_bb84_session, run_plugplay_session, sift)
 from soqn.rng import RandomStream
@@ -198,7 +198,7 @@ class TestPrivacyAmplify:
 class TestBb84Session:
     def test_ideal_session(self, ideal_link, ideal_channel):
         n = 10**4
-        rec = run_bb84_session(ideal_link, n, EveConfig(), RandomStream(22, "s"),
+        rec = run_bb84_session(ideal_link, n, False, RandomStream(22, "s"),
                                ideal_channel, ProtocolParams())
         assert not rec.aborted
         assert rec.qber == 0.0
@@ -207,14 +207,14 @@ class TestBb84Session:
 
     def test_eve_raises_qber_to_quarter(self, ideal_link, ideal_channel):
         n = 10**5
-        rec = run_bb84_session(ideal_link, n, EveConfig("intercept_resend"),
+        rec = run_bb84_session(ideal_link, n, True,
                                RandomStream(23, "s"), ideal_channel, ProtocolParams())
         sample = math.ceil(0.5 * rec.sifted_len)
         assert abs(rec.qber - 0.25) < 3 * math.sqrt(0.25 * 0.75 / sample)
         assert rec.aborted and rec.abort_reason is SessionAbort.QBER_EXCEEDS_THRESHOLD
 
     def test_insufficient_detections(self, ideal_link, ideal_channel):
-        rec = run_bb84_session(ideal_link, 10, EveConfig(), RandomStream(24, "s"),
+        rec = run_bb84_session(ideal_link, 10, False, RandomStream(24, "s"),
                                ideal_channel, ProtocolParams(min_sift_len=1000))
         assert rec.aborted and rec.abort_reason is SessionAbort.INSUFFICIENT_DETECTIONS
         assert len(rec.final_key) == 0
@@ -223,7 +223,7 @@ class TestBb84Session:
         channel = ChannelParams(atm_loss_db_per_km=0.0, fixed_system_loss_db=0.0,
                                 dark_count_prob=0.0, background_prob=0.0,
                                 detector_efficiency=1.0, intrinsic_error_prob=0.05)
-        rec = run_bb84_session(ideal_link, 10**5, EveConfig(), RandomStream(25, "s"),
+        rec = run_bb84_session(ideal_link, 10**5, False, RandomStream(25, "s"),
                                channel, ProtocolParams())
         sample = math.ceil(0.5 * rec.sifted_len)
         assert abs(rec.qber - 0.05) < 3 * math.sqrt(0.05 * 0.95 / sample)
@@ -240,7 +240,7 @@ class TestBb84Session:
         p_noise = channel.noise_prob
         p_click = 1 - (1 - eta) * (1 - p_noise)
         expect = 0.5 * p_noise * (1 - eta) / p_click
-        rec = run_bb84_session(link, 2 * 10**6, EveConfig(), RandomStream(47, "s"),
+        rec = run_bb84_session(link, 2 * 10**6, False, RandomStream(47, "s"),
                                channel, ProtocolParams(min_sift_len=500))
         sample = math.ceil(0.5 * rec.sifted_len)
         sigma = math.sqrt(expect * (1 - expect) / sample)
@@ -251,14 +251,14 @@ class TestBb84Session:
         channel = ChannelParams(atm_loss_db_per_km=0.0, fixed_system_loss_db=0.0,
                                 dark_count_prob=0.0, background_prob=0.0,
                                 detector_efficiency=1.0, intrinsic_error_prob=0.2)
-        rec = run_bb84_session(ideal_link, 2 * 10**4, EveConfig(), RandomStream(26, "s"),
+        rec = run_bb84_session(ideal_link, 2 * 10**4, False, RandomStream(26, "s"),
                                channel, ProtocolParams())
         assert rec.aborted and len(rec.final_key) == 0
 
     def test_replay_determinism(self, ideal_link, ideal_channel):
-        a = run_bb84_session(ideal_link, 5000, EveConfig(), RandomStream(27, "same"),
+        a = run_bb84_session(ideal_link, 5000, False, RandomStream(27, "same"),
                              ideal_channel, ProtocolParams())
-        b = run_bb84_session(ideal_link, 5000, EveConfig(), RandomStream(27, "same"),
+        b = run_bb84_session(ideal_link, 5000, False, RandomStream(27, "same"),
                              ideal_channel, ProtocolParams())
         assert a.qber == b.qber and a.sifted_len == b.sifted_len
         assert np.array_equal(a.final_key, b.final_key)
@@ -266,7 +266,7 @@ class TestBb84Session:
     def test_inactive_link_rejected(self, ideal_channel):
         link = OpticalLink(("a", "b"), 0.0, 0.0, 0.0, "torn_down")
         with pytest.raises(ValueError):
-            run_bb84_session(link, 100, EveConfig(), RandomStream(28, "s"),
+            run_bb84_session(link, 100, False, RandomStream(28, "s"),
                              ideal_channel, ProtocolParams())
 
     @pytest.mark.parametrize("dark_count_prob", [1e-6, 0.0])
@@ -274,7 +274,7 @@ class TestBb84Session:
         # 4000 dB: the transmittance underflows to 0.0, so at most noise clicks
         link = OpticalLink(("a", "b"), 0.0, 4000.0, 0.0, "active")
         stream = RandomStream(50, "dark")
-        rec = run_bb84_session(link, 10**4, EveConfig(), stream,
+        rec = run_bb84_session(link, 10**4, False, stream,
                                ChannelParams(dark_count_prob=dark_count_prob))
         assert rec.aborted and rec.abort_reason is SessionAbort.INSUFFICIENT_DETECTIONS
         assert stream.position == 1
@@ -284,26 +284,26 @@ class TestClickModel:
     def test_underflowed_signal_leaves_fair_noise_clicks(self):
         channel = ChannelParams(background_prob=1e-4)
         assert transmittance(4000.0) == 0.0
-        p_click, q = click_model(4000.0, EveConfig(), channel)
+        p_click, q = click_model(4000.0, False, channel)
         assert p_click == pytest.approx(channel.noise_prob) and q == pytest.approx(0.5)
 
     @pytest.mark.parametrize("loss_db", [4000.0, 200.0])
     def test_nothing_clicks_without_signal_or_noise(self, loss_db):
         # at 200 dB eta = 1e-20 is positive, but 1 - eta rounds to 1
         channel = ChannelParams(dark_count_prob=0.0)
-        assert click_model(loss_db, EveConfig(), channel) == (0.0, 0.5)
+        assert click_model(loss_db, False, channel) == (0.0, 0.5)
 
 
 class TestPlugPlaySession:
     def test_ideal_session(self, ideal_link, ideal_channel):
         n = 10**4
-        rec = run_plugplay_session(ideal_link, n, EveConfig(), RandomStream(29, "s"),
+        rec = run_plugplay_session(ideal_link, n, False, RandomStream(29, "s"),
                                    ideal_channel, ProtocolParams())
         assert not rec.aborted and rec.qber == 0.0
         assert abs(rec.sifted_len - n / 2) < 3 * math.sqrt(n * 0.25)
 
     def test_eve_on_return_leg(self, ideal_link, ideal_channel):
-        rec = run_plugplay_session(ideal_link, 10**5, EveConfig("intercept_resend"),
+        rec = run_plugplay_session(ideal_link, 10**5, True,
                                    RandomStream(30, "s"), ideal_channel, ProtocolParams())
         sample = math.ceil(0.5 * rec.sifted_len)
         assert abs(rec.qber - 0.25) < 3 * math.sqrt(0.25 * 0.75 / sample)
@@ -321,19 +321,19 @@ class TestSessionCost:
         channel = ideal_channel if errors == "none" else ChannelParams()
         for n in (10**4, 10**5, 10**7):
             stream = RandomStream(40, "cost")
-            rec = run_bb84_session(ideal_link, n, EveConfig(), stream, channel)
+            rec = run_bb84_session(ideal_link, n, False, stream, channel)
             assert not rec.aborted and (rec.qber == 0.0) == (errors == "none")
             assert stream.position == 3 + len(rec.final_key)
 
     def test_aborted_sessions_count_only_the_draws_made(self, ideal_link, protocol):
         cases = [
             # too few sifted bits: the sifted length alone
-            (10, EveConfig(), protocol, SessionAbort.INSUFFICIENT_DETECTIONS, 1),
+            (10, False, protocol, SessionAbort.INSUFFICIENT_DETECTIONS, 1),
             # qber over the threshold: the three counts
-            (10**4, EveConfig("intercept_resend"), protocol,
+            (10**4, True, protocol,
              SessionAbort.QBER_EXCEEDS_THRESHOLD, 3),
             # qber under a lax threshold, but the leakage eats the key: the three counts
-            (10**4, EveConfig("intercept_resend"), ProtocolParams(qber_abort=0.4),
+            (10**4, True, ProtocolParams(qber_abort=0.4),
              SessionAbort.INSUFFICIENT_DETECTIONS, 3),
         ]
         for n, eve, params, reason, draws in cases:
@@ -351,7 +351,7 @@ class TestSessionCost:
         lengths = []
         for seed in range(runs):
             stream = RandomStream(seed, "2**40")
-            rec = run_bb84_session(link, n, EveConfig(), stream, channel)
+            rec = run_bb84_session(link, n, False, stream, channel)
             assert not rec.aborted and stream.position == 3 + len(rec.final_key)
             lengths.append(rec.sifted_len)
         mean_sd = math.sqrt(n * p * (1 - p) / runs)
@@ -360,11 +360,11 @@ class TestSessionCost:
     def test_pulses_beyond_numpys_binomial_are_named(self, ideal_link):
         stream = RandomStream(3, "huge")
         with pytest.raises(ValueError, match=r"\[1, 2\*\*63 - 1\]"):
-            run_bb84_session(ideal_link, 2**63, EveConfig(), stream)
+            run_bb84_session(ideal_link, 2**63, False, stream)
         assert stream.position == 0
         # the limit itself is drawn: nothing clicks over 4000 dB without noise
         link = OpticalLink(("a", "b"), 0.0, 4000.0, 0.0, "active")
-        rec = run_bb84_session(link, 2**63 - 1, EveConfig(), stream,
+        rec = run_bb84_session(link, 2**63 - 1, False, stream,
                                ChannelParams(dark_count_prob=0.0))
         assert rec.n_pulses == 2**63 - 1 and rec.sifted_len == 0 and stream.position == 1
 
@@ -373,7 +373,7 @@ class TestSessionCost:
         # bits, beyond numpy's hypergeometric; it raises before any key is drawn
         stream = RandomStream(3, "huge")
         with pytest.raises(ValueError, match=r"sifted key too long .* below 10\*\*9"):
-            run_bb84_session(ideal_link, 4 * 10**9, EveConfig(), stream, ideal_channel)
+            run_bb84_session(ideal_link, 4 * 10**9, False, stream, ideal_channel)
         assert stream.position == 2
 
     def test_sessions_never_touch_key_bits(self, monkeypatch, ideal_link):
@@ -385,9 +385,9 @@ class TestSessionCost:
         for name in ("uniforms", "uniform", "bit", "permutation"):
             monkeypatch.setattr(RandomStream, name, forbidden)
         for run in (run_bb84_session, run_plugplay_session):
-            for eve in (EveConfig(), EveConfig("intercept_resend")):
+            for eve in (False, True):
                 rec = run(ideal_link, 10**4, eve, RandomStream(43, "no-bits"), ChannelParams())
-                assert rec.aborted == (eve.mode == "intercept_resend")
+                assert rec.aborted == eve
 
 
 class TestRecordsAndConfigs:
@@ -400,14 +400,10 @@ class TestRecordsAndConfigs:
                           aborted=True, abort_reason=SessionAbort.QBER_EXCEEDS_THRESHOLD)
 
     def test_final_key_read_only(self, ideal_link, ideal_channel):
-        rec = run_bb84_session(ideal_link, 5000, EveConfig(), RandomStream(33, "s"),
+        rec = run_bb84_session(ideal_link, 5000, False, RandomStream(33, "s"),
                                ideal_channel, ProtocolParams())
         with pytest.raises(ValueError):
             rec.final_key[0] = 1
-
-    def test_eve_config_validation(self):
-        with pytest.raises(ValueError):
-            EveConfig("other")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["f_ec"])

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soqn.engine import ScenarioEvent
 from soqn.runner import run_scenario
-from soqn.scenario import (PARAM_SPECS, EventDecl, NodeDecl, Scenario, ScenarioError,
+from soqn.scenario import (PARAM_SPECS, NodeDecl, Scenario, ScenarioError,
                            format_scenario, parse_scenario, resolve_deploy_times)
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -106,10 +107,13 @@ class TestDiagnostics:
     def test_unknown_param(self):
         self.expect_error("mode p2p\nparam warp_factor 9\n", 2, "unknown param")
 
-    # removed for changing no run
+    # removed for changing no run, or (the two acquisition stages) for
+    # acting only through their sum, which acquire_delay_s sets
     @pytest.mark.parametrize("line", ["param signal_mean_photons 0.5",
                                       "param trojan_tolerance 0.2",
-                                      "param strong_pulse_intensity 2"])
+                                      "param strong_pulse_intensity 2",
+                                      "param acquire_coarse_s 2.0",
+                                      "param acquire_fine_s 1.0"])
     def test_removed_params_are_unknown(self, line):
         with pytest.raises(ScenarioError) as err:
             parse_scenario(f"mode p2p\n{line}\n")
@@ -197,18 +201,18 @@ def scenarios(draw):
         kind = draw(st.sampled_from(["move", "qkd", "send", "eve"]))
         at = draw(times) + 200.0  # after every deploy time
         if kind == "move":
-            events.append(EventDecl(at, "move", (draw(st.sampled_from(node_ids)),
-                                                 draw(coords), draw(coords), 100.0)))
+            events.append(ScenarioEvent(at, "move", (draw(st.sampled_from(node_ids)),
+                                                     draw(coords), draw(coords), 100.0)))
         else:
             a, b = draw(st.lists(st.sampled_from(node_ids), min_size=2, max_size=2,
                                  unique=True))
             if kind == "qkd":
-                events.append(EventDecl(at, "qkd", (a, b, draw(st.integers(1, 10**6)))))
+                events.append(ScenarioEvent(at, "qkd", (a, b, draw(st.integers(1, 10**6)))))
             elif kind == "send":
-                events.append(EventDecl(at, "send", (a, b, draw(st.from_regex(
+                events.append(ScenarioEvent(at, "send", (a, b, draw(st.from_regex(
                     r"[0-9a-f]{0,8}", fullmatch=True)))))
             else:
-                events.append(EventDecl(at, "eve", (a, b, draw(st.booleans()))))
+                events.append(ScenarioEvent(at, "eve", (a, b, draw(st.booleans()))))
     params = {}
     if draw(st.booleans()):
         params["max_range_km"] = float(draw(st.integers(1, 500)))
@@ -289,8 +293,7 @@ PARAM_CHANGES = {
     "pulses_per_session": (P2P_RELAY, 4096),
     "max_session_attempts": (LONG_SEND, 1),
     "precharge_bits": (P2P_RELAY, 256),
-    "acquire_coarse_s": (P2P_RELAY, 0.5),
-    "acquire_fine_s": (P2P_RELAY, 0.5),
+    "acquire_delay_s": (P2P_RELAY, 0.5),
 }
 ARTIFACTS = ("events.log", "report.txt", "records.tsv")
 
@@ -310,6 +313,14 @@ def run_artifacts(text, name=None, value=None):
 
 def test_param_changes_cover_param_specs():
     assert PARAM_CHANGES.keys() == PARAM_SPECS.keys()
+
+
+def test_readme_param_table_names_every_param():
+    # the table is the paragraph after its caption; names are in backticks
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    table = readme.partition("Tunable `param` names")[2].split("\n\n")[1]
+    assert table.startswith("| group")
+    assert set(table.split("`")[1::2]) == PARAM_SPECS.keys()
 
 
 @pytest.mark.parametrize("name", sorted(PARAM_CHANGES))

@@ -19,7 +19,7 @@ import pytest
 
 from soqn.channel import ChannelParams, transmittance
 from soqn.network import OpticalLink
-from soqn.qkd import (EveConfig, ProtocolParams, SessionAbort, _session, click_model,
+from soqn.qkd import (ProtocolParams, SessionAbort, _session, click_model,
                       run_bb84_session, run_plugplay_session)
 from soqn.rng import RandomStream
 
@@ -70,7 +70,7 @@ def test_sifted_length_and_errors_match_the_model(path, channel_name, mode):
     channel = CHANNELS[channel_name]
     lengths, errors, ones = [], [], 0
     for seed in range(SEEDS):
-        a, b = PATHS[path](N_PULSES, LOSS_DB, EveConfig(mode), channel,
+        a, b = PATHS[path](N_PULSES, LOSS_DB, mode == "intercept_resend", channel,
                            RandomStream(seed, f"sampler-{channel_name}-{mode}"))
         assert a.dtype == b.dtype == np.uint8 and len(a) == len(b)
         lengths.append(len(a))
@@ -88,8 +88,8 @@ def test_sifted_length_and_errors_match_the_model(path, channel_name, mode):
 def test_same_seed_and_label_replay(mode):
     channel = CHANNELS["noisy"]
     first, second = RandomStream(5, "replay"), RandomStream(5, "replay")
-    a1, b1 = sifted_keys(N_PULSES, LOSS_DB, EveConfig(mode), channel, first)
-    a2, b2 = sifted_keys(N_PULSES, LOSS_DB, EveConfig(mode), channel, second)
+    a1, b1 = sifted_keys(N_PULSES, LOSS_DB, mode == "intercept_resend", channel, first)
+    a2, b2 = sifted_keys(N_PULSES, LOSS_DB, mode == "intercept_resend", channel, second)
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
     # one binomial draw, then one bit and one uniform per sifted pulse
     assert first.position == second.position == 1 + 2 * len(a1)
@@ -102,7 +102,7 @@ def test_no_sifted_click_aborts():
     protocol = ProtocolParams(min_sift_len=1)
     for run in (run_bb84_session, run_plugplay_session):
         stream = RandomStream(1, "dark")
-        rec = run(link, 10, EveConfig(), stream, ChannelParams(), protocol)
+        rec = run(link, 10, False, stream, ChannelParams(), protocol)
         assert stream.position == 1  # the binomial draw alone
         assert rec.sifted_len == 0
         assert rec.aborted and rec.abort_reason is SessionAbort.INSUFFICIENT_DETECTIONS
@@ -194,7 +194,7 @@ def record_e(rec, protocol):
 @pytest.mark.parametrize("mode", sorted(COUNT_PROTOCOLS))
 def test_session_counts_match_the_oracle_law(path, mode):
     protocol = COUNT_PROTOCOLS[mode]
-    eve = EveConfig(mode)
+    eve = mode == "intercept_resend"
     p_click, q = click_model(LOSS_DB, eve, COUNT_CHANNEL)
     tally, lengths, reasons = Tally(), [], set()
     for seed in range(COUNT_SEEDS):
@@ -228,7 +228,7 @@ def test_session_counts_match_the_oracle_law(path, mode):
 def test_count_sampler_and_oracle_share_the_sifted_length(mode):
     protocol = COUNT_PROTOCOLS[mode]
     for seed in range(50):
-        recs = [run(N_PULSES, LOSS_DB, EveConfig(mode), COUNT_CHANNEL,
+        recs = [run(N_PULSES, LOSS_DB, mode == "intercept_resend", COUNT_CHANNEL,
                     RandomStream(seed, "shared-k"), protocol) for run in SESSION_PATHS.values()]
         assert recs[0].sifted_len == recs[1].sifted_len
 
@@ -239,7 +239,7 @@ def test_nothing_left_after_the_sample_aborts():
     channel = CHANNELS["quiet"]
     seen = set()
     for seed in range(40):
-        recs = [run(12, 0.0, EveConfig(), channel, RandomStream(seed, "tiny"), protocol)
+        recs = [run(12, 0.0, False, channel, RandomStream(seed, "tiny"), protocol)
                 for run in SESSION_PATHS.values()]
         k = recs[0].sifted_len
         for rec in recs:
