@@ -3,8 +3,8 @@
 A virtual clock, a (time, sequence)-ordered event queue, a reliable
 same-tick classical broadcast bus, and label-keyed random streams. All
 protocol state mutation happens on the single event-loop thread. The event
-log is append-only and reads as stable, tab-separated records suitable for
-golden-file comparison.
+log is append-only: the engine holds its stable, tab-separated lines, each
+built once, when its record is emitted, for golden-file comparison.
 
 The log is written in format v2: a broadcast is one ``broadcast`` record
 ending in ``receivers=<count>``, and its receptions take the ``count``
@@ -63,17 +63,13 @@ def fmt(value) -> str:
     return str(value)
 
 
-def details_str(**fields) -> str:
-    return " ".join(f"{k}={fmt(v)}" for k, v in fields.items())
-
-
 class SimEngine:
     """Event queue, clock, broadcast bus, and stream factory."""
 
     def __init__(self, seed: int):
         self.seed = seed
         self.now = 0.0
-        self._records: list[LogRecord] = []
+        self._lines: list[str] = []
         self._deployed: set[str] = set()
         self._queue: list[tuple[float, int, ScenarioEvent]] = []
         self._schedule_seq = 0
@@ -88,18 +84,22 @@ class SimEngine:
 
     # -- logging ---------------------------------------------------------
 
-    def emit(self, kind: str, origin: str, **fields) -> LogRecord:
+    def emit(self, kind: str, origin: str, **fields) -> int:
         """Append one record of any kind but the two ``expand_log`` reads,
         which only ``mark_deployed`` and ``broadcast`` write."""
         if kind in ("deploy", "broadcast"):
             raise ValueError(f"{kind!r} records come only from mark_deployed and broadcast")
-        return self._write(kind, origin, **fields)
+        return self._write(kind, origin, fields)
 
-    def _write(self, kind: str, origin: str, **fields) -> LogRecord:
-        rec = LogRecord(self.now, self._log_seq, kind, origin, details_str(**fields))
+    def _write(self, kind: str, origin: str, fields: dict) -> int:
+        """Append one record's v2 line and return its sequence number. Exact
+        str, int and float values are formatted inline as ``fmt`` would."""
+        details = " ".join([f"{k}={v}" if (t := type(v)) is str or t is int
+                            else f"{k}={v:.6g}" if t is float else f"{k}={fmt(v)}"
+                            for k, v in fields.items()])
+        self._lines.append(f"{self.now:.6f}\t{self._log_seq}\t{kind}\t{origin}\t{details}")
         self._log_seq += 1
-        self._records.append(rec)
-        return rec
+        return self._log_seq - 1
 
     @property
     def log(self) -> list[LogRecord]:
@@ -107,15 +107,15 @@ class SimEngine:
         receptions (parsed from ``expand_log``; a new list on each access)."""
         return [LogRecord(float(t), int(seq), kind, origin, details)
                 for t, seq, kind, origin, details
-                in (line.split("\t", 4) for line in expand_log(self.log_lines()))]
+                in (line.split("\t", 4) for line in expand_log(self._lines))]
 
     def log_lines(self) -> list[str]:
-        """The lines of ``events.log`` (format v2)."""
-        return [r.to_line() for r in self._records]
+        """The lines of ``events.log`` (format v2), as a new list."""
+        return self._lines.copy()
 
     # -- deployment registry ----------------------------------------------
 
-    def mark_deployed(self, node_id: str, **fields) -> LogRecord:
+    def mark_deployed(self, node_id: str, **fields) -> int:
         """Deploy ``node_id`` and write its ``deploy`` record with ``fields``.
 
         That record is what makes the node a receiver of every later
@@ -124,7 +124,7 @@ class SimEngine:
         if node_id in self._deployed:
             raise ValueError(f"node {node_id!r} is already deployed")
         self._deployed.add(node_id)
-        return self._write("deploy", node_id, **fields)
+        return self._write("deploy", node_id, fields)
 
     def is_deployed(self, node_id: str) -> bool:
         return node_id in self._deployed
@@ -168,7 +168,7 @@ class SimEngine:
         if not self.is_deployed(origin):
             raise UndeployedOriginError(f"origin {origin!r} is not deployed")
         count = len(self._deployed) - 1  # every deployed node but the origin
-        self._write("broadcast", origin, topic=topic, payload=payload, receivers=count)
+        self._write("broadcast", origin, {"topic": topic, "payload": payload, "receivers": count})
         self._log_seq += count
         return count
 

@@ -1,3 +1,4 @@
+import math
 import pathlib
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soqn.engine import (ScenarioEvent, SchedulingError, SimEngine, UndeployedOriginError,
-                         expand_log)
+                         expand_log, fmt)
+from soqn.qkd import SessionAbort
 from soqn.rng import RandomStream
 from soqn.runner import build_simulation, install_handler
 from soqn.scenario import parse_scenario
@@ -141,7 +143,7 @@ class TestBroadcast:
         k = engine.broadcast("c", "topic")
         sent = engine.log[-k - 1]
         assert sent.kind == "broadcast"
-        assert engine.emit("next", "a").seq == sent.seq + k + 1
+        assert engine.emit("next", "a") == sent.seq + k + 1
         assert [r.seq for r in engine.log] == list(range(4 + k + 2))  # 4 deploy records
 
     def test_written_log_has_one_record_per_broadcast(self):
@@ -169,6 +171,32 @@ class TestLog:
         engine.emit("kind1", "node1", a=1, b=2.5)
         line = engine.log_lines()[0]
         assert line == "0.000000\t0\tkind1\tnode1\ta=1 b=2.5"
+
+    @pytest.mark.parametrize("value", [
+        True, False, 0, np.int64(7), 2.5, 1 / 3, 1e-7, 1e21, -0.0, math.nan, math.inf,
+        np.float64(0.123456789), "plain", SessionAbort.NONE])
+    def test_each_field_is_written_as_fmt_formats_it(self, value):
+        engine = SimEngine(0)
+        engine.mark_deployed("a", v=value)
+        engine.emit("note", "a", v=value)
+        engine.broadcast("a", value)
+        assert [line.split("\t")[4] for line in engine.log_lines()] == [
+            f"v={fmt(value)}", f"v={fmt(value)}", f"topic={fmt(value)} payload= receivers=0"]
+
+    def test_emit_and_mark_deployed_return_the_sequence_number(self):
+        engine = SimEngine(0)
+        assert engine.mark_deployed("a") == 0
+        assert engine.mark_deployed("b") == 1
+        assert engine.broadcast("a", "t") == 1
+        assert engine.emit("note", "b") == 4
+
+    def test_changing_the_returned_lines_leaves_the_log_as_it_was(self):
+        engine = SimEngine(0)
+        engine.emit("note", "a", i=1)
+        lines = engine.log_lines()
+        lines.append("extra")
+        lines[0] = "changed"
+        assert engine.log_lines() == ["0.000000\t0\tnote\ta\ti=1"]
 
     def test_sequence_monotone(self):
         engine = SimEngine(0)

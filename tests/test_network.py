@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from soqn.bitops import as_bits
 from soqn.channel import ChannelParams
-from soqn.engine import ScenarioEvent, SimEngine
+from soqn.engine import ScenarioEvent, SimEngine, fmt
 from soqn.geo import EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams, cell_side, link_feasible
 from soqn.network import (DuplicateNodeError, KeyBlock, KeyBuffer, KeyReuseError,
                           KeyStarvationError, LinkInactiveError, Network, NoRouteError,
@@ -17,7 +17,8 @@ from soqn.network import (DuplicateNodeError, KeyBlock, KeyBuffer, KeyReuseError
                           decrypt, decrypt_relay, encrypt, pair_key, shortest_path)
 from soqn.qkd import ProtocolParams
 from soqn.rng import RandomStream
-from soqn.runner import install_handler
+from soqn.runner import build_simulation, install_handler
+from soqn.scenario import parse_scenario
 
 KM_PER_DEG = 111.19492664455873
 
@@ -443,6 +444,81 @@ class TestCellIndex:
         net._cells["peer"][net._cell_at["b"]].remove("c")
         net._cell_at["c"] = net._cell_at["b"]
         assert net.audit_tables() == ["cell index places c, which is not deployed"]
+
+
+def churn_scenario(seed=3, side=20, span_deg=12.5):
+    """``side`` x ``side`` peers on a jittered grid (one per cell of
+    ``span_deg / side`` degrees, about 70 km), 4 of them deployed late,
+    20 moves of peers that stay inside the grid and 10 sends between peers
+    that stay put. Links take 0.5 s to acquire."""
+    rng = random.Random(seed)
+    cell = span_deg / side
+    ids = [f"p{i:03d}" for i in range(side * side)]
+    late = set(rng.sample(ids, 4))
+    movers = rng.sample([nid for nid in ids if nid not in late], 20)
+    stay = [nid for nid in ids if nid not in late and nid not in movers]
+    lines = [f"mode p2p\nseed {seed}\nparam acquire_delay_s 0.5\n"
+             "param atm_loss_db_per_km 0.05\nparam fixed_system_loss_db 0\n"
+             "param min_sift_len 256\nparam pulses_per_session 8192\n"]
+    for i, nid in enumerate(ids):
+        lat = (i // side + rng.random()) * cell - span_deg / 2
+        lon = (i % side + rng.random()) * cell
+        deploy = f" deploy={rng.uniform(5.0, 60.0):.3f}" if nid in late else ""
+        lines.append(f"node {nid} peer {lat:.5f} {lon:.5f} {rng.uniform(500.0, 2000.0):.1f}{deploy}\n")
+    for i, nid in enumerate(movers):
+        lat = rng.uniform(-span_deg / 2 + 2 * cell, span_deg / 2 - 2 * cell)
+        lon = rng.uniform(2 * cell, span_deg - 2 * cell)
+        lines.append(f"at {2.0 + 3.0 * i:.3f} move {nid} {lat:.5f} {lon:.5f} 1000.0\n")
+    for i in range(10):
+        a, b = rng.sample(stay, 2)
+        lines.append(f"at {3.5 + 6.0 * i:.3f} send {a} {b} hex:{rng.getrandbits(32):08x}\n")
+    return "".join(lines)
+
+
+class TestInvariantsAtScale:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """The churn scenario run twice, each to its last event."""
+        sc = parse_scenario(churn_scenario())
+        out = []
+        for _ in range(2):
+            engine, net = build_simulation(sc)
+            install_handler(engine, net, [])
+            while engine.pending_events():
+                engine.run_until(engine.last_event_time())
+            out.append((engine, net))
+        return out
+
+    def test_audits_stay_clean(self, runs):
+        engine, net = runs[0]
+        assert len(net.nodes) == 400 and len(net.link_history) > 1000
+        kinds = [line.split("\t")[2] for line in engine.log_lines()]
+        assert (kinds.count("move"), kinds.count("join")) == (20, 4) and "link_down" in kinds
+        assert net.keygen_events and net.consume_events
+        assert net.audit_tables() == []
+        assert net.audit_otp() == []
+
+    def test_link_records_agree_with_link_history(self, runs):
+        engine, net = runs[0]
+        last: dict[tuple[str, str], tuple[str, str, dict[str, str]]] = {}
+        for line in engine.log_lines():
+            time, _, kind, origin, details = line.split("\t")
+            fields = dict(f.split("=", 1) for f in details.split(" "))
+            if kind == "link_up":
+                last[(origin, fields["peer"])] = (kind, time, fields)
+            elif kind == "link_down":
+                last[tuple(fields["pair"].split("~"))] = (kind, time, fields)
+        assert last.keys() == net.link_history.keys()
+        for pair, link in net.link_history.items():
+            kind, time, fields = last[pair]
+            assert (kind == "link_down") == (link.state == "torn_down")
+            if kind == "link_up":
+                assert time == f"{link.acquired_at:.6f}"
+                assert fields["dist_km"] == fmt(link.distance_km)
+                assert fields["loss_db"] == fmt(link.loss_db)
+
+    def test_two_runs_write_the_same_lines(self, runs):
+        assert runs[0][0].log_lines() == runs[1][0].log_lines()
 
 
 class TestPrecharge:
