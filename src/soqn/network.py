@@ -29,7 +29,7 @@ from .qkd import MAX_PULSES, ProtocolParams, SessionRecord, run_bb84_session, ru
 
 NodeId = str
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+_ID_RE = re.compile(r"[A-Za-z0-9_.\-]+")  # matched with fullmatch
 
 ROLE_PEER = "peer"
 ROLE_SERVER = "server"
@@ -344,7 +344,7 @@ class Network:
     # -- node lifecycle ---------------------------------------------------
 
     def add_node(self, node_id: NodeId, role: str, position: GeoPosition) -> None:
-        if not _ID_RE.match(node_id):
+        if not _ID_RE.fullmatch(node_id):
             raise ValueError(f"node id must match [A-Za-z0-9_.-]+: {node_id!r}")
         if node_id in self.nodes:
             raise DuplicateNodeError(f"duplicate node id {node_id!r}")
@@ -480,9 +480,10 @@ class Network:
             raise ValueError("relay paths need at least one interior node")
         hops = [pair_key(a, b) for a, b in zip(path, path[1:])]
         for hop in hops:
-            buf = self._buffer(hop)
-            if buf.available < block_len:
-                raise KeyStarvationError(hop, block_len, buf.available)
+            buf = self.buffers.get(hop)  # a refusal leaves no empty buffer behind
+            available = 0 if buf is None else buf.available
+            if available < block_len:
+                raise KeyStarvationError(hop, block_len, available)
         blocks = [self._consume(hop, block_len, "relay_hop") for hop in hops]
         broadcasts: list[tuple[NodeId, np.ndarray]] = []
         for j in range(1, len(path) - 1):
@@ -559,15 +560,20 @@ class Network:
         link not torn down under both ends and nothing else, and that the
         cell index, which acquisition searches, holds every deployed node
         in the cell of its position and nothing else."""
-        links = self.links
         adj = self._adj
-        problems = [f"link {a}~{b} missing from the index of {end}"
-                    for (a, b), link in links.items()
-                    for end, other in ((a, b), (b, a))
-                    if adj.get(end, _NO_LINKS).get(other) is not link]
+        problems: list[str] = []
+        indexed = 0
+        for (a, b), link in self.link_history.items():
+            if link.state != "torn_down":
+                indexed += 1
+                if adj.get(a, _NO_LINKS).get(b) is not link:
+                    problems.append(f"link {a}~{b} missing from the index of {a}")
+                if adj.get(b, _NO_LINKS).get(a) is not link:
+                    problems.append(f"link {a}~{b} missing from the index of {b}")
         # The entries in their right place number 2 * links - missing, so any
         # more entries list a link the link set does not have.
-        if sum(map(len, adj.values())) != 2 * len(links) - len(problems):
+        if sum(map(len, adj.values())) != 2 * indexed - len(problems):
+            links = self.links
             problems += [f"index of {a} lists {b} with no link"
                          for a, nbrs in adj.items() for b, link in nbrs.items()
                          if links.get(pair_key(a, b)) is not link]

@@ -139,7 +139,7 @@ class _Line:
 
     def id_at(self, index: int, what: str) -> str:
         tok = self.token(index, what)
-        if not _ID_RE.match(tok):
+        if not _ID_RE.fullmatch(tok):
             raise self.error(index, f"{what} must match [A-Za-z0-9_.-]+, got {tok!r}")
         return tok
 

@@ -1,5 +1,6 @@
 import heapq
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -17,8 +18,11 @@ from soqn.network import (DuplicateNodeError, KeyBlock, KeyBuffer, KeyReuseError
                           decrypt, decrypt_relay, encrypt, pair_key, shortest_path)
 from soqn.qkd import ProtocolParams
 from soqn.rng import RandomStream
+from soqn.report import build_report, render_records
 from soqn.runner import build_simulation, install_handler
 from soqn.scenario import parse_scenario
+
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 KM_PER_DEG = 111.19492664455873
 
@@ -174,6 +178,13 @@ class TestOrganize:
         net.add_node("n", "peer", GeoPosition(0, 0, 0))
         with pytest.raises(DuplicateNodeError):
             net.add_node("n", "peer", GeoPosition(1, 1, 0))
+
+    @pytest.mark.parametrize("node_id", ["a\n", "a\nb", "\na", "a b", "", "a~b"])
+    def test_malformed_node_id_rejected(self, node_id):
+        net = Network("p2p", SimEngine(0))
+        with pytest.raises(ValueError, match="node id must match"):
+            net.add_node(node_id, "peer", GeoPosition(0, 0, 0))
+        assert net.nodes == {}
 
 
 class TestJoinMove:
@@ -520,6 +531,35 @@ class TestInvariantsAtScale:
     def test_two_runs_write_the_same_lines(self, runs):
         assert runs[0][0].log_lines() == runs[1][0].log_lines()
 
+    def test_report_totals_match_the_log(self, runs):
+        engine, net = runs[0]
+        report = build_report(net, engine, [])
+        assert report.violations == []
+        qkd = aborted = generated = consumed = 0
+        state: dict[str, str] = {}
+        for line in engine.log_lines():
+            _, _, kind, origin, details = line.split("\t")
+            if kind not in ("qkd", "keygen", "consume", "link_up", "link_down", "link_active"):
+                continue
+            fields = dict(f.split("=", 1) for f in details.split(" "))
+            if kind == "qkd":
+                qkd += 1
+                aborted += fields["outcome"] == "abort"
+            elif kind == "keygen":
+                generated += int(fields["bits"])
+            elif kind == "consume":
+                consumed += int(fields["bits"])
+            elif kind == "link_up":
+                state[f"{origin}~{fields['peer']}"] = fields["state"]
+            else:
+                state[fields["pair"]] = "torn_down" if kind == "link_down" else "active"
+        assert qkd and generated and consumed
+        assert "torn_down" in state.values() and len(state) == len(net.link_history)
+        summary = report.summary
+        assert (summary["sessions"], summary["sessions_aborted"]) == (qkd, aborted)
+        assert (summary["key_bits_generated"], summary["key_bits_consumed"]) == (generated, consumed)
+        assert summary["active_links"] == list(state.values()).count("active")
+
 
 class TestPrecharge:
     def test_every_active_pair_charged_after_each_topology_change(self):
@@ -855,6 +895,20 @@ class TestRelaySetup:
         assert err.value.hop == ("n1", "n2")
         # atomicity: nothing consumed anywhere
         assert net.buffers[("n0", "n1")].available == 8
+
+    def test_refusal_leaves_the_buffers_and_the_report_unchanged(self):
+        sc = parse_scenario((SCENARIOS / "p2p_relay.soqn").read_text())
+        engine, net = build_simulation(sc)
+        install_handler(engine, net, [])
+        engine.run_until(engine.last_event_time())
+        before = render_records(build_report(net, engine, []))
+        buffers = dict(net.buffers)
+        assert ("alice", "carol") not in net.link_history
+        with pytest.raises(KeyStarvationError) as err:
+            net.relay_key_setup(["alice", "carol", "bob"], 8)
+        assert err.value.hop == ("alice", "carol") and "has 0 key bits" in str(err.value)
+        assert net.buffers == buffers
+        assert render_records(build_report(net, engine, [])) == before
 
     def test_short_path_rejected(self):
         _, net = self._line_network(2)

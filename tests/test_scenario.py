@@ -1,5 +1,6 @@
 import functools
 import pathlib
+import re
 import tempfile
 
 import pytest
@@ -74,6 +75,20 @@ class TestDiagnostics:
 
     def test_unknown_directive(self):
         self.expect_error("mode p2p\nbogus x y\n", 2, "unknown directive")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="aZ09_.-~!/=:+\x00\u00e9", min_size=1, max_size=5))
+    def test_node_ids_accepted_as_by_the_anchored_match(self, node_id):
+        # Tokens hold no whitespace, so the parser accepts exactly what an
+        # anchored ``^[A-Za-z0-9_.-]+$`` match accepts. The one id where the
+        # two differ ends in a newline, which a token cannot.
+        try:
+            parse_scenario(f"mode p2p\nnode {node_id} peer 0 0 100\n")
+            accepted = True
+        except ScenarioError as err:
+            assert "must match" in err.message
+            accepted = False
+        assert accepted == bool(re.match(r"^[A-Za-z0-9_.\-]+$", node_id))
 
     def test_column_points_at_token(self):
         with pytest.raises(ScenarioError) as err:
