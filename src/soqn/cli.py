@@ -90,6 +90,8 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"soqn: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    if seed is not None:
+        sc = replace(sc, seed=seed)
 
     log.info("backend: %s", backend_name())
     runs = [(args.out, sc)]
@@ -104,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         # Reject the whole sweep before any run writes its directory.
         try:
             for _, run_sc in runs:
-                build_simulation(run_sc, seed)
+                build_simulation(run_sc)
         except ValueError as exc:
             print(f"soqn: invalid configuration: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
@@ -114,8 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             report, code = run_scenario(
                 run_sc, until=until, strict=args.strict,
-                snapshot_times=snapshots, seed_override=seed,
-                out_dir=out_dir)
+                snapshot_times=snapshots, out_dir=out_dir)
         except ValueError as exc:
             print(f"soqn: invalid configuration: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR

@@ -16,6 +16,7 @@ record per receiver, exactly.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -33,7 +34,7 @@ class UndeployedOriginError(ValueError):
 @dataclass(frozen=True)
 class ScenarioEvent:
     at: float
-    kind: str  # join | deploy | organize | move | qkd | send | eve | link_active | snapshot
+    kind: str  # deploy | organize | move | qkd | send | eve | link_active | snapshot
     args: tuple = ()  # as on the scenario line; (node,) for deploy, (link,) for link_active
 
     def __post_init__(self):
@@ -137,26 +138,24 @@ class SimEngine:
         heapq.heappush(self._queue, (ev.at, self._schedule_seq, ev))
         self._schedule_seq += 1
 
-    def run_until(self, t_end: float) -> dict:
+    def run_until(self, t_end: float | None = None) -> dict:
         """Process every queued event with at <= t_end, in (time, sequence)
-        order, then advance the clock to t_end."""
+        order, then advance the clock to t_end. With no t_end, process
+        events, those the handler schedules too, until the queue is empty;
+        the clock stays at the last event's time."""
         if self.handler is None:
             raise RuntimeError("no event handler installed")
+        limit = math.inf if t_end is None else t_end
         processed = 0
-        while self._queue and self._queue[0][0] <= t_end:
+        while self._queue and self._queue[0][0] <= limit:
             at, _, ev = heapq.heappop(self._queue)
             self.now = at
             self.handler(ev)
             processed += 1
-        self.now = max(self.now, t_end)
+        if t_end is not None:
+            self.now = max(self.now, t_end)
         self.events_processed += processed
         return {"events": processed}
-
-    def pending_events(self) -> int:
-        return len(self._queue)
-
-    def last_event_time(self) -> float:
-        return max((at for at, _, _ in self._queue), default=self.now)
 
     # -- broadcast bus -----------------------------------------------------
 

@@ -34,6 +34,8 @@ class GeoPosition:
         if not math.isfinite(self.longitude_deg):
             raise ValueError(f"longitude_deg not finite: {self.longitude_deg}")
         lon = ((self.longitude_deg + 180.0) % 360.0) - 180.0
+        if lon == 180.0:  # the modulo of a tiny negative sum rounds up to 360
+            lon = -180.0
         object.__setattr__(self, "longitude_deg", lon)
         if not math.isfinite(self.altitude_m) or self.altitude_m < -500.0:
             raise ValueError(f"altitude_m must be finite and >= -500: {self.altitude_m}")

@@ -71,6 +71,8 @@ class KeyStarvationError(NetworkError):
     def __init__(self, hop: tuple[NodeId, NodeId], needed: int, available: int):
         super().__init__(f"hop {hop[0]}~{hop[1]} has {available} key bits, needs {needed}")
         self.hop = hop
+        self.needed = needed
+        self.available = available
 
 
 class KeyReuseError(NetworkError):

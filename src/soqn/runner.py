@@ -10,7 +10,7 @@ from .geo import GeoPosition, LinkFeasibilityParams
 from .network import Network, NetworkError
 from .qkd import ProtocolParams
 from .report import Report, Snapshot, build_report, render_human, render_records
-from .scenario import PARAM_SPECS, Scenario, resolve_deploy_times
+from .scenario import PARAM_SPECS, Scenario
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
@@ -25,10 +25,10 @@ def _grouped_params(sc: Scenario) -> dict[str, dict]:
     return groups
 
 
-def build_simulation(sc: Scenario, seed_override: int | None = None) -> tuple[SimEngine, Network]:
+def build_simulation(sc: Scenario) -> tuple[SimEngine, Network]:
     """Construct the engine and network for a scenario and schedule its events."""
     groups = _grouped_params(sc)
-    engine = SimEngine(sc.seed if seed_override is None else seed_override)
+    engine = SimEngine(sc.seed)
     network = Network(
         sc.mode, engine,
         feasibility=LinkFeasibilityParams(**groups["feasibility"]),
@@ -38,14 +38,11 @@ def build_simulation(sc: Scenario, seed_override: int | None = None) -> tuple[Si
     )
     for n in sc.nodes:
         network.add_node(n.node_id, n.role, GeoPosition(n.lat, n.lon, n.alt))
-    deploys = resolve_deploy_times(sc)
-    for n in sc.nodes:
-        engine.schedule(ScenarioEvent(deploys[n.node_id], "deploy", (n.node_id,)))
+        engine.schedule(ScenarioEvent(n.deploy_at, "deploy", (n.node_id,)))
     if sc.nodes:
-        engine.schedule(ScenarioEvent(min(deploys.values()), "organize"))
+        engine.schedule(ScenarioEvent(min(n.deploy_at for n in sc.nodes), "organize"))
     for ev in sc.events:
-        if ev.kind != "join":  # joins became deploy events above
-            engine.schedule(ev)
+        engine.schedule(ev)
     return engine, network
 
 
@@ -83,7 +80,7 @@ def install_handler(engine: SimEngine, network: Network,
 
 
 def run_scenario(sc: Scenario, *, until: float | None = None, strict: bool = False,
-                 snapshot_times: tuple[float, ...] = (), seed_override: int | None = None,
+                 snapshot_times: tuple[float, ...] = (),
                  out_dir: str | None = None) -> tuple[Report, int]:
     """Run a scenario to completion (or ``until``) and report.
 
@@ -92,16 +89,12 @@ def run_scenario(sc: Scenario, *, until: float | None = None, strict: bool = Fal
     """
     if until is not None and not until >= 0:  # also rejects NaN
         raise ValueError("until must be >= 0")
-    engine, network = build_simulation(sc, seed_override)
+    engine, network = build_simulation(sc)
     snapshots: list[Snapshot] = []
     install_handler(engine, network, snapshots)
     for t in snapshot_times:
         engine.schedule(ScenarioEvent(t, "snapshot"))
-    if until is None:
-        while engine.pending_events():
-            engine.run_until(engine.last_event_time())
-    else:
-        engine.run_until(until)
+    engine.run_until(until)
     report = build_report(network, engine, snapshots)
     code = EXIT_OK
     if strict and any(not m.delivered or not m.plaintext_ok for m in report.messages):

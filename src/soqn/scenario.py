@@ -7,7 +7,7 @@ separated:
     seed <u64>
     param <name> <value>
     node <id> peer|server|client <lat_deg> <lon_deg> <alt_m> [deploy=<t_s>]
-    at <t_s> join <id>
+    at <t_s> join <id>                     (the same as deploy=<t_s> on its node)
     at <t_s> move <id> <lat> <lon> <alt>
     at <t_s> qkd <idA> <idB> pulses=<n>
     at <t_s> send <src> <dst> hex:<hexstring>
@@ -19,7 +19,7 @@ with a line/column diagnostic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bitops import bits_from_hex
 from .engine import ScenarioEvent
@@ -70,7 +70,11 @@ class NodeDecl:
     lat: float
     lon: float
     alt: float
-    deploy: float | None = None
+    deploy: float | None = None  # from deploy= or a join event; None deploys at 0
+
+    @property
+    def deploy_at(self) -> float:
+        return 0.0 if self.deploy is None else self.deploy
 
 
 @dataclass
@@ -188,6 +192,7 @@ def parse_scenario(text: str) -> Scenario:
     seed_seen = False
     node_lines: dict[str, int] = {}
     event_lines: list[int] = []
+    joins: list[tuple[int, float, str]] = []  # (line, time, node id)
 
     for number, raw in enumerate(text.splitlines(), start=1):
         line = _Line(number, raw)
@@ -242,8 +247,9 @@ def parse_scenario(text: str) -> Scenario:
             if kind == "join":
                 nid = line.id_at(3, "node id")
                 line.end(4)
-                ev = ScenarioEvent(at, "join", (nid,))
-            elif kind == "move":
+                joins.append((number, at, nid))
+                continue
+            if kind == "move":
                 nid = line.id_at(3, "node id")
                 lat = line.float_at(4, "latitude")
                 lon = line.float_at(5, "longitude")
@@ -295,13 +301,17 @@ def parse_scenario(text: str) -> Scenario:
         else:
             raise line.error(0, f"unknown directive {head!r}")
 
-    _validate(sc, node_lines, event_lines)
+    _validate(sc, node_lines, event_lines, joins)
     return sc
 
 
-def _validate(sc: Scenario, node_lines: dict[str, int], event_lines: list[int]) -> None:
-    if not sc.nodes and sc.events:
-        raise ScenarioError(event_lines[0], 1, "events declared but no nodes")
+def _validate(sc: Scenario, node_lines: dict[str, int], event_lines: list[int],
+              joins: list[tuple[int, float, str]]) -> None:
+    """Check the parsed scenario as a whole and write each join's time into
+    its node's ``deploy``: a join is a node deployed later."""
+    if not sc.nodes and (sc.events or joins):
+        raise ScenarioError(min(event_lines + [ln for ln, _, _ in joins]), 1,
+                            "events declared but no nodes")
     decls = {n.node_id: n for n in sc.nodes}
     for n in sc.nodes:
         if sc.mode == "p2p" and n.role != "peer":
@@ -311,52 +321,38 @@ def _validate(sc: Scenario, node_lines: dict[str, int], event_lines: list[int]) 
             raise ScenarioError(node_lines[n.node_id], 1,
                                 f"node {n.node_id!r} has role peer in a cs scenario")
 
-    join_times: dict[str, float] = {}
     for ev, ln in zip(sc.events, event_lines):
         for nid in _event_node_refs(ev):
             if nid not in decls:
                 raise ScenarioError(ln, 1, f"unknown node {nid!r}")
         if ev.kind in ("qkd", "send", "eve") and ev.args[0] == ev.args[1]:
             raise ScenarioError(ln, 1, "the two nodes must differ")
-        if ev.kind == "join":
-            nid = ev.args[0]
-            if nid in join_times:
-                raise ScenarioError(ln, 1, f"node {nid!r} joins twice")
-            if decls[nid].deploy is not None:
-                raise ScenarioError(ln, 1,
-                                    f"node {nid!r} has an explicit deploy time and a join event")
-            join_times[nid] = ev.at
 
-    deploys = resolve_deploy_times(sc)
+    joined: set[str] = set()
+    for ln, at, nid in joins:
+        if nid not in decls:
+            raise ScenarioError(ln, 1, f"unknown node {nid!r}")
+        if nid in joined:
+            raise ScenarioError(ln, 1, f"node {nid!r} joins twice")
+        if decls[nid].deploy is not None:
+            raise ScenarioError(ln, 1,
+                                f"node {nid!r} has an explicit deploy time and a join event")
+        joined.add(nid)
+        decls[nid] = replace(decls[nid], deploy=at)
+    sc.nodes = list(decls.values())
+
     for ev, ln in zip(sc.events, event_lines):
-        if ev.kind == "join":
-            continue
         for nid in _event_node_refs(ev):
-            if ev.at < deploys[nid]:
+            if ev.at < decls[nid].deploy_at:
                 raise ScenarioError(ln, 1,
                                     f"event at t={ev.at:g} references {nid!r} "
-                                    f"before its deploy time t={deploys[nid]:g}")
+                                    f"before its deploy time t={decls[nid].deploy_at:g}")
 
 
 def _event_node_refs(ev: ScenarioEvent):
-    if ev.kind in ("join", "move"):
+    if ev.kind == "move":
         return (ev.args[0],)
     return (ev.args[0], ev.args[1])
-
-
-def resolve_deploy_times(sc: Scenario) -> dict[str, float]:
-    """Deployment time per node: explicit deploy=, else its join event,
-    else 0."""
-    joins = {ev.args[0]: ev.at for ev in sc.events if ev.kind == "join"}
-    out: dict[str, float] = {}
-    for n in sc.nodes:
-        if n.deploy is not None:
-            out[n.node_id] = n.deploy
-        elif n.node_id in joins:
-            out[n.node_id] = joins[n.node_id]
-        else:
-            out[n.node_id] = 0.0
-    return out
 
 
 def _num(v: float) -> str:
@@ -381,9 +377,7 @@ def format_scenario(sc: Scenario) -> str:
             base += f" deploy={_num(n.deploy)}"
         lines.append(base)
     for ev in sc.events:
-        if ev.kind == "join":
-            lines.append(f"at {_num(ev.at)} join {ev.args[0]}")
-        elif ev.kind == "move":
+        if ev.kind == "move":
             nid, lat, lon, alt = ev.args
             lines.append(f"at {_num(ev.at)} move {nid} {_num(lat)} {_num(lon)} {_num(alt)}")
         elif ev.kind == "qkd":

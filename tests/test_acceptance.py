@@ -297,8 +297,7 @@ def test_07_otp_audit_over_random_scenario():
     engine, network = build_simulation(sc)
     install_handler(engine, network, [])
     t0 = time.perf_counter()
-    while engine.pending_events():
-        engine.run_until(engine.last_event_time())
+    engine.run_until()
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     assert network.audit_otp() == []

@@ -92,6 +92,15 @@ class TestCliRuns:
         assert main(["--scenario", scenario_file, "--out", out2, "--seed", "2"]) == 0
         assert read(os.path.join(out1, "events.log")) != read(os.path.join(out2, "events.log"))
 
+    def test_seed_flag_runs_as_the_scenario_seed(self, scenario_file, tmp_path):
+        seeded = tmp_path / "seeded.soqn"
+        seeded.write_text(GOOD.replace("seed 7\n", "seed 1\n"))
+        out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+        assert main(["--scenario", scenario_file, "--out", out1, "--seed", "1"]) == 0
+        assert main(["--scenario", str(seeded), "--out", out2]) == 0
+        for name in ("report.txt", "records.tsv", "events.log"):
+            assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
+
     def test_sweep_creates_subdirs(self, scenario_file, tmp_path):
         out = str(tmp_path / "out")
         assert main(["--scenario", scenario_file, "--out", out,

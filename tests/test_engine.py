@@ -90,6 +90,18 @@ class TestScheduling:
         engine.run_until(5.0)
         assert seen == ["first", "second"]
 
+    def test_run_without_end_drains_the_events_handlers_schedule(self):
+        # the link acquired at t=0 schedules its own activation for t=3
+        sc = parse_scenario("mode p2p\nparam acquire_delay_s 3.0\n"
+                            "node a peer 0 0 500\nnode b peer 0 0.05 500\n")
+        engine, network = build_simulation(sc)
+        install_handler(engine, network, [])
+        assert engine.run_until() == {"events": 4}  # two deploys, organize, link_active
+        t, _, kind = engine.log_lines()[-1].split("\t")[:3]
+        assert (t, kind) == ("3.000000", "link_active")
+        assert engine.now == 3.0 and network.active_pairs() == {("a", "b")}
+        assert engine.run_until() == {"events": 0} and engine.now == 3.0
+
 
 class TestBroadcast:
     # ``engine.log`` is the parsed output of ``expand_log(engine.log_lines())``,
@@ -208,8 +220,7 @@ class TestLog:
         sc = parse_scenario((SCENARIOS / "p2p_relay.soqn").read_text())
         engine, network = build_simulation(sc)
         install_handler(engine, network, [])
-        while engine.pending_events():
-            engine.run_until(engine.last_event_time())
+        engine.run_until()
         assert any(r.kind == "bcast_rx" for r in engine.log)
         assert [r.to_line() for r in engine.log] == expand_log(engine.log_lines())
         assert not any("\tbcast_rx\t" in line for line in engine.log_lines())

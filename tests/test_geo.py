@@ -37,6 +37,8 @@ class TestGeoPosition:
         assert GeoPosition(0.0, 180.0, 0.0).longitude_deg == -180.0
         assert GeoPosition(0.0, 270.0, 0.0).longitude_deg == -90.0
         assert GeoPosition(0.0, -180.0, 0.0).longitude_deg == -180.0
+        # the sum with 180 is a tiny negative, whose modulo rounds up to 360
+        assert GeoPosition(0.0, -180.00000000000003, 0.0).longitude_deg == -180.0
 
     @pytest.mark.parametrize("lat,lon,alt", [
         (91.0, 0.0, 0.0), (-90.5, 0.0, 0.0),

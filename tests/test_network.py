@@ -495,8 +495,7 @@ class TestInvariantsAtScale:
         for _ in range(2):
             engine, net = build_simulation(sc)
             install_handler(engine, net, [])
-            while engine.pending_events():
-                engine.run_until(engine.last_event_time())
+            engine.run_until()
             out.append((engine, net))
         return out
 
@@ -744,6 +743,13 @@ class TestKeyBuffer:
             buf.consume(5)
         assert err.value.hop == ("a", "b")
 
+    def test_starvation_carries_the_bit_counts(self):
+        buf = KeyBuffer(("a", "b"))
+        buf.append(np.ones(3, dtype=np.uint8))
+        with pytest.raises(KeyStarvationError) as err:
+            buf.consume(5)
+        assert (err.value.needed, err.value.available) == (5, 3)
+
     def test_consume_spans_chunks(self):
         buf = KeyBuffer(("a", "b"))
         assert buf.append(np.array([1, 0, 1], dtype=np.uint8)) == 0
@@ -892,7 +898,7 @@ class TestRelaySetup:
         preload_key(net, "n0", "n1", np.ones(8, dtype=np.uint8))
         with pytest.raises(KeyStarvationError) as err:
             net.relay_key_setup(["n0", "n1", "n2"], 8)
-        assert err.value.hop == ("n1", "n2")
+        assert (err.value.hop, err.value.needed, err.value.available) == (("n1", "n2"), 8, 0)
         # atomicity: nothing consumed anywhere
         assert net.buffers[("n0", "n1")].available == 8
 
@@ -900,7 +906,7 @@ class TestRelaySetup:
         sc = parse_scenario((SCENARIOS / "p2p_relay.soqn").read_text())
         engine, net = build_simulation(sc)
         install_handler(engine, net, [])
-        engine.run_until(engine.last_event_time())
+        engine.run_until()
         before = render_records(build_report(net, engine, []))
         buffers = dict(net.buffers)
         assert ("alice", "carol") not in net.link_history

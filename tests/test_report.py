@@ -97,8 +97,7 @@ def hand_built_report():
 def churn_report():
     engine, net = build_simulation(parse_scenario(churn_scenario()))
     install_handler(engine, net, [])
-    while engine.pending_events():
-        engine.run_until(engine.last_event_time())
+    engine.run_until()
     return build_report(net, engine, [])
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from soqn.engine import ScenarioEvent
 from soqn.runner import run_scenario
 from soqn.scenario import (PARAM_SPECS, NodeDecl, Scenario, ScenarioError,
-                           format_scenario, parse_scenario, resolve_deploy_times)
+                           format_scenario, parse_scenario)
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -54,16 +54,24 @@ at 8.0 eve n1 n2 intercept_resend off
         assert sc.seed == 12345
         assert sc.params == {"max_range_km": 100.0, "min_sift_len": 200, "require_los": False}
         assert sc.nodes[2].deploy == 2.5
+        assert sc.nodes[3].deploy == 3.0  # the join
         kinds = [e.kind for e in sc.events]
-        assert kinds == ["join", "move", "qkd", "send", "eve", "eve"]
-        assert sc.events[2].args == ("n1", "n2", 4096)
-        assert sc.events[3].args == ("n1", "n2", "deadbeef")
-        assert sc.events[4].args == ("n1", "n2", True)
+        assert kinds == ["move", "qkd", "send", "eve", "eve"]
+        assert sc.events[1].args == ("n1", "n2", 4096)
+        assert sc.events[2].args == ("n1", "n2", "deadbeef")
+        assert sc.events[3].args == ("n1", "n2", True)
 
     def test_deploy_resolution(self):
         text = MINIMAL + "node n3 peer 0 0.1 100 deploy=5\nnode n4 peer 0 0.15 100\nat 7 join n4\n"
         sc = parse_scenario(text)
-        assert resolve_deploy_times(sc) == {"n1": 0.0, "n2": 0.0, "n3": 5.0, "n4": 7.0}
+        assert [n.deploy for n in sc.nodes] == [None, None, 5.0, 7.0]
+        assert [n.deploy_at for n in sc.nodes] == [0.0, 0.0, 5.0, 7.0]
+        assert sc.events == []
+        assert "join" not in format_scenario(sc) and "deploy=7.0" in format_scenario(sc)
+
+    def test_join_may_precede_its_node_line(self):
+        sc = parse_scenario("mode p2p\nat 4 join n2\nnode n1 peer 0 0 0\nnode n2 peer 0 0.01 0\n")
+        assert [n.deploy for n in sc.nodes] == [None, 4.0]
 
 
 class TestDiagnostics:
@@ -165,6 +173,13 @@ class TestDiagnostics:
     def test_join_with_explicit_deploy_conflicts(self):
         text = "mode p2p\nnode n1 peer 0 0 0 deploy=1\nnode n2 peer 0 0.01 0\nat 2 join n1\n"
         self.expect_error(text, 4, "deploy time and a join event")
+
+    @pytest.mark.parametrize("text,line,fragment", [
+        (MINIMAL + "at 1 join nx\n", 4, "unknown node 'nx'"),
+        ("mode p2p\nat 1 join n1\nat 0 move n1 0 0 0\n", 2, "events declared but no nodes"),
+    ], ids=["unknown_node", "no_nodes"])
+    def test_join_diagnostics(self, text, line, fragment):
+        self.expect_error(text, line, fragment)
 
     def test_double_join(self):
         text = MINIMAL + "at 1 join n2\nat 2 join n2\n"
@@ -324,6 +339,18 @@ def run_artifacts(text, name=None, value=None):
     with tempfile.TemporaryDirectory() as out:
         run_scenario(sc, out_dir=out)
         return {a: pathlib.Path(out, a).read_bytes() for a in ARTIFACTS}
+
+
+def test_join_runs_as_a_deploy_time():
+    deploy = (SCENARIOS / "cs_backbone.soqn").read_text()
+    join = deploy.replace(" deploy=2.0\n", "\n") + "at 2.0 join c3\n"
+    assert join != deploy
+    written = []
+    for text in (join, deploy):
+        with tempfile.TemporaryDirectory() as out:
+            run_scenario(parse_scenario(text), out_dir=out)
+            written.append({a: pathlib.Path(out, a).read_bytes() for a in ARTIFACTS})
+    assert written[0] == written[1]
 
 
 def test_param_changes_cover_param_specs():
