@@ -232,6 +232,16 @@ def decrypt_relay(ciphertext, receiver_key, ticket: RelayTicket) -> np.ndarray:
 _NO_LINKS: Mapping[NodeId, OpticalLink] = MappingProxyType({})
 
 
+def _path_to(reached: dict[NodeId, tuple[float, NodeId | None]], node: NodeId) -> list[NodeId]:
+    """The path ``shortest_path`` holds to a reached node, rebuilt from parents."""
+    path = []
+    while node is not None:
+        path.append(node)
+        node = reached[node][1]
+    path.reverse()
+    return path
+
+
 def shortest_path(adj: dict[NodeId, dict[NodeId, OpticalLink]], src: NodeId, dst: NodeId,
                   can_relay) -> list[NodeId]:
     """Deterministic min-hop path over the active links of a link index:
@@ -242,30 +252,49 @@ def shortest_path(adj: dict[NodeId, dict[NodeId, OpticalLink]], src: NodeId, dst
     lexicographic node-id sequence. ``can_relay(node)`` gates which nodes
     may appear in the interior. Raises NoRouteError when dst is unreachable.
 
-    The search expands one hop level at a time: a node first reached at
-    level h keeps the least (km, path) over its level h-1 neighbours that
-    may relay, and the search stops at the level that reaches dst.
+    The search expands one hop level at a time and holds one (km, parent)
+    per reached node: a node first reached at level h keeps the least
+    (km, path) over its level h-1 neighbours that may relay, km summed left
+    to right along the path. The candidates of one level have paths of
+    equal length, so on an exact km tie the parents' paths, rebuilt from
+    the parents, decide. Before it expands a level, the search checks
+    whether one of the level's nodes that may relay (or src) has an active
+    link to dst. If one does, dst lies on the next level and is reached
+    only through such nodes, so the search returns the least route through
+    them without building that level.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
-    best: dict[NodeId, tuple[float, tuple[NodeId, ...]]] = {src: (0.0, (src,))}
-    frontier = [src]
+    reached: dict[NodeId, tuple[float, NodeId | None]] = {src: (0.0, None)}
+    into_dst = adj.get(dst, _NO_LINKS)
+    linked_to_dst = into_dst.keys()
+    frontier = [src]  # then each level's nodes that may relay
     while frontier:
-        level: dict[NodeId, tuple[float, tuple[NodeId, ...]]] = {}
-        for node in frontier:
-            if node != src and not can_relay(node):
-                continue
-            dist, path = best[node]
-            for nbr, link in adj.get(node, _NO_LINKS).items():
-                if nbr in best or link.state != "active":
+        if not linked_to_dst.isdisjoint(frontier):
+            last = None
+            for node in frontier:
+                link = into_dst.get(node)
+                if link is None or link.state != "active":
                     continue
-                cand = (dist + link.distance_km, path + (nbr,))
-                if nbr not in level or cand < level[nbr]:
-                    level[nbr] = cand
-        if dst in level:
-            return list(level[dst][1])
-        best.update(level)
-        frontier = list(level)
+                km = reached[node][0] + link.distance_km
+                if (last is None or km < last[0] or (
+                        km == last[0] and _path_to(reached, node) < _path_to(reached, last[1]))):
+                    last = (km, node)
+            if last is not None:
+                return _path_to(reached, last[1]) + [dst]
+        level: dict[NodeId, tuple[float, NodeId]] = {}
+        for node in frontier:
+            dist = reached[node][0]
+            for nbr, link in adj.get(node, _NO_LINKS).items():
+                if nbr in reached or link.state != "active":
+                    continue
+                km = dist + link.distance_km
+                held = level.get(nbr)
+                if (held is None or km < held[0] or (
+                        km == held[0] and _path_to(reached, node) < _path_to(reached, held[1]))):
+                    level[nbr] = (km, node)
+        reached.update(level)
+        frontier = list(filter(can_relay, level))
     raise NoRouteError(f"no route from {src} to {dst}")
 
 

@@ -1,7 +1,9 @@
 """Load a parsed scenario into the engine, run it, and build the report."""
 from __future__ import annotations
 
+import logging
 import os
+import time
 
 from .bitops import bits_from_hex
 from .channel import ChannelParams
@@ -16,6 +18,8 @@ EXIT_OK = 0
 EXIT_PARSE_ERROR = 2
 EXIT_DELIVERY_FAILED = 3
 EXIT_INVARIANT_VIOLATION = 4
+
+log = logging.getLogger(__name__)
 
 
 def _grouped_params(sc: Scenario) -> dict[str, dict]:
@@ -85,24 +89,32 @@ def run_scenario(sc: Scenario, *, until: float | None = None, strict: bool = Fal
     """Run a scenario to completion (or ``until``) and report.
 
     Exit code: 0 clean, 3 when --strict and a delivery failed, 4 on an
-    internal invariant violation.
+    internal invariant violation. Logs one info line: the events processed
+    and the wall ms of build, event loop, report and write.
     """
     if until is not None and not until >= 0:  # also rejects NaN
         raise ValueError("until must be >= 0")
+    t0 = time.perf_counter()
     engine, network = build_simulation(sc)
     snapshots: list[Snapshot] = []
     install_handler(engine, network, snapshots)
     for t in snapshot_times:
         engine.schedule(ScenarioEvent(t, "snapshot"))
+    t1 = time.perf_counter()
     engine.run_until(until)
+    t2 = time.perf_counter()
     report = build_report(network, engine, snapshots)
     code = EXIT_OK
     if strict and any(not m.delivered or not m.plaintext_ok for m in report.messages):
         code = EXIT_DELIVERY_FAILED
     if report.violations:
         code = EXIT_INVARIANT_VIOLATION
+    t3 = time.perf_counter()
     if out_dir is not None:
         write_outputs(report, engine, out_dir)
+    log.info("run: %d events; wall ms: build %.3f, event loop %.3f, report %.3f, write %.3f",
+             engine.events_processed, 1e3 * (t1 - t0), 1e3 * (t2 - t1), 1e3 * (t3 - t2),
+             1e3 * (time.perf_counter() - t3))
     return report, code
 
 

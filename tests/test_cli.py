@@ -1,5 +1,7 @@
+import logging
 import os
 import pathlib
+import re
 
 import pytest
 
@@ -71,6 +73,24 @@ class TestCliRuns:
         assert main(["--scenario", scenario_file, "--out", out2]) == 0
         for name in ("report.txt", "records.tsv", "events.log"):
             assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
+
+    def test_info_log_says_where_the_time_went(self, scenario_file, tmp_path, caplog):
+        # SOQN_LOG=info: one line per run; the default warning level: none.
+        runs = {}
+        for level in (logging.INFO, logging.WARNING):
+            caplog.clear()
+            caplog.set_level(level, logger="soqn")
+            out = str(tmp_path / logging.getLevelName(level))
+            assert main(["--scenario", scenario_file, "--out", out]) == 0
+            runs[level] = [r.getMessage() for r in caplog.records if r.name == "soqn.runner"]
+            runs[level, "artifacts"] = [read(os.path.join(out, name))
+                                        for name in ("report.txt", "records.tsv", "events.log")]
+        ms = r"\d+\.\d{3}"
+        assert len(runs[logging.INFO]) == 1
+        assert re.fullmatch(f"run: 7 events; wall ms: build {ms}, event loop {ms}, "
+                            f"report {ms}, write {ms}", runs[logging.INFO][0])
+        assert runs[logging.WARNING] == []
+        assert runs[logging.INFO, "artifacts"] == runs[logging.WARNING, "artifacts"]
 
     def test_snapshot_flag(self, scenario_file, tmp_path):
         out = str(tmp_path / "out")

@@ -486,6 +486,130 @@ def churn_scenario(seed=3, side=20, span_deg=12.5):
     return "".join(lines)
 
 
+def cs_churn_scenario(seed=5, span_deg=3.6):
+    """16 servers at 3000 m on a 4 x 4 grid and 100 clients on a jittered
+    10 x 10 grid over ``span_deg`` degrees (neighbouring servers lie within
+    range of each other). One server and 6 clients deploy late; 26 clients
+    move, 5 of them out of every server's range, and 2 servers move inside
+    the grid; 12 sends go between clients that stay put. Links take 0.5 s
+    to acquire."""
+    rng = random.Random(seed)
+    servers = [f"s{i:02d}" for i in range(16)]
+    clients = [f"c{i:03d}" for i in range(100)]
+    late = {rng.choice(servers), *rng.sample(clients, 6)}
+    movers = rng.sample([c for c in clients if c not in late], 26)
+    stay = [c for c in clients if c not in late and c not in movers]
+    lines = [f"mode cs\nseed {seed}\nparam acquire_delay_s 0.5\n"
+             "param atm_loss_db_per_km 0.05\nparam fixed_system_loss_db 0\n"
+             "param min_sift_len 256\nparam pulses_per_session 8192\n"]
+
+    def node(nid, role, lat, lon, alt):
+        deploy = f" deploy={rng.uniform(5.0, 50.0):.3f}" if nid in late else ""
+        lines.append(f"node {nid} {role} {lat:.5f} {lon:.5f} {alt:.1f}{deploy}\n")
+
+    cell = span_deg / 4
+    for i, nid in enumerate(servers):
+        node(nid, "server", (i // 4 + 0.35 + 0.3 * rng.random()) * cell - span_deg / 2,
+             (i % 4 + 0.35 + 0.3 * rng.random()) * cell, 3000.0)
+    cell = span_deg / 10
+    for i, nid in enumerate(clients):
+        node(nid, "client", (i // 10 + rng.random()) * cell - span_deg / 2,
+             (i % 10 + rng.random()) * cell, rng.uniform(50.0, 300.0))
+    moves = [*movers, *rng.sample([s for s in servers if s not in late], 2)]
+    for i, nid in enumerate(moves):
+        lat = rng.uniform(-span_deg / 2, span_deg / 2)
+        if i < 5:
+            lat += span_deg + 2.0  # far north of the grid
+        lines.append(f"at {2.0 + 2.0 * i:.3f} move {nid} {lat:.5f} "
+                     f"{rng.uniform(0.0, span_deg):.5f} {rng.uniform(50.0, 3000.0):.1f}\n")
+    for i in range(12):
+        a, b = rng.sample(stay, 2)
+        lines.append(f"at {3.5 + 4.5 * i:.3f} send {a} {b} hex:{rng.getrandbits(32):08x}\n")
+    return "".join(lines)
+
+
+def relays_of(net):
+    """The ``can_relay`` that ``Network.find_path`` uses."""
+    return (lambda n: net.nodes[n].role == "server") if net.mode == "cs" else (lambda n: True)
+
+
+def routes_match_the_reference(text, checkpoints, pairs_each, seed=1):
+    """Run a scenario, stopping at each of ``checkpoints`` (None: its last
+    event), and compare ``find_path`` with the reference search there on
+    ``pairs_each`` seeded ordered pairs of deployed nodes, each node with no
+    active link paired with a random node both ways among them. Returns
+    the number of pairs compared and how many had no route."""
+    engine, net = build_simulation(parse_scenario(text))
+    install_handler(engine, net, [])
+    rng = random.Random(seed)
+    compared = unreachable = 0
+    for at in checkpoints:
+        engine.run_until(at)
+        links = {p: link.distance_km for p, link in net.link_history.items()
+                 if link.state == "active"}
+        deployed = [n for n in net.nodes if engine.is_deployed(n)]
+        cut_off = [n for n in deployed
+                   if all(link.state != "active" for link in net._adj.get(n, {}).values())]
+        pairs = [pair for n in cut_off for other in [rng.choice(deployed)] if other != n
+                 for pair in ((n, other), (other, n))]
+        pairs += [tuple(rng.sample(deployed, 2)) for _ in range(pairs_each - len(pairs))]
+        for src, dst in pairs:
+            route = route_or_none(lambda: net.find_path(src, dst))
+            assert route == route_or_none(lambda: _shortest_path_reference(
+                links, src, dst, relays_of(net))), (at, src, dst)
+            unreachable += route is None
+        compared += len(pairs)
+    return compared, unreachable
+
+
+class IteratedRow(dict):
+    """A row of a link index that adds ``owner`` to ``seen`` when it is
+    iterated or its keys, values or items are taken."""
+
+    def __init__(self, owner, seen, row):
+        super().__init__(row)
+        self.owner, self.seen = owner, seen
+
+    def __iter__(self):
+        self.seen.add(self.owner)
+        return super().__iter__()
+
+    def keys(self):
+        self.seen.add(self.owner)
+        return super().keys()
+
+    def values(self):
+        self.seen.add(self.owner)
+        return super().values()
+
+    def items(self):
+        self.seen.add(self.owner)
+        return super().items()
+
+
+def assert_search_stops_before_dst_level(adj, src, dst, can_relay):
+    """Route src to dst over ``adj`` and check that the search iterated no
+    row of a node H - 1 or more levels from src, dst's own excepted, where
+    H is the route's hop count and a node's level is its hop distance over
+    active links with only src and relays expanded. Returns the route."""
+    seen: set = set()
+    route = shortest_path({n: IteratedRow(n, seen, row) for n, row in adj.items()},
+                          src, dst, can_relay)
+    level = {src: 0}
+    frontier = [src]
+    while frontier:
+        reached = [nbr for node in frontier if node == src or can_relay(node)
+                   for nbr, link in adj.get(node, {}).items()
+                   if link.state == "active" and nbr not in level]
+        for nbr in reached:
+            level[nbr] = level[frontier[0]] + 1
+        frontier = list(dict.fromkeys(reached))
+    hops = len(route) - 1
+    assert level[dst] == hops
+    assert sorted(n for n in seen - {dst} if n not in level or level[n] >= hops - 1) == []
+    return route
+
+
 class TestInvariantsAtScale:
     @pytest.fixture(scope="class")
     def runs(self):
@@ -530,6 +654,22 @@ class TestInvariantsAtScale:
     def test_two_runs_write_the_same_lines(self, runs):
         assert runs[0][0].log_lines() == runs[1][0].log_lines()
 
+    def test_routes_match_the_reference(self):
+        # Each stop falls 0.25 s after a move, inside its links' acquisition.
+        compared, unreachable = routes_match_the_reference(
+            churn_scenario(), (2.25, 17.25, 35.25, 47.25, None), 64)
+        assert compared >= 300 and unreachable > 0
+
+    def test_search_stops_before_the_level_of_dst(self, runs):
+        engine, net = runs[0]
+        rng = random.Random(2)
+        deployed = [n for n in net.nodes if engine.is_deployed(n)]
+        hops = [len(assert_search_stops_before_dst_level(
+                    net._adj, *rng.sample(deployed, 2), relays_of(net))) - 1
+                for _ in range(40)]
+        assert max(hops) >= 8
+
+
     def test_report_totals_match_the_log(self, runs):
         engine, net = runs[0]
         report = build_report(net, engine, [])
@@ -558,6 +698,46 @@ class TestInvariantsAtScale:
         assert (summary["sessions"], summary["sessions_aborted"]) == (qkd, aborted)
         assert (summary["key_bits_generated"], summary["key_bits_consumed"]) == (generated, consumed)
         assert summary["active_links"] == list(state.values()).count("active")
+
+
+class TestCsInvariantsAtScale:
+    @pytest.fixture(scope="class")
+    def run(self):
+        """The cs churn scenario run to its last event."""
+        engine, net = build_simulation(parse_scenario(cs_churn_scenario()))
+        install_handler(engine, net, [])
+        engine.run_until()
+        return engine, net
+
+    def test_audits_stay_clean(self, run):
+        engine, net = run
+        roles = [node.role for node in net.nodes.values()]
+        assert (roles.count("server"), roles.count("client")) == (16, 100)
+        kinds = [line.split("\t")[2] for line in engine.log_lines()]
+        assert (kinds.count("move"), kinds.count("join")) == (28, 7) and "link_down" in kinds
+        delivered = [r for r in net.deliveries if r.delivered]
+        assert any(len(r.path) > 3 for r in delivered)
+        assert net.audit_roles() == []
+        assert net.audit_tables() == []
+        assert net.audit_otp() == []
+
+    def test_routes_match_the_reference(self):
+        # Servers alone relay; each stop falls 0.25 s after a move.
+        compared, unreachable = routes_match_the_reference(
+            cs_churn_scenario(), (2.25, 12.25, 30.25, 50.25, None), 64)
+        assert compared >= 300 and unreachable > 0
+
+    def test_search_stops_before_the_level_of_dst(self, run):
+        engine, net = run
+        rng = random.Random(3)
+        clients = [n for n in net.nodes if engine.is_deployed(n) and net.nodes[n].role == "client"]
+        routes = []
+        while len(routes) < 20:
+            src, dst = rng.sample(clients, 2)
+            if route_or_none(lambda: net.find_path(src, dst)):
+                routes.append(assert_search_stops_before_dst_level(
+                    net._adj, src, dst, relays_of(net)))
+        assert max(map(len, routes)) >= 5
 
 
 class TestPrecharge:
@@ -646,6 +826,50 @@ class TestFindPath:
         links = {("a", "b"): 100.0, ("a", "r"): 1.0, ("b", "r"): 1.0}
         assert _shortest_path_reference(links, "a", "b", lambda n: True) == ["a", "b"]
         assert shortest_path(link_index(links), "a", "b", lambda n: True) == ["a", "b"]
+
+    @pytest.mark.parametrize("tail", [(), ("m",)])
+    def test_km_tie_goes_to_the_smaller_sequence(self, tail):
+        # s-a-z and s-b-y both cover 2 km, and the routes on to d as much;
+        # the sequences first differ at a < b, so the route through a wins
+        # although its last relay z sorts after y. With ("m",) the tie falls
+        # on m, a level before d's.
+        links = {("a", "s"): 1.5, ("a", "z"): 0.5, ("b", "s"): 0.5, ("b", "y"): 1.5}
+        for last in ("y", "z"):
+            links[pair_key(last, tail[0] if tail else "d")] = 1.0
+        if tail:
+            links[("d", "m")] = 1.0
+        expected = ["s", "a", "z", *tail, "d"]
+        assert _shortest_path_reference(links, "s", "d", lambda n: True) == expected
+        assert shortest_path(link_index(links), "s", "d", lambda n: True) == expected
+        # From d the sequences first differ at y < z.
+        assert shortest_path(link_index(links), "d", "s", lambda n: True) == [
+            "d", *tail, "y", "b", "s"]
+
+    def test_near_km_ties_follow_the_left_to_right_sum(self):
+        # 0.1 + 0.2 exceeds 0.3 in floats, and 0.15 + 0.15 equals it, so z
+        # wins over a; 0.2 + 0.1 ties 0.1 + 0.2 exactly, so a wins over b.
+        links = {("a", "s"): 0.1, ("a", "d"): 0.2, ("s", "z"): 0.15, ("d", "z"): 0.15}
+        assert 0.1 + 0.2 > 0.3 == 0.15 + 0.15
+        assert shortest_path(link_index(links), "s", "d", lambda n: True) == ["s", "z", "d"]
+        del links[("s", "z")]
+        links[("b", "s")], links[("b", "d")] = 0.2, 0.1
+        assert 0.2 + 0.1 == 0.1 + 0.2
+        assert shortest_path(link_index(links), "s", "d", lambda n: True) == ["s", "a", "d"]
+        # The same sums one level before d: (0.1 + 0.2) + 0.3 exceeds
+        # (0.3 + 0.2) + 0.1, so the route through x wins.
+        links = {("a", "s"): 0.1, ("a", "b"): 0.2, ("b", "d"): 0.3,
+                 ("s", "x"): 0.3, ("x", "y"): 0.2, ("d", "y"): 0.1}
+        assert (0.1 + 0.2) + 0.3 > (0.3 + 0.2) + 0.1
+        for src, dst, expected in (("s", "d", ["s", "x", "y", "d"]),
+                                   ("d", "s", ["d", "b", "a", "s"])):
+            assert _shortest_path_reference(links, src, dst, lambda n: True) == expected
+            assert shortest_path(link_index(links), src, dst, lambda n: True) == expected
+
+    def test_dst_with_only_acquiring_links_has_no_route(self):
+        adj = link_index({("a", "b"): 1.0, ("b", "c"): 1.0}, inactive={("c", "d"), ("a", "d")})
+        for src, dst in (("a", "d"), ("d", "a")):
+            with pytest.raises(NoRouteError, match=f"no route from {src} to {dst}"):
+                shortest_path(adj, src, dst, lambda n: True)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
