@@ -19,10 +19,13 @@ log = logging.getLogger("soqn")
 
 
 def _configure_logging() -> None:
-    level = os.environ.get("SOQN_LOG", "warning").strip().lower()
+    level = os.environ.get("SOQN_LOG")
     numeric = {"debug": logging.DEBUG, "info": logging.INFO,
-               "warning": logging.WARNING}.get(level, logging.WARNING)
+               "warning": logging.WARNING}.get((level or "").strip().lower(), logging.WARNING)
     logging.basicConfig(level=numeric, format="%(levelname)s %(name)s: %(message)s")
+    if level is not None:
+        # basicConfig does nothing once the root logger has a handler
+        log.setLevel(numeric)
 
 
 def _build_parser() -> argparse.ArgumentParser:

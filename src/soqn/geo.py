@@ -1,4 +1,5 @@
-"""Geodesy and optical-link feasibility on a spherical Earth.
+"""Geodesy and optical-link feasibility on a spherical Earth of radius
+R = ``EARTH_RADIUS_KM``.
 
 Distances combine a great-circle surface leg (haversine) with the altitude
 difference; line of sight is an Earth-curvature horizon test. Terrain and
@@ -53,14 +54,11 @@ class LinkFeasibilityParams:
     """Envelope for deciding whether an optical link can be acquired."""
 
     max_range_km: float = 144.0
-    earth_radius_km: float = EARTH_RADIUS_KM
     require_los: bool = True
 
     def __post_init__(self):
         if not math.isfinite(self.max_range_km) or self.max_range_km <= 0.0:
             raise ValueError(f"max_range_km must be positive and finite: {self.max_range_km}")
-        if not math.isfinite(self.earth_radius_km) or self.earth_radius_km <= 0.0:
-            raise ValueError(f"earth_radius_km must be positive and finite: {self.earth_radius_km}")
 
 
 def _central_angle_rad(a: GeoPosition, b: GeoPosition) -> float:
@@ -72,41 +70,40 @@ def _central_angle_rad(a: GeoPosition, b: GeoPosition) -> float:
     return 2.0 * math.asin(min(1.0, math.sqrt(s)))
 
 
-def _distance_km(a: GeoPosition, b: GeoPosition, angle: float, earth_radius_km: float) -> float:
+def _distance_km(a: GeoPosition, b: GeoPosition, angle: float) -> float:
     mean_alt_km = (a.altitude_m + b.altitude_m) / 2000.0
-    surface = (earth_radius_km + mean_alt_km) * angle
+    surface = (EARTH_RADIUS_KM + mean_alt_km) * angle
     dalt_km = abs(b.altitude_m - a.altitude_m) / 1000.0
     return math.hypot(surface, dalt_km)
 
 
-def geodesic_distance(a: GeoPosition, b: GeoPosition, earth_radius_km: float = EARTH_RADIUS_KM) -> float:
+def geodesic_distance(a: GeoPosition, b: GeoPosition) -> float:
     """Distance in km between two node positions.
 
-    Great-circle distance on a sphere of radius ``earth_radius_km`` plus the
+    Great-circle distance on a sphere of radius ``EARTH_RADIUS_KM`` plus the
     mean altitude, composed with the altitude difference as
     sqrt(surface**2 + dalt**2). Symmetric; exactly zero for identical inputs.
     """
-    return _distance_km(a, b, _central_angle_rad(a, b), earth_radius_km)
+    return _distance_km(a, b, _central_angle_rad(a, b))
 
 
-def _horizon_km(altitude_m: float, earth_radius_km: float) -> float:
+def _horizon_km(altitude_m: float) -> float:
     h_km = max(altitude_m, MIN_EYE_HEIGHT_M) / 1000.0
-    return math.sqrt(2.0 * earth_radius_km * h_km)
+    return math.sqrt(2.0 * EARTH_RADIUS_KM * h_km)
 
 
-def _in_sight(a: GeoPosition, b: GeoPosition, angle: float, earth_radius_km: float) -> bool:
-    r = earth_radius_km
-    return r * angle <= _horizon_km(a.altitude_m, r) + _horizon_km(b.altitude_m, r)
+def _in_sight(a: GeoPosition, b: GeoPosition, angle: float) -> bool:
+    return EARTH_RADIUS_KM * angle <= _horizon_km(a.altitude_m) + _horizon_km(b.altitude_m)
 
 
-def line_of_sight(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams) -> bool:
+def line_of_sight(a: GeoPosition, b: GeoPosition) -> bool:
     """True iff the segment between the two elevated points clears the Earth.
 
     Uses the standard horizon approximation: each endpoint sees out to
     sqrt(2*R*h); the pair has line of sight when the surface separation does
     not exceed the sum of the two horizon distances.
     """
-    return _in_sight(a, b, _central_angle_rad(a, b), params.earth_radius_km)
+    return _in_sight(a, b, _central_angle_rad(a, b))
 
 
 def surely_out_of_range(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams) -> bool:
@@ -119,7 +116,7 @@ def surely_out_of_range(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityP
     returns True for is always beyond ``max_range_km``.
     """
     chord = math.dist(a.unit_vector, b.unit_vector) - 1e-12
-    scale = params.earth_radius_km + (a.altitude_m + b.altitude_m) / 2000.0
+    scale = EARTH_RADIUS_KM + (a.altitude_m + b.altitude_m) / 2000.0
     return scale * chord * (1.0 - 1e-9) > params.max_range_km
 
 
@@ -128,20 +125,16 @@ def cell_side(params: LinkFeasibilityParams) -> float:
     every pair that ``surely_out_of_range`` keeps lies in neighbouring cells.
 
     Altitudes are at least -500 m, so the scale in ``surely_out_of_range`` is
-    at least R - 0.5 km, and a pair it keeps has a unit-vector chord of at
-    most ``max_range_km / ((R - 0.5)(1 - 1e-9)) + 1e-12``: its own margins.
+    at least R - 0.5 km, with R = ``EARTH_RADIUS_KM``, and a pair it keeps
+    has a unit-vector chord of at most
+    ``max_range_km / ((R - 0.5)(1 - 1e-9)) + 1e-12``: its own margins.
     No coordinate differs by more than the chord, so with a cell side of at
     least the chord the floored coordinates differ by at most 1. A further
     relative 1e-9 and absolute 1e-12 cover the rounding of this bound, of
     the coordinate differences and of the floor division (coordinates are
-    within [-1, 1], so each is within a few 1e-16). For R <= 0.5 km the
-    scale has no positive floor; the side is infinite and every position
-    shares one cell.
+    within [-1, 1], so each is within a few 1e-16).
     """
-    floor_km = params.earth_radius_km - 0.5
-    if floor_km <= 0.0:
-        return math.inf
-    chord = params.max_range_km / (floor_km * (1.0 - 1e-9)) + 1e-12
+    chord = params.max_range_km / ((EARTH_RADIUS_KM - 0.5) * (1.0 - 1e-9)) + 1e-12
     return chord * (1.0 + 1e-9) + 1e-12
 
 
@@ -158,10 +151,10 @@ def feasible_distance(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityPar
     the distance, with the same values as those three functions.
     """
     angle = _central_angle_rad(a, b)
-    dist = _distance_km(a, b, angle, params.earth_radius_km)
+    dist = _distance_km(a, b, angle)
     if dist > params.max_range_km:
         return None
-    if params.require_los and not _in_sight(a, b, angle, params.earth_radius_km):
+    if params.require_los and not _in_sight(a, b, angle):
         return None
     return dist
 

@@ -74,8 +74,8 @@ class ProtocolParams:
     safety_margin_bits: int = 100
 
     def __post_init__(self):
-        if self.min_sift_len < 1:
-            raise ValueError("min_sift_len must be >= 1")
+        if self.min_sift_len < 2:
+            raise ValueError("min_sift_len must be >= 2: error estimation needs two sifted bits")
         if not (0.0 < self.sample_fraction < 1.0):
             raise ValueError("sample_fraction must be in (0, 1)")
         if not (0.0 <= self.qber_abort < 0.5):
@@ -260,8 +260,7 @@ def _session(n_pulses: int, loss_db: float, intercept_resend: bool, channel: Cha
     """
     p_click, q = click_model(loss_db, intercept_resend, channel)
     sifted_len = rng.binomial(n_pulses, p_click / 2)
-    # error estimation needs at least 2 bits regardless of the configured floor
-    if sifted_len < max(protocol.min_sift_len, 2):
+    if sifted_len < protocol.min_sift_len:
         return _aborted(n_pulses, sifted_len, 0.0, SessionAbort.INSUFFICIENT_DETECTIONS)
     errors = rng.binomial(sifted_len, q)
     sample = math.ceil(protocol.sample_fraction * sifted_len)

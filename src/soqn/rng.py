@@ -11,7 +11,8 @@ import hashlib
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+# A seed is one of the 64-bit words of the stream's SeedSequence entropy.
+MAX_SEED = 2**64 - 1
 
 # numpy's Generator.hypergeometric takes ngood and nbad below this.
 HYPERGEOMETRIC_LIMIT = 10**9
@@ -20,7 +21,7 @@ HYPERGEOMETRIC_LIMIT = 10**9
 def _entropy(seed: int, label: str) -> list[int]:
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-    return [seed & _MASK64, *words]
+    return [seed, *words]
 
 
 class RandomStream:
@@ -34,8 +35,8 @@ class RandomStream:
     __slots__ = ("seed", "label", "position", "_gen")
 
     def __init__(self, seed: int, label: str):
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= seed <= MAX_SEED:
+            raise ValueError("seed must be in [0, 2**64 - 1]")
         self.seed = seed
         self.label = label
         self.position = 0

@@ -25,10 +25,9 @@ from .bitops import bits_from_hex
 from .engine import ScenarioEvent
 from .network import _ID_RE, ROLES
 from .qkd import MAX_PULSES
+from .rng import MAX_SEED
 
 _TOKEN_RE = re.compile(r"\S+")
-
-MAX_SEED = 2**64 - 1
 
 # DSL parameter name -> (config group, value type). Groups are mapped onto
 # the dataclass fields of the same names by the runner.
@@ -37,8 +36,7 @@ PARAM_SPECS: dict[str, tuple[str, type]] = {
     "require_los": ("feasibility", bool),
     "atm_loss_db_per_km": ("channel", float),
     "fixed_system_loss_db": ("channel", float),
-    "dark_count_prob": ("channel", float),
-    "background_prob": ("channel", float),
+    "noise_prob": ("channel", float),
     "detector_efficiency": ("channel", float),
     "intrinsic_error_prob": ("channel", float),
     "min_sift_len": ("protocol", int),

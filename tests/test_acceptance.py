@@ -15,8 +15,7 @@ import pytest
 
 from soqn.channel import ChannelParams
 from soqn.engine import SimEngine
-from soqn.geo import (EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams,
-                      geodesic_distance, line_of_sight)
+from soqn.geo import EARTH_RADIUS_KM, GeoPosition, geodesic_distance, line_of_sight
 from soqn.network import Network, OpticalLink, RelayTicket, decrypt_relay, encrypt, pair_key
 from soqn.qkd import ProtocolParams, SessionAbort, privacy_amplify, reconcile, run_bb84_session
 from soqn.rng import RandomStream
@@ -26,7 +25,7 @@ from soqn.scenario import parse_scenario
 KM_PER_DEG = 111.19492664455873
 
 IDEAL = ChannelParams(atm_loss_db_per_km=0.0, fixed_system_loss_db=0.0,
-                      dark_count_prob=0.0, background_prob=0.0,
+                      noise_prob=0.0 + 0.0,
                       detector_efficiency=1.0, intrinsic_error_prob=0.0)
 
 
@@ -64,7 +63,7 @@ def test_01_intercept_resend_detection():
 def test_02_honest_channel_sifting():
     n_pulses = 10**5
     channel = ChannelParams(atm_loss_db_per_km=0.0, fixed_system_loss_db=0.0,
-                            dark_count_prob=0.0, background_prob=0.0,
+                            noise_prob=0.0 + 0.0,
                             detector_efficiency=1.0, intrinsic_error_prob=0.01)
     rec = run_bb84_session(ideal_link(), n_pulses, False,
                            RandomStream(102, "acc2"), channel, ProtocolParams())
@@ -256,7 +255,7 @@ def _random_traffic_scenario(n_nodes=50, n_events=10**4, seed=77):
         "param fixed_system_loss_db 0.0",
         "param detector_efficiency 1.0",
         "param intrinsic_error_prob 0.005",
-        "param dark_count_prob 1e-06",
+        "param noise_prob 1e-06",
         "param min_sift_len 256",
         "param safety_margin_bits 32",
         "param pulses_per_session 4096",
@@ -318,7 +317,7 @@ param atm_loss_db_per_km 0.0
 param fixed_system_loss_db 0.0
 param detector_efficiency 1.0
 param intrinsic_error_prob 0.0
-param dark_count_prob 0.0
+param noise_prob 0.0
 param min_sift_len 64
 param safety_margin_bits 0
 param pulses_per_session 2048
@@ -377,12 +376,11 @@ def test_10_geodesy_oracles():
 
     horizon_2m = math.sqrt(2 * EARTH_RADIUS_KM * 0.002)
     assert 2 * horizon_2m < 200.0
-    params = LinkFeasibilityParams(max_range_km=1000.0)
     sea_a = GeoPosition(0, 0, 0)
     sea_b = GeoPosition(0, math.degrees(200.0 / EARTH_RADIUS_KM), 0)
-    assert not line_of_sight(sea_a, sea_b, params)
+    assert not line_of_sight(sea_a, sea_b)
     high_b = GeoPosition(0, math.degrees(150.0 / EARTH_RADIUS_KM), 3000.0)
     assert math.sqrt(2 * EARTH_RADIUS_KM * 3.0) + horizon_2m > 150.0
-    assert line_of_sight(sea_a, high_b, params)
+    assert line_of_sight(sea_a, high_b)
     _pass(10, f"haversine {one_deg:.6f} km vs oracle {oracle:.6f}; "
               f"200 km sea-level pair blocked (horizon {2 * horizon_2m:.1f} km)")

@@ -49,12 +49,12 @@ class TestTransmittance:
 class TestChannelParams:
     @pytest.mark.parametrize("kwargs", [
         {"atm_loss_db_per_km": -0.1},
-        {"dark_count_prob": 1.0},
-        {"background_prob": -1e-9},
+        {"noise_prob": math.nan},
+        {"noise_prob": -1e-9},
+        {"noise_prob": 1.0},
         {"detector_efficiency": 0.0},
         {"detector_efficiency": 1.5},
         {"intrinsic_error_prob": 0.5},
-        {"dark_count_prob": 0.6, "background_prob": 0.6},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -73,8 +73,7 @@ class TestClickRate:
 
     def test_click_rate_binomial(self):
         # binomial oracle: sifted clicks ~ B(n, eta / 2) at eta = 0.5
-        params = ChannelParams(dark_count_prob=0.0, background_prob=0.0,
-                               detector_efficiency=0.5)
+        params = ChannelParams(noise_prob=0.0 + 0.0, detector_efficiency=0.5)
         n = 10**5
         expect = 0.25
         sigma = math.sqrt(expect * (1 - expect) / n)
@@ -82,7 +81,7 @@ class TestClickRate:
 
     def test_click_rate_with_noise(self):
         # empirical rate converges to (1 - (1 - eta)(1 - p_noise)) / 2
-        params = ChannelParams(dark_count_prob=0.05, background_prob=0.05,
+        params = ChannelParams(noise_prob=0.05 + 0.05,
                                detector_efficiency=0.3)
         n = 4 * 10**4
         eta = 0.3

@@ -13,7 +13,7 @@ seed 7
 param detector_efficiency 1.0
 param fixed_system_loss_db 0.0
 param atm_loss_db_per_km 0.0
-param dark_count_prob 0.0
+param noise_prob 0.0
 param intrinsic_error_prob 0.0
 param min_sift_len 64
 param safety_margin_bits 0
@@ -91,6 +91,20 @@ class TestCliRuns:
                             f"report {ms}, write {ms}", runs[logging.INFO][0])
         assert runs[logging.WARNING] == []
         assert runs[logging.INFO, "artifacts"] == runs[logging.WARNING, "artifacts"]
+
+    def test_soqn_log_reaches_a_program_that_set_up_logging(self, scenario_file, tmp_path,
+                                                            caplog, monkeypatch):
+        # pytest's capture handler is on the root logger, so basicConfig does nothing
+        assert logging.getLogger().handlers
+        monkeypatch.setenv("SOQN_LOG", "info")
+        soqn_log = logging.getLogger("soqn")
+        level = soqn_log.level
+        try:
+            assert main(["--scenario", scenario_file, "--out", str(tmp_path / "o")]) == 0
+        finally:
+            soqn_log.setLevel(level)
+        lines = [r.getMessage() for r in caplog.records if r.name == "soqn.runner"]
+        assert len(lines) == 1 and lines[0].startswith("run: 7 events; wall ms: build ")
 
     def test_snapshot_flag(self, scenario_file, tmp_path):
         out = str(tmp_path / "out")
@@ -183,7 +197,7 @@ mode p2p
 param detector_efficiency 1.0
 param fixed_system_loss_db 0.0
 param atm_loss_db_per_km 0.0
-param dark_count_prob 0.0
+param noise_prob 0.0
 param intrinsic_error_prob 0.0
 param min_sift_len 64
 param safety_margin_bits 0
@@ -350,9 +364,11 @@ class TestCliExitCodes:
                                             ("pulses_per_session", str(2**63)),
                                             ("max_session_attempts", "-3"),
                                             ("precharge_bits", "-5"),
-                                            ("acquire_delay_s", "-1")])
+                                            ("acquire_delay_s", "-1"),
+                                            ("min_sift_len", "1")])
     def test_out_of_range_network_param_is_2(self, tmp_path, capsys, name, value):
-        # these used to run: silently as 0, or until a session or event failed
+        # these used to run: silently as 0 (min_sift_len 1 as 2), or until a
+        # session or event failed
         path = tmp_path / "network.soqn"
         path.write_text(f"mode p2p\nparam {name} {value}\nnode a peer 0 0 500\n"
                         "node b peer 0 0.05 500\nat 1 send a b hex:ff\n")
@@ -362,13 +378,16 @@ class TestCliExitCodes:
         assert err.count("\n") == 1 and f"invalid configuration: {name} must be" in err
         assert not out.exists()
 
-    # removed for changing no run, or (the two acquisition stages) for
-    # acting only through their sum, which acquire_delay_s sets
+    # removed for changing no run, or for acting only through their sum:
+    # the two acquisition stages (acquire_delay_s) and the two noise
+    # sources (noise_prob)
     @pytest.mark.parametrize("name,value", [("signal_mean_photons", "0.5"),
                                             ("trojan_tolerance", "0.2"),
                                             ("strong_pulse_intensity", "2"),
                                             ("acquire_coarse_s", "2.0"),
-                                            ("acquire_fine_s", "1.0")])
+                                            ("acquire_fine_s", "1.0"),
+                                            ("dark_count_prob", "1e-6"),
+                                            ("background_prob", "1e-4")])
     def test_removed_params_are_2(self, scenario_file, tmp_path, capsys, name, value):
         path = tmp_path / "removed.soqn"
         path.write_text(f"mode p2p\nparam {name} {value}\n")

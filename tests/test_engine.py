@@ -375,6 +375,16 @@ class TestRandomStreams:
             assert np.array_equal(stream.permutation(n % 7), gen.permutation(n % 7))
         assert same_state(stream._gen.bit_generator.state, gen.bit_generator.state)
 
+    def test_seed_bounds(self):
+        # a seed is one 64-bit entropy word: 2**64 + s would draw as s does
+        assert RandomStream(0, "x").uniforms(1).size == 1
+        assert RandomStream(2**64 - 1, "x").uniforms(1).size == 1
+        for seed in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64 - 1\]"):
+                RandomStream(seed, "x")
+        with pytest.raises(ValueError):
+            SimEngine(2**64 + 5).stream("x")
+
     def test_engine_stream_uses_seed(self):
         e1 = SimEngine(1).stream("s")
         e2 = SimEngine(2).stream("s")

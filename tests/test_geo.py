@@ -80,43 +80,38 @@ class TestGeodesicDistance:
 
 class TestLineOfSight:
     def test_close_pair_at_sea_level(self):
-        params = LinkFeasibilityParams()
         a = GeoPosition(0, 0, 0)
         b = GeoPosition(0, lon_for_surface_km(1.0), 0)
-        assert line_of_sight(a, b, params)
+        assert line_of_sight(a, b)
 
     def test_sea_level_pair_beyond_horizon(self):
         # horizon oracle: 2 x sqrt(2 * 6371 * 0.002) ~ 10.1 km << 200 km
-        params = LinkFeasibilityParams(max_range_km=1000.0)
         a = GeoPosition(0, 0, 0)
         b = GeoPosition(0, lon_for_surface_km(200.0), 0)
         assert horizon_oracle_km(0.0) * 2 < 200.0
-        assert not line_of_sight(a, b, params)
+        assert not line_of_sight(a, b)
 
     def test_mountain_to_sea_level_matches_oracle(self):
-        params = LinkFeasibilityParams(max_range_km=1000.0)
         a = GeoPosition(0, 0, 0)
         b = GeoPosition(0, lon_for_surface_km(150.0), 3000.0)
         expected = horizon_oracle_km(0.0) + horizon_oracle_km(3000.0) >= 150.0
-        assert line_of_sight(a, b, params) == expected
+        assert line_of_sight(a, b) == expected
         assert expected  # 200.56 km of combined horizon
 
     @pytest.mark.parametrize("km", [5.0, 50.0, 120.0, 200.0, 300.0])
     def test_matches_horizon_oracle_on_grid(self, km):
-        params = LinkFeasibilityParams()
         for alt_a, alt_b in [(0, 0), (0, 500), (1000, 0), (2500, 2500)]:
             a = GeoPosition(0, 0, alt_a)
             b = GeoPosition(0, lon_for_surface_km(km), alt_b)
             expected = horizon_oracle_km(alt_a) + horizon_oracle_km(alt_b) >= km
-            assert line_of_sight(a, b, params) == expected
+            assert line_of_sight(a, b) == expected
 
     @given(positions, positions, st.floats(0.0, 5000.0))
     @settings(max_examples=100)
     def test_monotone_in_altitude(self, a, b, extra):
-        params = LinkFeasibilityParams()
-        if line_of_sight(a, b, params):
+        if line_of_sight(a, b):
             raised = GeoPosition(a.latitude_deg, a.longitude_deg, a.altitude_m + extra)
-            assert line_of_sight(raised, b, params)
+            assert line_of_sight(raised, b)
 
 
 class TestLinkFeasible:
@@ -134,7 +129,7 @@ class TestLinkFeasible:
         a = GeoPosition(0, 0, 0)
         b = GeoPosition(0, lon_for_surface_km(100.0), 0)
         blocked = LinkFeasibilityParams(max_range_km=144.0, require_los=True)
-        assert not line_of_sight(a, b, blocked)
+        assert not line_of_sight(a, b)
         assert not link_feasible(a, b, blocked)
         assert link_feasible(a, b, LinkFeasibilityParams(max_range_km=144.0, require_los=False))
 
@@ -159,13 +154,12 @@ class TestLinkFeasible:
             LinkFeasibilityParams(max_range_km=float("inf"))
 
 
-def at_distance(a: GeoPosition, bearing_deg: float, km: float, alt_m: float,
-                earth_radius_km: float) -> GeoPosition | None:
+def at_distance(a: GeoPosition, bearing_deg: float, km: float, alt_m: float) -> GeoPosition | None:
     """The point at altitude ``alt_m`` whose ``geodesic_distance`` from ``a``
     is ``km`` along the initial bearing, or None where no such point exists."""
     dalt_km = abs(alt_m - a.altitude_m) / 1000.0
-    scale = earth_radius_km + (a.altitude_m + alt_m) / 2000.0
-    if km < dalt_km or scale <= 0.0:
+    scale = EARTH_RADIUS_KM + (a.altitude_m + alt_m) / 2000.0
+    if km < dalt_km:
         return None
     delta = math.sqrt(km * km - dalt_km * dalt_km) / scale
     if delta > math.pi:
@@ -187,16 +181,14 @@ class TestSurelyOutOfRange:
            st.sampled_from([-500.0, 0.0, 2.0, 1500.0, 20_000.0]),
            st.floats(0.0, 360.0),
            st.sampled_from([1.0 - 1e-6, 1.0, 1.0 + 1e-6]),
-           st.sampled_from([10.0, 1000.0, EARTH_RADIUS_KM, 20_000.0]),
-           st.sampled_from([1e-4, 0.05, 1.0, 144.0, 2000.0]),
+           st.sampled_from([1e-4, 1e-3, 0.05, 1.0, 144.0, 2000.0, 12_000.0, 20_000.0]),
            st.booleans())
     @settings(max_examples=1500, deadline=None)
     def test_never_rules_out_a_feasible_pair_at_the_range_edge(
-            self, lat, lon, alt_a, alt_b, bearing, factor, radius, max_range, los):
-        params = LinkFeasibilityParams(max_range_km=max_range, earth_radius_km=radius,
-                                       require_los=los)
+            self, lat, lon, alt_a, alt_b, bearing, factor, max_range, los):
+        params = LinkFeasibilityParams(max_range_km=max_range, require_los=los)
         a = GeoPosition(lat, lon, alt_a)
-        b = at_distance(a, bearing, max_range * factor, alt_b, radius)
+        b = at_distance(a, bearing, max_range * factor, alt_b)
         assume(b is not None)
         assert not (surely_out_of_range(a, b, params) and link_feasible(a, b, params))
         assert not (surely_out_of_range(b, a, params) and link_feasible(b, a, params))
@@ -257,17 +249,14 @@ altitudes = st.one_of(st.sampled_from([-500.0, 0.0, 20_000.0]), st.floats(-500.0
 @st.composite
 def nearby_pairs(draw):
     """(a, b, params): b within about 1.5 ranges of a, anywhere on the
-    sphere (poles and the antimeridian included), on spheres from 0.1 km to
-    20,000 km and with ranges from 1 m to beyond the sphere's diameter."""
-    radius = draw(st.one_of(st.sampled_from([0.1, 0.5, 0.5000001, 1.0, EARTH_RADIUS_KM, 20_000.0]),
-                            st.floats(0.1, 20_000.0)))
-    max_range = draw(st.one_of(st.sampled_from([1e-3, 144.0, 40_001.0, 1e5]),
+    sphere (poles and the antimeridian included), with ranges from 1 m to
+    beyond the Earth's diameter, so cells run from tiny to the whole sphere."""
+    max_range = draw(st.one_of(st.sampled_from([1e-3, 144.0, 12_000.0, 40_001.0, 1e5]),
                                st.floats(1e-3, 1e5)))
-    params = LinkFeasibilityParams(max_range_km=max_range, earth_radius_km=radius,
-                                   require_los=draw(st.booleans()))
+    params = LinkFeasibilityParams(max_range_km=max_range, require_los=draw(st.booleans()))
     lat = draw(st.one_of(st.sampled_from([-90.0, 90.0]), st.floats(-90.0, 90.0)))
     lon = draw(st.one_of(st.sampled_from([-180.0, 179.9999, 180.0]), st.floats(-180.0, 180.0)))
-    reach = math.degrees(min(max_range / radius, math.pi)) * draw(st.floats(0.0, 1.5))
+    reach = math.degrees(min(max_range / EARTH_RADIUS_KM, math.pi)) * draw(st.floats(0.0, 1.5))
     bearing = draw(st.floats(0.0, 2.0 * math.pi))
     a = GeoPosition(lat, lon, draw(altitudes))
     b = GeoPosition(min(90.0, max(-90.0, lat + reach * math.cos(bearing))),
@@ -280,9 +269,8 @@ class TestFeasibleDistance:
     @settings(max_examples=300)
     def test_matches_the_range_los_and_distance_functions(self, case):
         a, b, params = case
-        dist = geodesic_distance(a, b, params.earth_radius_km)
-        ok = dist <= params.max_range_km and (not params.require_los
-                                              or line_of_sight(a, b, params))
+        dist = geodesic_distance(a, b)
+        ok = dist <= params.max_range_km and (not params.require_los or line_of_sight(a, b))
         assert feasible_distance(a, b, params) == (dist if ok else None)
         assert link_feasible(a, b, params) == ok
 
@@ -302,15 +290,14 @@ class TestCells:
         else:
             assert not link_feasible(a, b, params)
 
-    @pytest.mark.parametrize("radius,max_range", [(1.0, 0.2), (2.0, 1.0), (6371.0, 144.0),
-                                                  (20_000.0, 1e-3), (0.6, 0.01)])
-    def test_longest_kept_chord_reaches_only_the_next_cell(self, radius, max_range):
+    # ranges whose widest kept angle runs from 1.6e-7 rad to 0.81 rad
+    @pytest.mark.parametrize("max_range", [1e-3, 1.0, 144.0, 1000.0, 5000.0])
+    def test_longest_kept_chord_reaches_only_the_next_cell(self, max_range):
         # a sits on the equator at 90 deg east, just inside cell 0 along x; b
         # moves east along the equator, where x falls as -sin(theta), almost
         # the whole chord. At -500 m (the lowest scale), bisect for the widest
         # angle surely_out_of_range keeps: that b must still be in cell -1.
-        params = LinkFeasibilityParams(max_range_km=max_range, earth_radius_km=radius,
-                                       require_los=False)
+        params = LinkFeasibilityParams(max_range_km=max_range, require_los=False)
         a = GeoPosition(0.0, 90.0, -500.0)
 
         def b_at(theta):
@@ -323,15 +310,6 @@ class TestCells:
             lo, hi = (lo, mid) if surely_out_of_range(a, b_at(mid), params) else (mid, hi)
         side = cell_side(params)
         assert cell_of(a, side)[0] == 0 and cell_of(b_at(lo), side)[0] == -1
-
-    @pytest.mark.parametrize("radius", [0.1, 0.5])
-    def test_side_is_infinite_without_a_positive_scale(self, radius):
-        # R + mean altitude can reach 0 when R <= 0.5 km: no chord bound, one cell
-        params = LinkFeasibilityParams(max_range_km=1e-3, earth_radius_km=radius)
-        assert cell_side(params) == math.inf
-        for p in (GeoPosition(90.0, 0.0, 0.0), GeoPosition(-90.0, 0.0, 0.0),
-                  GeoPosition(0.0, -180.0, 0.0), GeoPosition(-30.0, 100.0, 0.0)):
-            assert cell_of(p, math.inf) == (0, 0, 0)
 
     def test_side_keeps_the_bound_margins(self):
         params = LinkFeasibilityParams(max_range_km=144.0)

@@ -91,7 +91,7 @@ class TestPrepareMeasureDrawOrder:
     @pytest.mark.parametrize("mode", ["none", "intercept_resend"])
     def test_matches_draw_all_then_loop(self, mode):
         # noisy enough that every branch of the per-pulse contract is taken
-        channel = ChannelParams(dark_count_prob=0.05, background_prob=0.05,
+        channel = ChannelParams(noise_prob=0.05 + 0.05,
                                 intrinsic_error_prob=0.1)
         intercept_resend = mode == "intercept_resend"
         fresh, second = RandomStream(11, "rounds"), RandomStream(11, "rounds")

@@ -27,7 +27,7 @@ SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 KM_PER_DEG = 111.19492664455873
 
 IDEAL_CHANNEL = ChannelParams(atm_loss_db_per_km=0.0, fixed_system_loss_db=0.0,
-                              dark_count_prob=0.0, background_prob=0.0,
+                              noise_prob=0.0 + 0.0,
                               detector_efficiency=1.0, intrinsic_error_prob=0.0)
 FAST_PROTOCOL = ProtocolParams(min_sift_len=64, safety_margin_bits=0)
 
@@ -323,17 +323,15 @@ def churn_layouts(draw):
     """(mode, feasibility, nodes, late, moves): 2-10 nodes within about two
     ranges of a point anywhere on the sphere (poles and the antimeridian
     included), the indices of the nodes that deploy after the organize
-    round, and (index, position) moves. Spheres run from 0.1 to 20,000 km
-    and ranges from 1 m to beyond the diameter."""
+    round, and (index, position) moves. Ranges run from 1 m to beyond the
+    Earth's diameter, so cells run from tiny to the whole sphere."""
     mode = draw(st.sampled_from(["p2p", "cs"]))
-    radius = draw(st.one_of(st.sampled_from([0.1, 1.0, EARTH_RADIUS_KM, 20_000.0]),
-                            st.floats(0.1, 20_000.0)))
-    max_range = draw(st.one_of(st.sampled_from([1e-3, 144.0, 1e5]), st.floats(1e-3, 1e5)))
-    feasibility = LinkFeasibilityParams(max_range_km=max_range, earth_radius_km=radius,
-                                        require_los=draw(st.booleans()))
+    max_range = draw(st.one_of(st.sampled_from([1e-3, 144.0, 12_000.0, 1e5]),
+                               st.floats(1e-3, 1e5)))
+    feasibility = LinkFeasibilityParams(max_range_km=max_range, require_los=draw(st.booleans()))
     lat0 = draw(st.one_of(st.sampled_from([-90.0, 0.0, 90.0]), st.floats(-90.0, 90.0)))
     lon0 = draw(st.one_of(st.sampled_from([-180.0, 179.9999]), st.floats(-180.0, 180.0)))
-    reach = math.degrees(min(max_range / radius, math.pi))
+    reach = math.degrees(min(max_range / EARTH_RADIUS_KM, math.pi))
 
     def spot():
         lat = lat0 + reach * draw(st.floats(-2.0, 2.0))

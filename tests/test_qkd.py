@@ -221,7 +221,7 @@ class TestBb84Session:
 
     def test_intrinsic_error_appears_in_qber(self, ideal_link):
         channel = ChannelParams(atm_loss_db_per_km=0.0, fixed_system_loss_db=0.0,
-                                dark_count_prob=0.0, background_prob=0.0,
+                                noise_prob=0.0 + 0.0,
                                 detector_efficiency=1.0, intrinsic_error_prob=0.05)
         rec = run_bb84_session(ideal_link, 10**5, False, RandomStream(25, "s"),
                                channel, ProtocolParams())
@@ -233,7 +233,7 @@ class TestBb84Session:
         # 30 dB of loss with daylight background: noise-only clicks carry a
         # uniform bit, so QBER converges to 0.5 * P(noise only) / P(click)
         channel = ChannelParams(atm_loss_db_per_km=0.0, fixed_system_loss_db=30.0,
-                                dark_count_prob=1e-6, background_prob=1e-4,
+                                noise_prob=1e-6 + 1e-4,
                                 detector_efficiency=1.0, intrinsic_error_prob=0.0)
         link = OpticalLink(("a", "b"), 0.0, 30.0, 0.0, "active")
         eta = 10 ** -3.0
@@ -249,7 +249,7 @@ class TestBb84Session:
 
     def test_high_noise_aborts(self, ideal_link):
         channel = ChannelParams(atm_loss_db_per_km=0.0, fixed_system_loss_db=0.0,
-                                dark_count_prob=0.0, background_prob=0.0,
+                                noise_prob=0.0 + 0.0,
                                 detector_efficiency=1.0, intrinsic_error_prob=0.2)
         rec = run_bb84_session(ideal_link, 2 * 10**4, False, RandomStream(26, "s"),
                                channel, ProtocolParams())
@@ -269,20 +269,20 @@ class TestBb84Session:
             run_bb84_session(link, 100, False, RandomStream(28, "s"),
                              ideal_channel, ProtocolParams())
 
-    @pytest.mark.parametrize("dark_count_prob", [1e-6, 0.0])
-    def test_underflowed_link_aborts_after_one_draw(self, dark_count_prob):
+    @pytest.mark.parametrize("noise_prob", [1e-6, 0.0])
+    def test_underflowed_link_aborts_after_one_draw(self, noise_prob):
         # 4000 dB: the transmittance underflows to 0.0, so at most noise clicks
         link = OpticalLink(("a", "b"), 0.0, 4000.0, 0.0, "active")
         stream = RandomStream(50, "dark")
         rec = run_bb84_session(link, 10**4, False, stream,
-                               ChannelParams(dark_count_prob=dark_count_prob))
+                               ChannelParams(noise_prob=noise_prob))
         assert rec.aborted and rec.abort_reason is SessionAbort.INSUFFICIENT_DETECTIONS
         assert stream.position == 1
 
 
 class TestClickModel:
     def test_underflowed_signal_leaves_fair_noise_clicks(self):
-        channel = ChannelParams(background_prob=1e-4)
+        channel = ChannelParams(noise_prob=1e-6 + 1e-4)
         assert transmittance(4000.0) == 0.0
         p_click, q = click_model(4000.0, False, channel)
         assert p_click == pytest.approx(channel.noise_prob) and q == pytest.approx(0.5)
@@ -290,7 +290,7 @@ class TestClickModel:
     @pytest.mark.parametrize("loss_db", [4000.0, 200.0])
     def test_nothing_clicks_without_signal_or_noise(self, loss_db):
         # at 200 dB eta = 1e-20 is positive, but 1 - eta rounds to 1
-        channel = ChannelParams(dark_count_prob=0.0)
+        channel = ChannelParams(noise_prob=0.0)
         assert click_model(loss_db, False, channel) == (0.0, 0.5)
 
 
@@ -345,7 +345,7 @@ class TestSessionCost:
     def test_two_to_the_forty_pulses(self):
         # 70 dB with a noiseless, perfect detector: a pulse is sifted with
         # p = 1e-7 / 2, so k ~ Binomial(2**40, p) with mean about 55,000
-        channel = ChannelParams(dark_count_prob=0.0, detector_efficiency=1.0)
+        channel = ChannelParams(noise_prob=0.0, detector_efficiency=1.0)
         link = OpticalLink(("a", "b"), 0.0, 70.0, 0.0, "active")
         n, p, runs = 2**40, transmittance(70.0) / 2, 30
         lengths = []
@@ -365,7 +365,7 @@ class TestSessionCost:
         # the limit itself is drawn: nothing clicks over 4000 dB without noise
         link = OpticalLink(("a", "b"), 0.0, 4000.0, 0.0, "active")
         rec = run_bb84_session(link, 2**63 - 1, False, stream,
-                               ChannelParams(dark_count_prob=0.0))
+                               ChannelParams(noise_prob=0.0))
         assert rec.n_pulses == 2**63 - 1 and rec.sifted_len == 0 and stream.position == 1
 
     def test_sifted_length_beyond_the_sample_draw_is_named(self, ideal_link, ideal_channel):

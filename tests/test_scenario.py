@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import inspect
 import pathlib
 import re
 import tempfile
@@ -7,10 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soqn.channel import ChannelParams
 from soqn.engine import ScenarioEvent
+from soqn.geo import LinkFeasibilityParams
+from soqn.network import Network
+from soqn.qkd import ProtocolParams
 from soqn.runner import run_scenario
 from soqn.scenario import (PARAM_SPECS, NodeDecl, Scenario, ScenarioError,
-                           format_scenario, parse_scenario)
+                           format_scenario, parse_scenario, parse_value)
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -130,13 +136,16 @@ class TestDiagnostics:
     def test_unknown_param(self):
         self.expect_error("mode p2p\nparam warp_factor 9\n", 2, "unknown param")
 
-    # removed for changing no run, or (the two acquisition stages) for
-    # acting only through their sum, which acquire_delay_s sets
+    # removed for changing no run, or for acting only through their sum:
+    # the two acquisition stages (acquire_delay_s) and the two noise
+    # sources (noise_prob)
     @pytest.mark.parametrize("line", ["param signal_mean_photons 0.5",
                                       "param trojan_tolerance 0.2",
                                       "param strong_pulse_intensity 2",
                                       "param acquire_coarse_s 2.0",
-                                      "param acquire_fine_s 1.0"])
+                                      "param acquire_fine_s 1.0",
+                                      "param dark_count_prob 1e-6",
+                                      "param background_prob 1e-4"])
     def test_removed_params_are_unknown(self, line):
         with pytest.raises(ScenarioError) as err:
             parse_scenario(f"mode p2p\n{line}\n")
@@ -311,8 +320,7 @@ PARAM_CHANGES = {
     "require_los": (GROUND_PAIR, False),
     "atm_loss_db_per_km": (P2P_RELAY, 0.2),
     "fixed_system_loss_db": (P2P_RELAY, 3.0),
-    "dark_count_prob": (P2P_RELAY, 1e-3),
-    "background_prob": (P2P_RELAY, 1e-3),
+    "noise_prob": (P2P_RELAY, 1e-3),
     "detector_efficiency": (P2P_RELAY, 0.5),
     "intrinsic_error_prob": (P2P_RELAY, 0.03),
     "min_sift_len": (P2P_RELAY, 3000),
@@ -363,6 +371,16 @@ def test_readme_param_table_names_every_param():
     table = readme.partition("Tunable `param` names")[2].split("\n\n")[1]
     assert table.startswith("| group")
     assert set(table.split("`")[1::2]) == PARAM_SPECS.keys()
+    # each default, read as a param line reads it, is the model's default
+    groups = (ChannelParams, ProtocolParams, LinkFeasibilityParams)
+    defaults = {f.name: f.default for group in groups for f in dataclasses.fields(group)}
+    defaults.update((name, p.default) for name, p in
+                    inspect.signature(Network.__init__).parameters.items())
+    table_defaults = re.findall(r"`(\w+)` \(([^;)]+)", table)
+    assert sorted(name for name, _ in table_defaults) == sorted(PARAM_SPECS)
+    for name, token in table_defaults:
+        value = parse_value(name, token)
+        assert (value, type(value)) == (defaults[name], type(defaults[name])), name
 
 
 @pytest.mark.parametrize("name", sorted(PARAM_CHANGES))

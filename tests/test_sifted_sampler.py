@@ -32,7 +32,7 @@ WINDOW = 4.0
 
 CHANNELS = {
     "quiet": ChannelParams(),
-    "noisy": ChannelParams(background_prob=0.05, intrinsic_error_prob=0.03),
+    "noisy": ChannelParams(noise_prob=1e-6 + 0.05, intrinsic_error_prob=0.03),
 }
 PATHS = {"sampler": sifted_keys, "dense": dense_sifted_keys}
 
@@ -99,7 +99,7 @@ def test_no_sifted_click_aborts():
     # 200 dB: eta = 5e-21, so none of 10 pulses clicks but a dark count
     # (p_s about 5e-7 per pulse)
     link = OpticalLink(("a", "b"), 0.0, 200.0, 0.0, "active")
-    protocol = ProtocolParams(min_sift_len=1)
+    protocol = ProtocolParams(min_sift_len=2)
     for run in (run_bb84_session, run_plugplay_session):
         stream = RandomStream(1, "dark")
         rec = run(link, 10, False, stream, ChannelParams(), protocol)
