@@ -13,6 +13,12 @@ from functools import cached_property
 
 EARTH_RADIUS_KM = 6371.0
 
+# The coordinates a node may have: latitude within [-MAX_LATITUDE_DEG,
+# MAX_LATITUDE_DEG] and altitude at least MIN_ALTITUDE_M. GeoPosition checks
+# them, and so does the scenario parser, at the token.
+MAX_LATITUDE_DEG = 90.0
+MIN_ALTITUDE_M = -500.0
+
 # Endpoints at or below sea level get this effective height in the horizon
 # test, so two ground stations never degenerate to zero visual range.
 MIN_EYE_HEIGHT_M = 2.0
@@ -30,16 +36,19 @@ class GeoPosition:
     altitude_m: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.latitude_deg) or not (-90.0 <= self.latitude_deg <= 90.0):
-            raise ValueError(f"latitude_deg out of [-90, 90]: {self.latitude_deg}")
+        if not math.isfinite(self.latitude_deg) or not (
+                -MAX_LATITUDE_DEG <= self.latitude_deg <= MAX_LATITUDE_DEG):
+            raise ValueError(f"latitude_deg out of [{-MAX_LATITUDE_DEG:g}, "
+                             f"{MAX_LATITUDE_DEG:g}]: {self.latitude_deg}")
         if not math.isfinite(self.longitude_deg):
             raise ValueError(f"longitude_deg not finite: {self.longitude_deg}")
         lon = ((self.longitude_deg + 180.0) % 360.0) - 180.0
         if lon == 180.0:  # the modulo of a tiny negative sum rounds up to 360
             lon = -180.0
         object.__setattr__(self, "longitude_deg", lon)
-        if not math.isfinite(self.altitude_m) or self.altitude_m < -500.0:
-            raise ValueError(f"altitude_m must be finite and >= -500: {self.altitude_m}")
+        if not math.isfinite(self.altitude_m) or self.altitude_m < MIN_ALTITUDE_M:
+            raise ValueError(f"altitude_m must be finite and >= {MIN_ALTITUDE_M:g}: "
+                             f"{self.altitude_m}")
 
     @cached_property
     def unit_vector(self) -> tuple[float, float, float]:
@@ -124,17 +133,18 @@ def cell_side(params: LinkFeasibilityParams) -> float:
     """Side of the cubic cells of ``GeoPosition.unit_vector`` within which
     every pair that ``surely_out_of_range`` keeps lies in neighbouring cells.
 
-    Altitudes are at least -500 m, so the scale in ``surely_out_of_range`` is
-    at least R - 0.5 km, with R = ``EARTH_RADIUS_KM``, and a pair it keeps
-    has a unit-vector chord of at most
-    ``max_range_km / ((R - 0.5)(1 - 1e-9)) + 1e-12``: its own margins.
+    Altitudes are at least ``MIN_ALTITUDE_M`` (-500 m), so the scale in
+    ``surely_out_of_range`` is at least R - 0.5 km, with R =
+    ``EARTH_RADIUS_KM``, and a pair it keeps has a unit-vector chord of at
+    most ``max_range_km / ((R - 0.5)(1 - 1e-9)) + 1e-12``: its own margins.
     No coordinate differs by more than the chord, so with a cell side of at
     least the chord the floored coordinates differ by at most 1. A further
     relative 1e-9 and absolute 1e-12 cover the rounding of this bound, of
     the coordinate differences and of the floor division (coordinates are
     within [-1, 1], so each is within a few 1e-16).
     """
-    chord = params.max_range_km / ((EARTH_RADIUS_KM - 0.5) * (1.0 - 1e-9)) + 1e-12
+    lowest = EARTH_RADIUS_KM + MIN_ALTITUDE_M / 1000.0
+    chord = params.max_range_km / (lowest * (1.0 - 1e-9)) + 1e-12
     return chord * (1.0 + 1e-9) + 1e-12
 
 

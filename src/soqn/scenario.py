@@ -14,20 +14,28 @@ separated:
     at <t_s> eve <idA> <idB> intercept_resend on|off
 
 Parsing is total: any input yields either a Scenario or a ScenarioError
-with a line/column diagnostic.
+with a line/column diagnostic. Every value is checked at its token,
+coordinates included (latitude in [-90, 90], altitude at least -500 m), and
+a time written ``-0`` is time 0. A valid line costs only its split and the
+reading of its values: the column of a token is found, and a bad payload
+decoded to word its diagnostic, only when a line raises.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 
 from .bitops import bits_from_hex
 from .engine import ScenarioEvent
+from .geo import MAX_LATITUDE_DEG, MIN_ALTITUDE_M
 from .network import _ID_RE, ROLES
 from .qkd import MAX_PULSES
 from .rng import MAX_SEED
 
 _TOKEN_RE = re.compile(r"\S+")
+# Exactly the payloads bits_from_hex accepts.
+_HEX_RE = re.compile(r"[0-9A-Fa-f]*")
 
 # DSL parameter name -> (config group, value type). Groups are mapped onto
 # the dataclass fields of the same names by the runner.
@@ -96,21 +104,26 @@ def _literal(tok: str) -> str:
     return tok
 
 
+def _column(code: str, index: int) -> int:
+    """The 1-based column of token ``index`` of ``code``; an index past the
+    last token gives the last token's column, and a line without tokens 1."""
+    cols = [m.start() + 1 for m in _TOKEN_RE.finditer(code)]
+    return cols[min(index, len(cols) - 1)] if cols else 1
+
+
 class _Line:
-    """One directive line plus enough position info for diagnostics."""
+    """One directive line: its whitespace-separated tokens, and the text
+    before any ``#`` that they came from. ``str.split()`` and ``\\S+`` split
+    alike on every code point, so ``error`` finds a token's column in that
+    text only when it builds a diagnostic."""
 
     def __init__(self, number: int, text: str):
         self.number = number
-        self.tokens: list[str] = []
-        self.cols: list[int] = []
-        code = text.split("#", 1)[0]
-        for m in _TOKEN_RE.finditer(code):
-            self.tokens.append(m.group())
-            self.cols.append(m.start() + 1)
+        self.code = text.split("#", 1)[0]
+        self.tokens = self.code.split()
 
     def error(self, index: int, message: str) -> ScenarioError:
-        col = self.cols[index] if index < len(self.cols) else (self.cols[-1] if self.cols else 1)
-        return ScenarioError(self.number, col, message)
+        return ScenarioError(self.number, _column(self.code, index), message)
 
     def token(self, index: int, what: str) -> str:
         if index >= len(self.tokens):
@@ -128,7 +141,7 @@ class _Line:
             v = float(_literal(tok))
         except ValueError:
             raise self.error(index, f"{what} must be a number, got {tok!r}") from None
-        if v != v or v in (float("inf"), float("-inf")):
+        if not math.isfinite(v):
             raise self.error(index, f"{what} must be finite")
         return v
 
@@ -149,13 +162,36 @@ class _Line:
         v = self.float_at(index, what, prefix)
         if v < 0:
             raise self.error(index, f"{what} must be >= 0")
-        return v
+        return v if v else 0.0  # -0 is time 0
 
     def seed_at(self, index: int) -> int:
         seed = self.int_at(index, "seed")
         if not 0 <= seed <= MAX_SEED:
             raise self.error(index, "seed must fit in 64 unsigned bits")
         return seed
+
+    def check_position(self, index: int, lat: float, alt: float) -> None:
+        """Reject the coordinates that ``GeoPosition`` rejects, at their token:
+        latitude at ``index``, altitude two tokens on. Called once the line's
+        tokens have all been read, so a line they reject keeps that error."""
+        if not -MAX_LATITUDE_DEG <= lat <= MAX_LATITUDE_DEG:
+            raise self.error(index, f"latitude must be in "
+                                    f"[{-MAX_LATITUDE_DEG:g}, {MAX_LATITUDE_DEG:g}]")
+        if alt < MIN_ALTITUDE_M:
+            raise self.error(index + 2, f"altitude must be >= {MIN_ALTITUDE_M:g}")
+
+    def hex_at(self, index: int) -> str:
+        """The payload of a ``hex:<hexstring>`` token."""
+        tok = self.token(index, "hex:<payload>")
+        if not tok.startswith("hex:"):
+            raise self.error(index, f"expected hex:<hexstring>, got {tok!r}")
+        payload = tok[len("hex:"):]
+        if not _HEX_RE.fullmatch(payload):
+            try:
+                bits_from_hex(payload)  # names the first bad digit
+            except ValueError as exc:
+                raise self.error(index, str(exc)) from None
+        return payload
 
     def param_at(self, index: int, name: str):
         """The value of param ``name`` (a key of PARAM_SPECS), typed by its spec."""
@@ -237,6 +273,7 @@ def parse_scenario(text: str) -> Scenario:
                     raise line.error(6, f"expected deploy=<t_s>, got {tok!r}")
                 deploy = line.time_at(6, "deploy time", prefix="deploy=")
                 line.end(7)
+            line.check_position(3, lat, alt)
             node_lines[nid] = number
             sc.nodes.append(NodeDecl(nid, role, lat, lon, alt, deploy))
         elif head == "at":
@@ -253,6 +290,7 @@ def parse_scenario(text: str) -> Scenario:
                 lon = line.float_at(5, "longitude")
                 alt = line.float_at(6, "altitude")
                 line.end(7)
+                line.check_position(4, lat, alt)
                 ev = ScenarioEvent(at, "move", (nid, lat, lon, alt))
             elif kind == "qkd":
                 a = line.id_at(3, "node id")
@@ -271,14 +309,7 @@ def parse_scenario(text: str) -> Scenario:
             elif kind == "send":
                 src = line.id_at(3, "source id")
                 dst = line.id_at(4, "destination id")
-                tok = line.token(5, "hex:<payload>")
-                if not tok.startswith("hex:"):
-                    raise line.error(5, f"expected hex:<hexstring>, got {tok!r}")
-                payload = tok[len("hex:"):]
-                try:
-                    bits_from_hex(payload)
-                except ValueError as exc:
-                    raise line.error(5, str(exc)) from None
+                payload = line.hex_at(5)
                 line.end(6)
                 ev = ScenarioEvent(at, "send", (src, dst, payload))
             elif kind == "eve":

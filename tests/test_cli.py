@@ -233,6 +233,15 @@ class TestCliExitCodes:
         assert main(["--scenario", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_out_of_range_move_is_2_before_the_run(self, tmp_path, capsys):
+        # the move is late in the run, yet the parse names it before anything runs
+        bad = tmp_path / "bad.soqn"
+        bad.write_text(GOOD + "at 9.0 move n2 95.0 0.9 500.0\n")
+        out = tmp_path / "o"
+        assert main(["--scenario", str(bad), "--out", str(out)]) == 2
+        assert f"{bad}: line 17, col 16: latitude must be in [-90, 90]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_is_2(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.soqn"),
                      "--out", str(tmp_path / "o")]) == 2

@@ -212,6 +212,33 @@ class TestDiagnostics:
     def test_negative_event_time(self):
         self.expect_error(MINIMAL + "at -1 join n2\n", 4, ">= 0")
 
+    @pytest.mark.parametrize("lat,alt", [("90", "0"), ("-90", "0"), ("0", "-500"),
+                                         ("90.0", "-500.0")])
+    def test_coordinate_limits_are_accepted(self, lat, alt):
+        sc = parse_scenario(MINIMAL + f"node n3 peer {lat} 0.5 {alt}\n"
+                            f"at 1 move n1 {lat} 0.5 {alt}\n")
+        assert sc.nodes[2].lat == sc.events[0].args[1] == float(lat)
+        assert sc.nodes[2].alt == sc.events[0].args[3] == float(alt)
+
+    # GeoPosition rejects these; the parser names their line and token
+    @pytest.mark.parametrize("lat,alt,col,message", [
+        ("90.5", "0", 14, "latitude must be in [-90, 90]"),
+        ("-91", "0", 14, "latitude must be in [-90, 90]"),
+        ("0", "-500.1", 20, "altitude must be >= -500"),
+    ])
+    def test_out_of_range_coordinates_are_parse_errors(self, lat, alt, col, message):
+        # both lines put the latitude at column 14
+        for text in (f"node n3 peer {lat} 0.5 {alt}", f"at 1 move n1 {lat} 0.5 {alt}"):
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario(MINIMAL + text + "\n")
+            assert (err.value.line, err.value.col, err.value.message) == (4, col, message)
+
+    def test_coordinate_range_is_checked_after_the_line_reads(self):
+        # a line the tokens already reject keeps that diagnostic
+        self.expect_error("mode p2p\nnode n1 peer 95 0 0 deploy=soon\n", 2,
+                          "deploy time must be a number")
+        self.expect_error(MINIMAL + "at 1 move n1 95 0 0 extra\n", 4, "unexpected token")
+
     def test_missing_tokens(self):
         self.expect_error("mode p2p\nnode n1 peer 0 0\n", 2, "missing")
 
@@ -359,6 +386,27 @@ def test_join_runs_as_a_deploy_time():
             run_scenario(parse_scenario(text), out_dir=out)
             written.append({a: pathlib.Path(out, a).read_bytes() for a in ARTIFACTS})
     assert written[0] == written[1]
+
+
+# A time written -0 reads as 0.0, so no timestamp is written as -0.000000.
+MINUS_ZERO = {
+    "deploy": "mode p2p\nnode a peer 0 0 100 deploy={t}\nnode b peer 0 0.05 100\n"
+              "at 1 qkd a b pulses=4096\n",
+    "at": "mode p2p\nnode a peer 0 0 100\nnode b peer 0 0.05 100\n"
+          "at {t} qkd a b pulses=4096\nat {t} send a b hex:ab\n",
+}
+
+
+@pytest.mark.parametrize("form", sorted(MINUS_ZERO))
+def test_minus_zero_runs_as_time_zero(form):
+    minus, plus = (run_artifacts(MINUS_ZERO[form].format(t=t)) for t in ("-0.0", "0"))
+    assert minus == plus
+    assert b"-0.000000" not in minus["events.log"]
+
+
+@pytest.mark.parametrize("token", ["-0", "-0.0", "-0e9"])
+def test_minus_zero_time_value_is_positive_zero(token):
+    assert str(parse_value("time", token)) == "0.0"
 
 
 def test_param_changes_cover_param_specs():
