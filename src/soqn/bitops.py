@@ -4,10 +4,11 @@ from __future__ import annotations
 import numpy as np
 
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
-# Digit value of each code point below 256 (lower-case digits only); 16
-# marks a non-digit, and larger code points are clipped onto entry 255.
+# Digit value of each code point below 256, either case; 16 marks a
+# non-digit, and larger code points are clipped onto entry 255.
 _HEX_VALUE = np.full(256, 16, dtype=np.uint8)
 _HEX_VALUE[_HEX_DIGITS] = np.arange(16, dtype=np.uint8)
+_HEX_VALUE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16, dtype=np.uint8)
 # Row v holds the 4 bits of digit value v, most significant first.
 _NIBBLE_BITS = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 4:].copy()
 
@@ -30,8 +31,8 @@ def xor_bits(a, b) -> np.ndarray:
 
 
 def bits_from_hex(text: str) -> np.ndarray:
-    """Each hex digit expands to 4 bits, most significant first."""
-    text = text.lower()
+    """Each hex digit, of either case, expands to 4 bits, most significant
+    first. A bad digit is named as written."""
     # One code point per character, so an index into codes is one into text.
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
     values = _HEX_VALUE.take(codes, mode="clip")

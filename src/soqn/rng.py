@@ -8,6 +8,7 @@ makes whole-simulation replay and per-session regression tests possible.
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 
@@ -18,10 +19,19 @@ MAX_SEED = 2**64 - 1
 HYPERGEOMETRIC_LIMIT = 10**9
 
 
-def _entropy(seed: int, label: str) -> list[int]:
+def _entropy(seed: int, label: str) -> np.ndarray:
+    """The stream's SeedSequence entropy: the 64-bit words ``[seed, w0, w1,
+    w2, w3]`` as 32-bit words, the wi being the label's SHA-256 digest read
+    as four little-endian 64-bit words.
+
+    Each 64-bit word becomes its low 32 bits, then its high 32 bits, and
+    the high half is dropped when it is 0. That is how SeedSequence coerces
+    a Python int, so this array gives the Philox key that the list of ints
+    gives, without SeedSequence coercing the ints one by one.
+    """
     digest = hashlib.sha256(label.encode("utf-8")).digest()
-    words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-    return [seed, *words]
+    halves = struct.unpack("<10I", seed.to_bytes(8, "little") + digest)
+    return np.array([h for i, h in enumerate(halves) if h or i % 2 == 0], dtype=np.uint32)
 
 
 class RandomStream:
@@ -77,15 +87,37 @@ class RandomStream:
     def bits(self, n: int) -> np.ndarray:
         """n independent fair bits as uint8.
 
-        The top bit of each of n random bytes: the same bits, and the same
-        stream state afterwards, as ``integers(0, 2, size=n, dtype=np.uint8)``,
-        at byte speed. ``Generator.bytes(0)`` would still consume a word, so
-        n == 0 draws nothing.
+        The top bit of each of the first n bytes of the Philox stream, read
+        little-endian: the same bits, and the same stream state afterwards,
+        as ``Generator.bytes(n)``, without its per-call overhead.
+
+        ``Generator.bytes(n)`` draws ceil(n / 4) 32-bit words. numpy splits
+        each 64-bit Philox output into two such words, low half first, and
+        buffers the high half until the next 32-bit draw. So a half word
+        pending from an earlier draw comes first, and a last word that is a
+        low half leaves its high half pending. Those two words are drawn
+        through numpy's buffer; the whole outputs between them come from
+        ``random_raw``, which bypasses it. ``Generator.bytes(0)`` would
+        still consume a word, so n == 0 draws nothing.
         """
         self.position += n
         if n == 0:
             return np.empty(0, dtype=np.uint8)
-        return np.frombuffer(self._gen.bytes(n), np.uint8) >> 7
+        bitgen = self._gen.bit_generator
+        words = (n + 3) // 4  # the 32-bit words Generator.bytes(n) draws
+        buf = b""
+        if bitgen.state["has_uint32"]:
+            buf = self._buffered_word()
+            words -= 1
+        buf += bitgen.random_raw(words // 2).astype("<u8", copy=False).tobytes()
+        if words % 2:
+            buf += self._buffered_word()
+        return np.frombuffer(buf, np.uint8, count=n) >> 7
+
+    def _buffered_word(self) -> bytes:
+        """One 32-bit word through numpy's half-word buffer, as 4
+        little-endian bytes."""
+        return int(self._gen.integers(0, 2**32, dtype=np.uint32)).to_bytes(4, "little")
 
     def bit(self) -> int:
         self.position += 1

@@ -41,7 +41,7 @@ class TestHex:
 
     @pytest.mark.parametrize("text, bad", [
         ("xyz", "x"), ("12g4", "g"), ("ab cd", " "), ("0x10", "x"),
-        ("abĀ", "ā"), ("a\ud800", "\ud800"),
+        ("abĀ", "Ā"), ("a\ud800", "\ud800"), ("00G1", "G"), ("0İ1", "İ"),
     ])
     def test_invalid_digit_names_first_bad_character(self, text, bad):
         with pytest.raises(ValueError, match="invalid hex digit") as info:

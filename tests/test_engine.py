@@ -1,5 +1,7 @@
+import hashlib
 import math
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from soqn.engine import (ScenarioEvent, SchedulingError, SimEngine, UndeployedOriginError,
                          expand_log, fmt)
+from soqn import rng
 from soqn.qkd import SessionAbort
 from soqn.rng import RandomStream
 from soqn.runner import build_simulation, install_handler
@@ -312,6 +315,22 @@ def same_state(a, b) -> bool:
     return bool(np.array_equal(a, b))
 
 
+def same_draw_state(stream, gen) -> bool:
+    """Whether a stream and a Generator will draw alike: equal bit-generator
+    states, where ``uinteger`` counts only while ``has_uint32`` is set."""
+    a, b = stream._gen.bit_generator.state, gen.bit_generator.state
+    if not a["has_uint32"]:
+        a["uinteger"] = b["uinteger"]
+    return same_state(a, b)
+
+
+def philox_key(source) -> np.ndarray:
+    """The Philox key of a stream, or of a SeedSequence."""
+    if isinstance(source, RandomStream):
+        return source._gen.bit_generator.state["state"]["key"]
+    return np.random.Philox(source).state["state"]["key"]
+
+
 class TestRandomStreams:
     def test_same_label_reproduces(self):
         a = RandomStream(7, "label").uniforms(100)
@@ -374,6 +393,71 @@ class TestRandomStreams:
             assert np.array_equal(stream.uniforms(n % 5), gen.random(n % 5))
             assert np.array_equal(stream.permutation(n % 7), gen.permutation(n % 7))
         assert same_state(stream._gen.bit_generator.state, gen.bit_generator.state)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("words", [
+        (0, 0, 0, 0),
+        (0xDEADBEEF, 1, 2**32 - 1, 0),  # high halves 0
+        (0xDEADBEEF << 32, 1 << 32, (2**32 - 1) << 32, 7),  # low halves 0
+        (2**64 - 1, 0, 1 << 63, 0x0123456789ABCDEF),
+    ])
+    def test_entropy_gives_the_key_of_the_int_words(self, monkeypatch, seed, words):
+        # No label hashes to these digests, so the digest is put in place of
+        # the hash; the key must be that of SeedSequence([seed, *words]).
+        digest = b"".join(w.to_bytes(8, "little") for w in words)
+        monkeypatch.setattr(rng, "hashlib", SimpleNamespace(
+            sha256=lambda data: SimpleNamespace(digest=lambda: digest)))
+        assert np.array_equal(philox_key(RandomStream(seed, "x")),
+                              philox_key(np.random.SeedSequence([seed, *words])))
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 2**32, 2**64 - 1])
+    def test_entropy_of_session_labels_gives_the_key_of_the_int_words(self, seed):
+        for a, b, i in [("a", "b", 0), ("n1", "n12", 3), ("s0", "c95", 41), ("p7", "p8", 999)]:
+            label = f"qkd/{a}/{b}/{i}"
+            digest = hashlib.sha256(label.encode()).digest()
+            words = [int.from_bytes(digest[j:j + 8], "little") for j in range(0, 32, 8)]
+            assert np.array_equal(philox_key(RandomStream(seed, label)),
+                                  philox_key(np.random.SeedSequence([seed, *words])))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bits_match_generator_bytes_in_any_interleaving(self, seed):
+        # bits(n) reads raw Philox outputs; numpy's Generator.bytes(n) draws
+        # 32-bit words through the bit generator's half-word buffer. Every
+        # draw and the state afterwards must agree, whatever half word the
+        # other draws leave pending.
+        stream = RandomStream(seed, "interleaved")
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            rng._entropy(seed, "interleaved"))))
+        choose = np.random.default_rng(100 + seed)
+        pending = {"entry": set(), "exit": set(), "n mod 8": set()}
+        for _ in range(300):
+            op = choose.integers(7)
+            if op <= 1:
+                n = int(choose.integers(71))
+                pending["entry"].add(gen.bit_generator.state["has_uint32"])
+                want = np.frombuffer(gen.bytes(n), np.uint8) >> 7 if n else np.empty(0, np.uint8)
+                got = stream.bits(n)
+                assert got.dtype == np.uint8 and np.array_equal(got, want)
+                assert same_draw_state(stream, gen)
+                pending["exit"].add(gen.bit_generator.state["has_uint32"])
+                pending["n mod 8"].add(n % 8)
+            elif op == 2:
+                k = int(choose.integers(12))
+                assert np.array_equal(stream.permutation(k), gen.permutation(k))
+            elif op == 3:
+                sample = int(choose.integers(1, 30))
+                ngood = int(choose.integers(sample + 1))
+                nbad = sample - ngood + int(choose.integers(40))
+                assert stream.hypergeometric(ngood, nbad, sample) == gen.hypergeometric(
+                    ngood, nbad, sample)
+            elif op == 4:
+                assert stream.binomial(1000, 0.3) == gen.binomial(1000, 0.3)
+            elif op == 5:
+                assert np.array_equal(stream.uniforms(3), gen.random(3))
+            else:
+                assert stream.bit() == int(gen.integers(0, 2))
+        assert same_draw_state(stream, gen)
+        assert pending == {"entry": {0, 1}, "exit": {0, 1}, "n mod 8": set(range(8))}
 
     def test_seed_bounds(self):
         # a seed is one 64-bit entropy word: 2**64 + s would draw as s does
