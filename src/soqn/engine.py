@@ -4,7 +4,9 @@ A virtual clock, a (time, sequence)-ordered event queue, a reliable
 same-tick classical broadcast bus, and label-keyed random streams. All
 protocol state mutation happens on the single event-loop thread. The event
 log is append-only: the engine holds its stable, tab-separated lines, each
-built once, when its record is emitted, for golden-file comparison.
+built once, when its record is emitted, for golden-file comparison. A
+record's details are formatted by its caller, as space-separated
+``key=value`` fields, and the engine writes them as given.
 
 The log is written in format v2: a broadcast is one ``broadcast`` record
 ending in ``receivers=<count>``, and its receptions take the ``count``
@@ -54,16 +56,6 @@ class LogRecord:
         return f"{self.time:.6f}\t{self.seq}\t{self.kind}\t{self.origin}\t{self.details}"
 
 
-def fmt(value) -> str:
-    """Stable scalar formatting for log and report fields (6 significant
-    digits for floats)."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
 class SimEngine:
     """Event queue, clock, broadcast bus, and stream factory."""
 
@@ -85,22 +77,16 @@ class SimEngine:
 
     # -- logging ---------------------------------------------------------
 
-    def emit(self, kind: str, origin: str, **fields) -> int:
+    def emit(self, kind: str, origin: str, details: str = "") -> int:
         """Append one record of any kind but the two ``expand_log`` reads,
-        which only ``mark_deployed`` and ``broadcast`` write."""
+        which only ``mark_deployed`` and ``broadcast`` write, and return its
+        sequence number. ``details`` is written as given."""
         if kind in ("deploy", "broadcast"):
             raise ValueError(f"{kind!r} records come only from mark_deployed and broadcast")
-        return self._write(kind, origin, fields)
-
-    def _write(self, kind: str, origin: str, fields: dict) -> int:
-        """Append one record's v2 line and return its sequence number. Exact
-        str, int and float values are formatted inline as ``fmt`` would."""
-        details = " ".join([f"{k}={v}" if (t := type(v)) is str or t is int
-                            else f"{k}={v:.6g}" if t is float else f"{k}={fmt(v)}"
-                            for k, v in fields.items()])
-        self._lines.append(f"{self.now:.6f}\t{self._log_seq}\t{kind}\t{origin}\t{details}")
-        self._log_seq += 1
-        return self._log_seq - 1
+        seq = self._log_seq
+        self._lines.append(f"{self.now:.6f}\t{seq}\t{kind}\t{origin}\t{details}")
+        self._log_seq = seq + 1
+        return seq
 
     @property
     def log(self) -> list[LogRecord]:
@@ -116,8 +102,9 @@ class SimEngine:
 
     # -- deployment registry ----------------------------------------------
 
-    def mark_deployed(self, node_id: str, **fields) -> int:
-        """Deploy ``node_id`` and write its ``deploy`` record with ``fields``.
+    def mark_deployed(self, node_id: str, details: str = "") -> int:
+        """Deploy ``node_id``, write its ``deploy`` record with ``details``
+        as given and return the record's sequence number.
 
         That record is what makes the node a receiver of every later
         broadcast when the log is expanded, so it is written here and
@@ -125,7 +112,10 @@ class SimEngine:
         if node_id in self._deployed:
             raise ValueError(f"node {node_id!r} is already deployed")
         self._deployed.add(node_id)
-        return self._write("deploy", node_id, fields)
+        seq = self._log_seq
+        self._lines.append(f"{self.now:.6f}\t{seq}\tdeploy\t{node_id}\t{details}")
+        self._log_seq = seq + 1
+        return seq
 
     def is_deployed(self, node_id: str) -> bool:
         return node_id in self._deployed
@@ -162,13 +152,16 @@ class SimEngine:
     def broadcast(self, origin: str, topic: str, payload: str = "") -> int:
         """Deliver a payload to every other deployed node at the current
         tick. Returns the number of deliveries, which the ``broadcast``
-        record carries as ``receivers=<count>``; their sequence numbers
-        follow it unwritten."""
-        if not self.is_deployed(origin):
+        record carries as ``receivers=<count>`` after ``topic`` and
+        ``payload``, both written as given; their sequence numbers follow
+        it unwritten."""
+        if origin not in self._deployed:
             raise UndeployedOriginError(f"origin {origin!r} is not deployed")
         count = len(self._deployed) - 1  # every deployed node but the origin
-        self._write("broadcast", origin, {"topic": topic, "payload": payload, "receivers": count})
-        self._log_seq += count
+        seq = self._log_seq
+        self._lines.append(f"{self.now:.6f}\t{seq}\tbroadcast\t{origin}\t"
+                           f"topic={topic} payload={payload} receivers={count}")
+        self._log_seq = seq + 1 + count
         return count
 
 

@@ -392,10 +392,10 @@ class Network:
         node = self._node(node_id)
         if self.engine.is_deployed(node_id):
             raise DuplicateNodeError(f"node {node_id!r} deployed twice")
-        self.engine.mark_deployed(node_id, role=node.role,
-                                  lat=node.position.latitude_deg, lon=node.position.longitude_deg,
-                                  alt=node.position.altitude_m)
-        self._place(node, node.position)
+        pos = node.position
+        self.engine.mark_deployed(node_id, f"role={node.role} lat={pos.latitude_deg:.6g} "
+                                  f"lon={pos.longitude_deg:.6g} alt={pos.altitude_m:.6g}")
+        self._place(node, pos)
         if self.organized:
             self.join_network(node_id)
 
@@ -412,7 +412,7 @@ class Network:
             self.engine.broadcast(nid, "link_report", f"links={self._incident_count(nid)}")
         self._refresh_tables()
         self.organized = True
-        self.engine.emit("organize", "-", nodes=len(deployed), links=len(self.active_pairs()))
+        self.engine.emit("organize", "-", f"nodes={len(deployed)} links={len(self.active_pairs())}")
         self._precharge_all()
 
     def join_network(self, node_id: NodeId) -> None:
@@ -421,7 +421,7 @@ class Network:
         if not self.engine.is_deployed(node_id):
             raise UnknownNodeError(f"node {node_id!r} is not deployed")
         self._announce_and_acquire(node_id, "join_request")
-        self.engine.emit("join", node_id, links=self._incident_count(node_id))
+        self.engine.emit("join", node_id, f"links={self._incident_count(node_id)}")
         self._precharge_all()
 
     def move_node(self, node_id: NodeId, new_pos: GeoPosition) -> None:
@@ -433,11 +433,11 @@ class Network:
             del self._adj[other][node_id]
             pair = link.endpoints
             link.state = "torn_down"
-            self.engine.emit("link_down", node_id, pair=f"{pair[0]}~{pair[1]}", reason="move")
+            self.engine.emit("link_down", node_id, f"pair={pair[0]}~{pair[1]} reason=move")
         self._place(node, new_pos)
         self._announce_and_acquire(node_id, "location")
-        self.engine.emit("move", node_id, lat=new_pos.latitude_deg,
-                         lon=new_pos.longitude_deg, alt=new_pos.altitude_m)
+        self.engine.emit("move", node_id, f"lat={new_pos.latitude_deg:.6g} "
+                         f"lon={new_pos.longitude_deg:.6g} alt={new_pos.altitude_m:.6g}")
         self._precharge_all()
 
     def activate_link(self, link: OpticalLink) -> None:
@@ -445,7 +445,7 @@ class Network:
         down, and a later link of its pair waits out its own delay."""
         if link.state == "acquiring":
             link.state = "active"
-            self.engine.emit("link_active", "-", pair="~".join(link.endpoints))
+            self.engine.emit("link_active", "-", f"pair={'~'.join(link.endpoints)}")
             self._refresh_tables()
 
     # -- key generation and transfer ---------------------------------------
@@ -459,8 +459,8 @@ class Network:
             self.eve.add(pair)
         else:
             self.eve.discard(pair)
-        self.engine.emit("eve", "-", pair=f"{pair[0]}~{pair[1]}",
-                         mode="intercept_resend" if on else "none")
+        self.engine.emit("eve", "-", f"pair={pair[0]}~{pair[1]} "
+                                     f"mode={'intercept_resend' if on else 'none'}")
 
     def generate_direct_key(self, a: NodeId, b: NodeId, n_pulses: int) -> SessionRecord:
         """Run the mode-appropriate QKD session over an active link and, on
@@ -476,11 +476,12 @@ class Network:
         run = run_plugplay_session if proto == "plugplay" else run_bb84_session
         rec = run(link, n_pulses, pair in self.eve, stream, self.channel, self.protocol)
         self.session_stats.setdefault(pair, []).append(rec)
-        self.engine.emit("qkd", pair[0], peer=pair[1], proto=proto, index=index,
-                         pulses=n_pulses, sifted=rec.sifted_len, qber=rec.qber,
-                         leak=rec.reconciliation_leak_bits, final=len(rec.final_key),
-                         outcome="abort" if rec.aborted else "ok",
-                         reason=rec.abort_reason.value)
+        self.engine.emit("qkd", pair[0],
+                         f"peer={pair[1]} proto={proto} index={index} pulses={n_pulses} "
+                         f"sifted={rec.sifted_len} qber={rec.qber:.6g} "
+                         f"leak={rec.reconciliation_leak_bits} final={len(rec.final_key)} "
+                         f"outcome={'abort' if rec.aborted else 'ok'} "
+                         f"reason={rec.abort_reason.value}")
         if not rec.aborted:
             self._store_key(pair, rec.final_key)
         return rec
@@ -524,7 +525,7 @@ class Network:
             self.engine.broadcast(relay, "relay_xor", hex_from_bits(xor_block) if block_len % 4 == 0
                                   else "".join(str(int(b)) for b in xor_block))
         ticket = RelayTicket(tuple(path), broadcasts, block_len)
-        self.engine.emit("relay", path[0], path=">".join(path), block_len=block_len)
+        self.engine.emit("relay", path[0], f"path={'>'.join(path)} block_len={block_len}")
         return ticket, blocks[0], blocks[-1]
 
     def send_message(self, src: NodeId, dst: NodeId, message) -> DeliveryRecord:
@@ -729,8 +730,8 @@ class Network:
         self._adj.setdefault(a, {})[b] = link
         self._adj.setdefault(b, {})[a] = link
         self.link_history[pair] = link
-        self.engine.emit("link_up", pair[0], peer=pair[1], dist_km=dist,
-                         loss_db=loss, state=state)
+        self.engine.emit("link_up", pair[0],
+                         f"peer={pair[1]} dist_km={dist:.6g} loss_db={loss:.6g} state={state}")
         if state == "acquiring":
             self.engine.schedule(ScenarioEvent(self.engine.now + self.acquire_delay_s,
                                                "link_active", (link,)))
@@ -759,13 +760,13 @@ class Network:
         """Append key bits to a pair's buffer, for the audit and the log."""
         offset = self._buffer(pair).append(bits)
         self.keygen_events.append((pair, offset, len(bits)))
-        self.engine.emit("keygen", pair[0], peer=pair[1], offset=offset, bits=len(bits))
+        self.engine.emit("keygen", pair[0], f"peer={pair[1]} offset={offset} bits={len(bits)}")
 
     def _consume(self, pair: tuple[NodeId, NodeId], n: int, purpose: str) -> KeyBlock:
         block = self._buffer(pair).consume(n)
         self.consume_events.append((pair, block.offset, n, purpose))
-        self.engine.emit("consume", pair[0], peer=pair[1], offset=block.offset,
-                         bits=n, purpose=purpose)
+        self.engine.emit("consume", pair[0],
+                         f"peer={pair[1]} offset={block.offset} bits={n} purpose={purpose}")
         return block
 
     def _ensure_key(self, hop: tuple[NodeId, NodeId], need: int):
@@ -796,9 +797,9 @@ class Network:
         rec = DeliveryRecord(self.engine.now, src, dst, path, outcome, consumed, ok,
                              failing_hop, detail)
         self.deliveries.append(rec)
-        self.engine.emit("send", src, dst=dst,
-                         path=">".join(path) if path else "-",
-                         outcome=outcome, bits=consumed, ok=ok,
-                         hop="-" if failing_hop is None else f"{failing_hop[0]}~{failing_hop[1]}",
-                         detail=detail or "-")
+        hop = "-" if failing_hop is None else f"{failing_hop[0]}~{failing_hop[1]}"
+        self.engine.emit("send", src,
+                         f"dst={dst} path={'>'.join(path) if path else '-'} outcome={outcome} "
+                         f"bits={consumed} ok={'true' if ok else 'false'} hop={hop} "
+                         f"detail={detail or '-'}")
         return rec

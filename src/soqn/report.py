@@ -12,8 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .engine import SimEngine, fmt
+from .engine import SimEngine
 from .network import DeliveryRecord, Network
+
+
+def fmt(value) -> str:
+    """Stable scalar formatting for report fields (6 significant digits
+    for floats)."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
 
 
 class LinkStat(NamedTuple):

@@ -66,7 +66,7 @@ def install_handler(engine: SimEngine, network: Network,
             try:
                 network.generate_direct_key(a, b, pulses)
             except NetworkError as exc:
-                engine.emit("error", a, msg=str(exc))
+                engine.emit("error", a, f"msg={exc}")
         elif kind == "send":
             src, dst, payload = ev.args
             network.send_message(src, dst, bits_from_hex(payload))

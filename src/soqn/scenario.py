@@ -26,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
-from .bitops import bits_from_hex
+from .bitops import _HEX_RE, bits_from_hex
 from .engine import ScenarioEvent
 from .geo import MAX_LATITUDE_DEG, MIN_ALTITUDE_M
 from .network import _ID_RE, ROLES
@@ -34,8 +34,6 @@ from .qkd import MAX_PULSES
 from .rng import MAX_SEED
 
 _TOKEN_RE = re.compile(r"\S+")
-# Exactly the payloads bits_from_hex accepts.
-_HEX_RE = re.compile(r"[0-9A-Fa-f]*")
 
 # DSL parameter name -> (config group, value type). Groups are mapped onto
 # the dataclass fields of the same names by the runner.

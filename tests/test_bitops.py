@@ -4,11 +4,60 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from soqn.bitops import bits_from_hex, hex_from_bits
+from soqn.bitops import as_bits, bits_from_hex, hex_from_bits
 
 
 def _bits(text):
     return np.array([int(c) for c in text], dtype=np.uint8)
+
+
+# The table-based converters that bits_from_hex and hex_from_bits replaced,
+# kept as a reference.
+_REF_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_REF_VALUE = np.full(256, 16, dtype=np.uint8)
+_REF_VALUE[_REF_DIGITS] = np.arange(16, dtype=np.uint8)
+_REF_VALUE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16, dtype=np.uint8)
+_REF_NIBBLE_BITS = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 4:].copy()
+
+
+def reference_bits_from_hex(text):
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    values = _REF_VALUE.take(codes, mode="clip")
+    bad = values > 15
+    if bad.any():
+        raise ValueError(f"invalid hex digit {text[int(bad.argmax())]!r}")
+    return _REF_NIBBLE_BITS.take(values, axis=0).ravel()
+
+
+def reference_hex_from_bits(bits):
+    arr = as_bits(bits)
+    if len(arr) % 4 != 0:
+        raise ValueError("bit length must be a multiple of 4")
+    values = np.packbits(arr.reshape(-1, 4), axis=1)[:, 0] >> 4
+    return _REF_DIGITS[values].tobytes().decode("ascii")
+
+
+def outcome(fn, arg):
+    """What ``fn(arg)`` gives: ("ok", value) or ("error", message); an
+    array value as its dtype and list."""
+    try:
+        value = fn(arg)
+    except ValueError as exc:
+        return "error", str(exc)
+    if isinstance(value, np.ndarray):
+        return "ok", value.dtype, value.tolist()
+    return "ok", value
+
+
+HEX_TEXT = st.text(alphabet="0123456789abcdefABCDEF", max_size=300)
+# Whitespace that bytes.fromhex skips or str.split splits on, non-ASCII
+# digits and letters, a character whose lower case is two code points, and
+# lone surrogates.
+STRAY = st.one_of(
+    st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000gGxX-+.İ١０ａＦ"),
+    st.characters(codec="utf-8"),
+    st.integers(0xD800, 0xDFFF).map(chr),
+)
 
 
 class TestHex:
@@ -56,3 +105,22 @@ class TestHex:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError, match="only 0 and 1"):
             hex_from_bits(np.array([0, 2, 0, 1], dtype=np.uint8))
+
+
+class TestAgainstTheReference:
+    @given(HEX_TEXT)
+    def test_valid_text_gives_the_reference_bits(self, text):
+        got, want = bits_from_hex(text), reference_bits_from_hex(text)
+        assert got.dtype == np.uint8 and got.shape == want.shape == (4 * len(text),)
+        assert np.array_equal(got, want)
+
+    @given(HEX_TEXT, st.lists(st.tuples(st.integers(0, 300), STRAY), min_size=1, max_size=3))
+    def test_bad_text_names_the_reference_digit(self, text, strays):
+        for at, char in strays:
+            text = text[:at] + char + text[at:]
+        assert outcome(bits_from_hex, text) == outcome(reference_bits_from_hex, text)
+
+    @given(st.lists(st.integers(0, 1), max_size=300))
+    def test_bits_give_the_reference_text_or_error(self, bits):
+        arr = np.array(bits, dtype=np.uint8)
+        assert outcome(hex_from_bits, arr) == outcome(reference_hex_from_bits, arr)

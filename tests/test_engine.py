@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soqn.engine import (ScenarioEvent, SchedulingError, SimEngine, UndeployedOriginError,
-                         expand_log, fmt)
+                         expand_log)
 from soqn import rng
 from soqn.qkd import SessionAbort
+from soqn.report import fmt
 from soqn.rng import RandomStream
 from soqn.runner import build_simulation, install_handler
 from soqn.scenario import parse_scenario
@@ -174,7 +175,7 @@ class TestBroadcast:
 
     def test_deploying_twice_is_rejected(self):
         engine = SimEngine(0)
-        engine.mark_deployed("a", role="peer")
+        engine.mark_deployed("a", "role=peer")
         with pytest.raises(ValueError, match="already deployed"):
             engine.mark_deployed("a")
         assert engine.log_lines() == ["0.000000\t0\tdeploy\ta\trole=peer"]
@@ -183,20 +184,31 @@ class TestBroadcast:
 class TestLog:
     def test_lines_are_tab_separated_and_stable(self):
         engine = SimEngine(0)
-        engine.emit("kind1", "node1", a=1, b=2.5)
+        engine.emit("kind1", "node1", "a=1 b=2.5")
         line = engine.log_lines()[0]
         assert line == "0.000000\t0\tkind1\tnode1\ta=1 b=2.5"
 
     @pytest.mark.parametrize("value", [
         True, False, 0, np.int64(7), 2.5, 1 / 3, 1e-7, 1e21, -0.0, math.nan, math.inf,
-        np.float64(0.123456789), "plain", SessionAbort.NONE])
+        np.float64(0.123456789), "plain", SessionAbort.NONE,
+        "", "a=1 b=2.5 msg=text with  two spaces", " = ", "x=\u0130\u00fc\U0001f600",
+        "receivers=7"])
     def test_each_field_is_written_as_fmt_formats_it(self, value):
+        # the caller formats its details, topic and payload; the engine
+        # writes the text as passed
+        text = fmt(value)
         engine = SimEngine(0)
-        engine.mark_deployed("a", v=value)
-        engine.emit("note", "a", v=value)
-        engine.broadcast("a", value)
-        assert [line.split("\t")[4] for line in engine.log_lines()] == [
-            f"v={fmt(value)}", f"v={fmt(value)}", f"topic={fmt(value)} payload= receivers=0"]
+        engine.now = 2.5
+        assert engine.mark_deployed("a", text) == 0
+        assert engine.emit("note", "a", text) == 1
+        engine.mark_deployed("b")
+        assert engine.broadcast("a", text, text) == 1
+        assert engine.emit("note", "b") == 5
+        assert engine.log_lines() == [
+            f"2.500000\t0\tdeploy\ta\t{text}", f"2.500000\t1\tnote\ta\t{text}",
+            "2.500000\t2\tdeploy\tb\t",
+            f"2.500000\t3\tbroadcast\ta\ttopic={text} payload={text} receivers=1",
+            "2.500000\t5\tnote\tb\t"]
 
     def test_emit_and_mark_deployed_return_the_sequence_number(self):
         engine = SimEngine(0)
@@ -207,7 +219,7 @@ class TestLog:
 
     def test_changing_the_returned_lines_leaves_the_log_as_it_was(self):
         engine = SimEngine(0)
-        engine.emit("note", "a", i=1)
+        engine.emit("note", "a", "i=1")
         lines = engine.log_lines()
         lines.append("extra")
         lines[0] = "changed"
@@ -216,7 +228,7 @@ class TestLog:
     def test_sequence_monotone(self):
         engine = SimEngine(0)
         for i in range(5):
-            engine.emit("k", "n", i=i)
+            engine.emit("k", "n", f"i={i}")
         assert [r.seq for r in engine.log] == list(range(5))
 
     def test_lines_match_expanded_records(self):
@@ -276,7 +288,7 @@ class TestExpandLog:
         engine.mark_deployed("a")
         engine.mark_deployed("b")
         with pytest.raises(ValueError, match=kind):
-            engine.emit(kind, "c", topic="t")
+            engine.emit(kind, "c", "topic=t")
         engine.broadcast("a", "t")
         assert [r.kind for r in engine.log] == ["deploy", "deploy", "broadcast", "bcast_rx"]
 
@@ -289,11 +301,11 @@ class TestExpandLog:
         for op, i in ops:
             node = f"n{i}"
             if op == "deploy" and not engine.is_deployed(node):
-                engine.mark_deployed(node, i=i)
+                engine.mark_deployed(node, f"i={i}")
             elif op == "broadcast" and engine.is_deployed(node):
                 counts.append(engine.broadcast(node, f"topic{i}", f"payload receivers={i}"))
             elif op == "emit":
-                engine.emit("note", node, i=i)
+                engine.emit("note", node, f"i={i}")
             engine.now += 0.25
         expanded = [line.split("\t") for line in expand_log(engine.log_lines())]
         assert [int(f[1]) for f in expanded] == list(range(len(expanded)))

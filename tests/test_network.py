@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from soqn.bitops import as_bits
 from soqn.channel import ChannelParams
-from soqn.engine import ScenarioEvent, SimEngine, fmt
+from soqn.engine import ScenarioEvent, SimEngine
 from soqn.geo import EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams, cell_side, link_feasible
 from soqn.network import (DuplicateNodeError, KeyBlock, KeyBuffer, KeyReuseError,
                           KeyStarvationError, LinkInactiveError, Network, NoRouteError,
@@ -18,7 +18,7 @@ from soqn.network import (DuplicateNodeError, KeyBlock, KeyBuffer, KeyReuseError
                           decrypt, decrypt_relay, encrypt, pair_key, shortest_path)
 from soqn.qkd import ProtocolParams
 from soqn.rng import RandomStream
-from soqn.report import build_report, render_records
+from soqn.report import build_report, fmt, render_records
 from soqn.runner import build_simulation, install_handler
 from soqn.scenario import parse_scenario
 

@@ -7,9 +7,9 @@ artifact must come out byte for byte the same.
 """
 import pytest
 
-from soqn.engine import fmt
 from soqn.network import DeliveryRecord
-from soqn.report import LinkStat, Report, Snapshot, build_report, render_human, render_records
+from soqn.report import (LinkStat, Report, Snapshot, build_report, fmt, render_human,
+                         render_records)
 from soqn.runner import build_simulation, install_handler
 from soqn.scenario import parse_scenario
 
