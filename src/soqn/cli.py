@@ -1,7 +1,8 @@
 """Command-line entry point: parse a scenario file, run it, write reports.
 
-Exit codes: 0 ok, 2 parse error, 3 strict-mode delivery failure, 4 internal
-invariant violation. ``SOQN_LOG`` selects log verbosity (debug|info|warning).
+Exit codes: 0 ok, 2 parse error (or a scenario that cannot be read, or an
+output directory that cannot be written), 3 strict-mode delivery failure, 4
+internal invariant violation. ``SOQN_LOG`` selects log verbosity (debug|info|warning).
 """
 from __future__ import annotations
 
@@ -83,9 +84,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"soqn: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     try:
-        with open(args.scenario) as fh:
+        with open(args.scenario, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"soqn: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     try:
@@ -122,6 +123,10 @@ def main(argv: list[str] | None = None) -> int:
                 snapshot_times=snapshots, out_dir=out_dir)
         except ValueError as exc:
             print(f"soqn: invalid configuration: {exc}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
+        except OSError as exc:
+            print(f"soqn: cannot write {exc.filename or out_dir}: {exc.strerror or exc}",
+                  file=sys.stderr)
             return EXIT_PARSE_ERROR
         summary = " ".join(f"{k}={v}" for k, v in report.summary.items())
         print(f"{out_dir}: exit={code} {summary}")

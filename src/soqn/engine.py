@@ -8,19 +8,16 @@ built once, when its record is emitted, for golden-file comparison. A
 record's details are formatted by its caller, as space-separated
 ``key=value`` fields, and the engine writes them as given.
 
-The log is written in format v2: a broadcast is one ``broadcast`` record
-ending in ``receivers=<count>``, and its receptions take the ``count``
-sequence numbers after it without a record of their own. The receivers are
-the nodes of the ``deploy`` records before the broadcast, in that order,
-less its source, so ``expand_log`` rebuilds the v1 log, one reception
-record per receiver, exactly.
+Lines are numbered 0, 1, 2, ... without gaps. A broadcast is one
+``broadcast`` line ending in ``receivers=<count>``: the nodes deployed
+before it, one per ``deploy`` line, less its source.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .rng import RandomStream
 
@@ -44,18 +41,6 @@ class ScenarioEvent:
             raise ValueError("event time must be >= 0")
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    time: float
-    seq: int
-    kind: str
-    origin: str
-    details: str
-
-    def to_line(self) -> str:
-        return f"{self.time:.6f}\t{self.seq}\t{self.kind}\t{self.origin}\t{self.details}"
-
-
 class SimEngine:
     """Event queue, clock, broadcast bus, and stream factory."""
 
@@ -66,7 +51,6 @@ class SimEngine:
         self._deployed: set[str] = set()
         self._queue: list[tuple[float, int, ScenarioEvent]] = []
         self._schedule_seq = 0
-        self._log_seq = 0
         self.handler: Callable[[ScenarioEvent], None] | None = None
         self.events_processed = 0
 
@@ -78,26 +62,19 @@ class SimEngine:
     # -- logging ---------------------------------------------------------
 
     def emit(self, kind: str, origin: str, details: str = "") -> int:
-        """Append one record of any kind but the two ``expand_log`` reads,
+        """Append one record of any kind but ``deploy`` and ``broadcast``,
         which only ``mark_deployed`` and ``broadcast`` write, and return its
-        sequence number. ``details`` is written as given."""
+        sequence number. ``details`` is written as given. A stray ``deploy``
+        line would make the ``receivers=`` count of every later broadcast
+        disagree with the ``deploy`` lines before it."""
         if kind in ("deploy", "broadcast"):
             raise ValueError(f"{kind!r} records come only from mark_deployed and broadcast")
-        seq = self._log_seq
+        seq = len(self._lines)
         self._lines.append(f"{self.now:.6f}\t{seq}\t{kind}\t{origin}\t{details}")
-        self._log_seq = seq + 1
         return seq
 
-    @property
-    def log(self) -> list[LogRecord]:
-        """Every record so far in format v1, each broadcast followed by its
-        receptions (parsed from ``expand_log``; a new list on each access)."""
-        return [LogRecord(float(t), int(seq), kind, origin, details)
-                for t, seq, kind, origin, details
-                in (line.split("\t", 4) for line in expand_log(self._lines))]
-
     def log_lines(self) -> list[str]:
-        """The lines of ``events.log`` (format v2), as a new list."""
+        """The lines of ``events.log``, as a new list."""
         return self._lines.copy()
 
     # -- deployment registry ----------------------------------------------
@@ -106,15 +83,13 @@ class SimEngine:
         """Deploy ``node_id``, write its ``deploy`` record with ``details``
         as given and return the record's sequence number.
 
-        That record is what makes the node a receiver of every later
-        broadcast when the log is expanded, so it is written here and
-        nowhere else."""
+        That record is what counts the node among the receivers of every
+        later broadcast, so it is written here and nowhere else."""
         if node_id in self._deployed:
             raise ValueError(f"node {node_id!r} is already deployed")
         self._deployed.add(node_id)
-        seq = self._log_seq
+        seq = len(self._lines)
         self._lines.append(f"{self.now:.6f}\t{seq}\tdeploy\t{node_id}\t{details}")
-        self._log_seq = seq + 1
         return seq
 
     def is_deployed(self, node_id: str) -> bool:
@@ -153,47 +128,13 @@ class SimEngine:
         """Deliver a payload to every other deployed node at the current
         tick. Returns the number of deliveries, which the ``broadcast``
         record carries as ``receivers=<count>`` after ``topic`` and
-        ``payload``, both written as given; their sequence numbers follow
-        it unwritten."""
+        ``payload``, both written as given. The deliveries have no record
+        of their own."""
         if origin not in self._deployed:
             raise UndeployedOriginError(f"origin {origin!r} is not deployed")
         count = len(self._deployed) - 1  # every deployed node but the origin
-        seq = self._log_seq
+        seq = len(self._lines)
         self._lines.append(f"{self.now:.6f}\t{seq}\tbroadcast\t{origin}\t"
                            f"topic={topic} payload={payload} receivers={count}")
-        self._log_seq = seq + 1 + count
         return count
 
-
-def expand_log(lines: Iterable[str]) -> list[str]:
-    """Rebuild the v1 lines of an ``events.log`` from its v2 ``lines``.
-
-    Each ``broadcast`` record loses its ``receivers=<count>`` field and is
-    followed by one ``bcast_rx`` record per receiver, numbered from the
-    broadcast's sequence number plus one: the nodes of the ``deploy``
-    records before it, in that order, less its source. Every other line is
-    kept as it is. Raises ``ValueError`` naming the sequence number of a
-    broadcast without a count or whose count differs from its receivers.
-    """
-    deployed: list[str] = []
-    out: list[str] = []
-    for line in lines:
-        time, seq, kind, origin, details = line.split("\t", 4)
-        if kind == "deploy":
-            deployed.append(origin)
-        if kind != "broadcast":
-            out.append(line)
-            continue
-        details, has_count, count = details.rpartition(" receivers=")
-        if not has_count:
-            raise ValueError(f"broadcast seq {seq} has no receivers= count")
-        receivers = [n for n in deployed if n != origin]
-        if count != str(len(receivers)):
-            raise ValueError(f"broadcast seq {seq} counts receivers={count}, "
-                             f"but {len(receivers)} nodes were deployed besides {origin}")
-        out.append(f"{time}\t{seq}\t{kind}\t{origin}\t{details}")
-        topic = details.partition(" payload=")[0].removeprefix("topic=")
-        tail = f"\tsource={origin} topic={topic}"
-        out += [f"{time}\t{rx_seq}\tbcast_rx\t{node}{tail}"
-                for rx_seq, node in enumerate(receivers, int(seq) + 1)]
-    return out

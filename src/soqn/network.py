@@ -664,9 +664,6 @@ class Network:
     def _incident_count(self, nid: NodeId) -> int:
         return len(self._adj.get(nid, _NO_LINKS))
 
-    def _eligible(self, a: NodeId, b: NodeId) -> bool:
-        return self.nodes[b].role in self._linkable[self.nodes[a].role]
-
     def _cell_key(self, position: GeoPosition) -> int:
         ix, iy, iz = cell_of(position, self._cell_side)
         return (ix * self._cell_stride + iy) * self._cell_stride + iz

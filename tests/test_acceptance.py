@@ -22,6 +22,8 @@ from soqn.rng import RandomStream
 from soqn.runner import run_scenario
 from soqn.scenario import parse_scenario
 
+from event_log import records
+
 KM_PER_DEG = 111.19492664455873
 
 IDEAL = ChannelParams(atm_loss_db_per_km=0.0, fixed_system_loss_db=0.0,
@@ -216,7 +218,7 @@ def test_05_cs_structural_invariant():
         assert rec.delivered, (src, dst, rec.detail)
         assert all(network.nodes[n].role == "server" for n in rec.path[1:-1])
     assert network.audit_roles() == []
-    for record in engine.log:
+    for record in records(engine):
         if record.kind == "link_up":
             a = record.origin
             b = dict(f.split("=", 1) for f in record.details.split()).get("peer")

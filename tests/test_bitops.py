@@ -1,4 +1,6 @@
 """Hex conversion of bitstrings: digits expand to 4 bits, most significant first."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,9 +22,14 @@ _REF_VALUE[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16, dtype=n
 _REF_NIBBLE_BITS = np.unpackbits(np.arange(16, dtype=np.uint8)[:, None], axis=1)[:, 4:].copy()
 
 
-def reference_bits_from_hex(text):
+def reference_digit_values(text):
+    """Each character's digit value in the reference table; 16 if none."""
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    values = _REF_VALUE.take(codes, mode="clip")
+    return _REF_VALUE.take(codes, mode="clip")
+
+
+def reference_bits_from_hex(text):
+    values = reference_digit_values(text)
     bad = values > 15
     if bad.any():
         raise ValueError(f"invalid hex digit {text[int(bad.argmax())]!r}")
@@ -119,6 +126,22 @@ class TestAgainstTheReference:
         for at, char in strays:
             text = text[:at] + char + text[at:]
         assert outcome(bits_from_hex, text) == outcome(reference_bits_from_hex, text)
+
+    def test_every_code_point_alone_gives_the_reference_outcome(self):
+        # One reference call per code point would take seconds, so the
+        # reference table is read once for all of them: the reference
+        # itself runs on the digits it accepts, and on any other character
+        # it raises naming that character.
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        differ = []
+        for char, value in zip(every, reference_digit_values(every).tolist()):
+            want = (outcome(reference_bits_from_hex, char) if value < 16
+                    else ("error", f"invalid hex digit {char!r}"))
+            if outcome(bits_from_hex, char) != want:
+                differ.append(char)
+        assert differ == []
+        for char in "g \u0130\ud800\U0010ffff":
+            assert outcome(reference_bits_from_hex, char) == ("error", f"invalid hex digit {char!r}")
 
     @given(st.lists(st.integers(0, 1), max_size=300))
     def test_bits_give_the_reference_text_or_error(self, bits):

@@ -1,3 +1,4 @@
+import errno
 import logging
 import os
 import pathlib
@@ -245,6 +246,26 @@ class TestCliExitCodes:
     def test_missing_file_is_2(self, tmp_path):
         assert main(["--scenario", str(tmp_path / "nope.soqn"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_scenario_that_is_not_utf8_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.soqn"
+        bad.write_bytes(b"\xff\xfe")
+        out = tmp_path / "o"
+        assert main(["--scenario", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "soqn: cannot read scenario: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out,code", [("taken", errno.EEXIST), ("taken/sub", errno.ENOTDIR)],
+                             ids=["a_file", "under_a_file"])
+    def test_out_that_cannot_be_written_is_2(self, scenario_file, tmp_path, capsys, out, code):
+        (tmp_path / "taken").write_text("a file")
+        target = tmp_path / out
+        assert main(["--scenario", scenario_file, "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"soqn: cannot write {target}: {os.strerror(code)}\n"
+        assert captured.out == "" and (tmp_path / "taken").read_text() == "a file"
 
     def test_strict_no_route_is_3(self, tmp_path):
         path = tmp_path / "noroute.soqn"

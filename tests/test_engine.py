@@ -1,6 +1,5 @@
 import hashlib
 import math
-import pathlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soqn.engine import (ScenarioEvent, SchedulingError, SimEngine, UndeployedOriginError,
-                         expand_log)
+from soqn.engine import ScenarioEvent, SchedulingError, SimEngine, UndeployedOriginError
 from soqn import rng
 from soqn.qkd import SessionAbort
 from soqn.report import fmt
@@ -17,7 +15,7 @@ from soqn.rng import RandomStream
 from soqn.runner import build_simulation, install_handler
 from soqn.scenario import parse_scenario
 
-SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+from event_log import check_log, records
 
 
 def collector(engine):
@@ -108,23 +106,19 @@ class TestScheduling:
 
 
 class TestBroadcast:
-    # ``engine.log`` is the parsed output of ``expand_log(engine.log_lines())``,
-    # so the receptions these tests read are the ones the expander rebuilds.
-
     def test_delivery_count(self):
         engine = SimEngine(0)
         for n in ("a", "b", "c", "d"):
             engine.mark_deployed(n)
         assert engine.broadcast("a", "topic") == 3
-        rx = [r for r in engine.log if r.kind == "bcast_rx"]
-        assert len(rx) == 3
-        assert {r.origin for r in rx} == {"b", "c", "d"}
+        assert engine.log_lines()[-1] == "0.000000\t4\tbroadcast\ta\ttopic=topic payload= receivers=3"
 
     def test_lone_node_zero_deliveries_still_logged(self):
         engine = SimEngine(0)
         engine.mark_deployed("solo")
         assert engine.broadcast("solo", "hello") == 0
-        assert [r.kind for r in engine.log] == ["deploy", "broadcast"]
+        assert [r.kind for r in records(engine)] == ["deploy", "broadcast"]
+        assert engine.log_lines()[-1].endswith(" receivers=0")
 
     def test_fifo_ordering(self):
         engine = SimEngine(0)
@@ -132,7 +126,7 @@ class TestBroadcast:
         engine.mark_deployed("b")
         engine.broadcast("a", "first")
         engine.broadcast("a", "second")
-        topics = [r.details for r in engine.log if r.kind == "broadcast"]
+        topics = [r.details for r in records(engine) if r.kind == "broadcast"]
         assert topics[0].startswith("topic=first")
         assert topics[1].startswith("topic=second")
 
@@ -145,22 +139,20 @@ class TestBroadcast:
         engine = SimEngine(0)
         engine.mark_deployed("a")
         engine.mark_deployed("b")
-        engine.broadcast("a", "before")
+        assert engine.broadcast("a", "before") == 1
         engine.mark_deployed("c")
-        engine.broadcast("b", "after")
-        rx = [(r.origin, r.details) for r in engine.log if r.kind == "bcast_rx"]
-        assert rx == [("b", "source=a topic=before"),
-                      ("a", "source=b topic=after"), ("c", "source=b topic=after")]
+        assert engine.broadcast("b", "after") == 2
+        assert [r.details for r in records(engine) if r.kind == "broadcast"] == [
+            "topic=before payload= receivers=1", "topic=after payload= receivers=2"]
+        check_log(engine.log_lines())
 
-    def test_emit_after_broadcast_skips_the_receptions(self):
+    def test_emit_after_broadcast_takes_the_next_number(self):
         engine = SimEngine(0)
         for n in ("a", "b", "c", "d"):
             engine.mark_deployed(n)
-        k = engine.broadcast("c", "topic")
-        sent = engine.log[-k - 1]
-        assert sent.kind == "broadcast"
-        assert engine.emit("next", "a") == sent.seq + k + 1
-        assert [r.seq for r in engine.log] == list(range(4 + k + 2))  # 4 deploy records
+        assert engine.broadcast("c", "topic") == 3
+        assert engine.emit("next", "a") == 5
+        assert [r.seq for r in records(engine)] == list(range(6))  # 4 deploy records
 
     def test_written_log_has_one_record_per_broadcast(self):
         engine = SimEngine(0)
@@ -170,7 +162,7 @@ class TestBroadcast:
         engine.emit("next", "a")
         assert engine.log_lines()[4:] == [
             "0.000000\t4\tbroadcast\tc\ttopic=topic payload=hi receivers=3",
-            "0.000000\t8\tnext\ta\t",
+            "0.000000\t5\tnext\ta\t",
         ]
 
     def test_deploying_twice_is_rejected(self):
@@ -203,19 +195,19 @@ class TestLog:
         assert engine.emit("note", "a", text) == 1
         engine.mark_deployed("b")
         assert engine.broadcast("a", text, text) == 1
-        assert engine.emit("note", "b") == 5
+        assert engine.emit("note", "b") == 4
         assert engine.log_lines() == [
             f"2.500000\t0\tdeploy\ta\t{text}", f"2.500000\t1\tnote\ta\t{text}",
             "2.500000\t2\tdeploy\tb\t",
             f"2.500000\t3\tbroadcast\ta\ttopic={text} payload={text} receivers=1",
-            "2.500000\t5\tnote\tb\t"]
+            "2.500000\t4\tnote\tb\t"]
 
     def test_emit_and_mark_deployed_return_the_sequence_number(self):
         engine = SimEngine(0)
         assert engine.mark_deployed("a") == 0
         assert engine.mark_deployed("b") == 1
         assert engine.broadcast("a", "t") == 1
-        assert engine.emit("note", "b") == 4
+        assert engine.emit("note", "b") == 3
 
     def test_changing_the_returned_lines_leaves_the_log_as_it_was(self):
         engine = SimEngine(0)
@@ -229,73 +221,66 @@ class TestLog:
         engine = SimEngine(0)
         for i in range(5):
             engine.emit("k", "n", f"i={i}")
-        assert [r.seq for r in engine.log] == list(range(5))
-
-    def test_lines_match_expanded_records(self):
-        sc = parse_scenario((SCENARIOS / "p2p_relay.soqn").read_text())
-        engine, network = build_simulation(sc)
-        install_handler(engine, network, [])
-        engine.run_until()
-        assert any(r.kind == "bcast_rx" for r in engine.log)
-        assert [r.to_line() for r in engine.log] == expand_log(engine.log_lines())
-        assert not any("\tbcast_rx\t" in line for line in engine.log_lines())
-
-
-class TestExpandLog:
-    DEPLOY = ["0.000000\t0\tdeploy\ta\t", "0.000000\t1\tdeploy\tb\t",
-              "0.000000\t2\tdeploy\tc\t"]
-
-    def test_zero_receivers_expand_to_the_broadcast_alone(self):
-        lines = ["1.500000\t0\tdeploy\tsolo\t",
-                 "1.500000\t1\tbroadcast\tsolo\ttopic=hello payload= receivers=0"]
-        assert expand_log(lines) == [lines[0], "1.500000\t1\tbroadcast\tsolo\ttopic=hello payload="]
-
-    def test_receptions_follow_the_deploy_records(self):
-        lines = [*self.DEPLOY, "2.000000\t3\tbroadcast\tb\ttopic=t payload=p receivers=2",
-                 "2.000000\t6\tlink_up\ta\tpeer=c"]
-        assert expand_log(lines) == [*self.DEPLOY, "2.000000\t3\tbroadcast\tb\ttopic=t payload=p",
-                                     "2.000000\t4\tbcast_rx\ta\tsource=b topic=t",
-                                     "2.000000\t5\tbcast_rx\tc\tsource=b topic=t",
-                                     lines[-1]]
-
-    @pytest.mark.parametrize("count", ["1", "3", "", "02"])
-    def test_count_disagreeing_with_deploy_records_raises(self, count):
-        lines = [*self.DEPLOY, f"2.000000\t3\tbroadcast\tb\ttopic=t payload=p receivers={count}"]
-        with pytest.raises(ValueError, match="seq 3 "):
-            expand_log(lines)
-
-    def test_broadcast_without_count_raises(self):
-        lines = [*self.DEPLOY, "2.000000\t3\tbroadcast\tb\ttopic=t payload=p"]
-        with pytest.raises(ValueError, match="seq 3 "):
-            expand_log(lines)
-
-    def test_payload_with_receivers_text_round_trips(self):
-        engine = SimEngine(0)
-        for n in ("a", "b", "c"):
-            engine.mark_deployed(n)
-        assert engine.broadcast("a", "t", "x receivers=9 receivers=") == 2
-        assert expand_log(engine.log_lines())[3:] == [
-            "0.000000\t3\tbroadcast\ta\ttopic=t payload=x receivers=9 receivers=",
-            "0.000000\t4\tbcast_rx\tb\tsource=a topic=t",
-            "0.000000\t5\tbcast_rx\tc\tsource=a topic=t",
-        ]
+        assert [r.seq for r in records(engine)] == list(range(5))
 
     @pytest.mark.parametrize("kind", ["deploy", "broadcast"])
-    def test_emit_refuses_the_kinds_expand_log_reads(self, kind):
-        # a stray deploy record would join the receivers of later
-        # broadcasts, and a broadcast record without a count cannot expand
+    def test_emit_refuses_deploy_and_broadcast(self, kind):
+        # a stray deploy record would make the receivers= count of every
+        # later broadcast disagree with the deploy records before it
         engine = SimEngine(0)
         engine.mark_deployed("a")
         engine.mark_deployed("b")
         with pytest.raises(ValueError, match=kind):
             engine.emit(kind, "c", "topic=t")
-        engine.broadcast("a", "t")
-        assert [r.kind for r in engine.log] == ["deploy", "deploy", "broadcast", "bcast_rx"]
+        assert engine.broadcast("a", "t") == 1
+        assert [r.kind for r in records(engine)] == ["deploy", "deploy", "broadcast"]
+        check_log(engine.log_lines())
+
+
+class TestCheckLog:
+    # ``check_log`` also runs on the written log of every golden replay.
+    DEPLOY = ["0.000000\t0\tdeploy\ta\t", "0.000000\t1\tdeploy\tb\t",
+              "0.000000\t2\tdeploy\tc\t"]
+
+    def test_a_lone_node_broadcasts_to_no_receivers(self):
+        check_log(["1.500000\t0\tdeploy\tsolo\t",
+                   "1.500000\t1\tbroadcast\tsolo\ttopic=hello payload= receivers=0"])
+
+    def test_receivers_are_the_deploy_records_before_less_the_source(self):
+        check_log([*self.DEPLOY, "2.000000\t3\tbroadcast\tb\ttopic=t payload=p receivers=2",
+                   "2.000000\t4\tlink_up\ta\tpeer=c", "2.000000\t5\tdeploy\td\t",
+                   "2.000000\t6\tbroadcast\ta\ttopic=t payload=p receivers=3"])
+
+    @pytest.mark.parametrize("count", ["1", "3", "", "02"])
+    def test_count_disagreeing_with_deploy_records_raises(self, count):
+        lines = [*self.DEPLOY, f"2.000000\t3\tbroadcast\tb\ttopic=t payload=p receivers={count}"]
+        with pytest.raises(ValueError, match="seq 3 "):
+            check_log(lines)
+
+    def test_broadcast_without_count_raises(self):
+        lines = [*self.DEPLOY, "2.000000\t3\tbroadcast\tb\ttopic=t payload=p"]
+        with pytest.raises(ValueError, match="seq 3 has no receivers"):
+            check_log(lines)
+
+    @pytest.mark.parametrize("seq", ["2", "4", "03", "3.0", ""])
+    def test_sequence_number_other_than_the_line_index_raises(self, seq):
+        lines = [*self.DEPLOY, f"2.000000\t{seq}\tnote\ta\t"]
+        with pytest.raises(ValueError, match="line 3 "):
+            check_log(lines)
+
+    def test_payload_with_receivers_text_passes(self):
+        engine = SimEngine(0)
+        for n in ("a", "b", "c"):
+            engine.mark_deployed(n)
+        assert engine.broadcast("a", "t", "x receivers=9 receivers=") == 2
+        assert engine.log_lines()[3] == (
+            "0.000000\t3\tbroadcast\ta\ttopic=t payload=x receivers=9 receivers= receivers=2")
+        check_log(engine.log_lines())
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(("deploy", "broadcast", "emit")),
                               st.integers(0, 6)), max_size=40))
-    def test_random_interleavings_expand_gaplessly(self, ops):
+    def test_random_interleavings_pass(self, ops):
         engine = SimEngine(0)
         counts = []
         for op, i in ops:
@@ -307,17 +292,9 @@ class TestExpandLog:
             elif op == "emit":
                 engine.emit("note", node, f"i={i}")
             engine.now += 0.25
-        expanded = [line.split("\t") for line in expand_log(engine.log_lines())]
-        assert [int(f[1]) for f in expanded] == list(range(len(expanded)))
-        kinds = [f[2] for f in expanded] + [None]
-        rx_runs = []
-        for j, kind in enumerate(kinds):
-            if kind == "broadcast":
-                k = j + 1
-                while kinds[k] == "bcast_rx":
-                    k += 1
-                rx_runs.append(k - j - 1)
-        assert rx_runs == counts
+        check_log(engine.log_lines())
+        assert [r.details.rpartition(" receivers=")[2] for r in records(engine)
+                if r.kind == "broadcast"] == [str(k) for k in counts]
 
 
 def same_state(a, b) -> bool:

@@ -2,9 +2,9 @@
 for byte. The pins are sha256 digests of the files the CLI writes; a
 change that alters any artifact must regenerate them and say why.
 
-``events.log`` is written in format v2 (one record per broadcast). Its pin
-is the digest of the v1 log that ``expand_log`` rebuilds from the written
-file, and ``events.log v2`` pins the written file itself.
+Each replay also runs ``check_log`` on the written ``events.log``: its
+lines are numbered without gaps, and each broadcast's ``receivers=`` count
+is the number of nodes deployed before it, less its source.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints the digests of the
 current code for every pin, in the layout of the dicts below, so a
@@ -17,7 +17,6 @@ import tempfile
 
 import pytest
 
-from soqn.engine import expand_log
 from soqn.runner import EXIT_OK, run_scenario
 from soqn.scenario import parse_scenario
 
@@ -26,17 +25,16 @@ SCENARIOS = ROOT / "scenarios"
 sys.path[:0] = [str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
+from event_log import check_log  # noqa: E402
 
 GOLDEN = {
     "cs_backbone.soqn": {
-        "events.log": "9121fa1b8f0476e4bb61b2ef7beb981771e55a705657b374e391f92531054b01",
-        "events.log v2": "ba6f35c19e48107fee02adf1c2b6dd38ec47a61893de4518610776cc476c2066",
+        "events.log": "35b57c61031094bb4838c9aa9ccaeb0a040e8807088166b79baa974c4d5cf935",
         "report.txt": "f01e0254ebe45a2413633e8c71bc795a46acdbd0f3afa143878325d66c298e77",
         "records.tsv": "599e0cd06bb7ae6cb45c829f75472e56d2b55bd4e7d87f433639c70fe153a91e",
     },
     "p2p_relay.soqn": {
-        "events.log": "5eabfa320896647a1ad35ec355662260d8a0be30f21e441f88f26664ba83bef9",
-        "events.log v2": "03df858475e6a0efcd6f1872a93a6b169cb670ca44908872c354286947f03920",
+        "events.log": "1b031c944875848d41c705992d6fb3db3e5c1f9a150fdbe43444c089c43e8d06",
         "report.txt": "c40214331b2563fb2bd813cfbd0e2622b45b6df97ef0aa2e6806003916e2757f",
         "records.tsv": "c3268616ca89ce9aa64a9aebdd31fd90f18cb5db6d770e8ac9e27869077cc957",
     },
@@ -49,26 +47,22 @@ SNAPSHOT_TIMES = (0.0, 1.0, 2.5, 3.5, 5.2, 5.6, 9.0)
 
 GOLDEN_SNAPSHOTS = {
     ("cs_backbone.soqn", None): {
-        "events.log": "9121fa1b8f0476e4bb61b2ef7beb981771e55a705657b374e391f92531054b01",
-        "events.log v2": "ba6f35c19e48107fee02adf1c2b6dd38ec47a61893de4518610776cc476c2066",
+        "events.log": "35b57c61031094bb4838c9aa9ccaeb0a040e8807088166b79baa974c4d5cf935",
         "report.txt": "56743ea8d2f8cd4c6a8b5e2bb638557abef0ce0736e520e9f4712a157d39bb39",
         "records.tsv": "f5a423beea1686aa2aed3e1eb145322a62fe067b4edb33cb97fa7ee0dbc55d66",
     },
     ("cs_backbone.soqn", 0.5): {
-        "events.log": "1e115f2b08a62692a9dbee40e22cd31cf9f26a27c8eca63f48e5768f6f866bf7",
-        "events.log v2": "8633c16d942f9f984b47674521d3228bae567533144664ea77500b57c1c426fd",
+        "events.log": "b106fb52d833b0d43811454d6423c474f56187f6c77d841b43aa0e25dbf6bb70",
         "report.txt": "bde2f701358dae1ac7e790d72e0bae0656f95fce5d4898bba55becce098953e5",
         "records.tsv": "f5d98dce6b821c8b99557fda9cf5f5bee6d492276a8d9439f8ad81059595f574",
     },
     ("p2p_relay.soqn", None): {
-        "events.log": "5eabfa320896647a1ad35ec355662260d8a0be30f21e441f88f26664ba83bef9",
-        "events.log v2": "03df858475e6a0efcd6f1872a93a6b169cb670ca44908872c354286947f03920",
+        "events.log": "1b031c944875848d41c705992d6fb3db3e5c1f9a150fdbe43444c089c43e8d06",
         "report.txt": "984423d6d0eee3b4cf1a0186f5881dc472e790d8123794131f930e3214949e30",
         "records.tsv": "9263fe777e327509018d045cba7f9ce1a396706a6be9d9a1f2026ed406323ab7",
     },
     ("p2p_relay.soqn", 0.5): {
-        "events.log": "d8a76e364937f0a656b117ed825230cdf18c1576ea12789c2a04b5d22c8677d8",
-        "events.log v2": "75904ccfd2b6c2e0c4d42e9aafbacf07dba4ea99ba337241a2f3069de589f410",
+        "events.log": "3901270ac027d7cc627ad8be438ea6331afe49874ad8ee9f3bdedde9e4623e8b",
         "report.txt": "d5f4a9f5238d41b7ef13295a453406e5be86775b82e256e8a3a20e701f2b55d0",
         "records.tsv": "89d9858d35f696961dadcb761ee198bb48bd72274f121ddc1c4591928e3c0ba5",
     },
@@ -80,15 +74,14 @@ def _sha256(data: bytes) -> str:
 
 
 def _replay(sc, out_dir, **kwargs):
-    """Run ``sc`` into ``out_dir``; the sha256 of each artifact, with
-    ``events.log`` expanded to v1 and as written (``events.log v2``)."""
+    """Run ``sc`` into ``out_dir``, check its ``events.log`` and return the
+    sha256 of each artifact."""
     _, code = run_scenario(sc, out_dir=str(out_dir), **kwargs)
     if code != EXIT_OK:
         raise RuntimeError(f"scenario exited {code}")
     written = (out_dir / "events.log").read_bytes()
-    v1 = expand_log(written.decode().splitlines())
-    return {"events.log": _sha256("".join(line + "\n" for line in v1).encode()),
-            "events.log v2": _sha256(written),
+    check_log(written.decode().splitlines())
+    return {"events.log": _sha256(written),
             "report.txt": _sha256((out_dir / "report.txt").read_bytes()),
             "records.tsv": _sha256((out_dir / "records.tsv").read_bytes())}
 
@@ -134,20 +127,17 @@ def test_golden_replay_with_snapshots(name, acquire_delay, tmp_path):
 # qkd_bulk_chain long QKD sessions.
 GOLDEN_WORKLOADS = {
     "cs_mobility": {
-        "events.log": "91e5f61065afe6dcf928fb948cf53ce1b3cb5c9a70d51726fc3bd9c1297dd5d8",
-        "events.log v2": "3bb39d54616991c5112955d455d1a6924f40d9f3949b6174e6c1e428e9950e73",
+        "events.log": "67f35fc1c731cb83ef9564c43ce240700de1df89b1d931b7022d7b097a6b2001",
         "report.txt": "3dfd50ab1e1cc11a83cc30ceab3fef19ba70dccdebcf81eef60044387564d73d",
         "records.tsv": "aa04ed4132dcc52968c85dec9a0b723cebdb4ecb1ef9616b88e91d6604093c3f",
     },
     "p2p_mesh_sends": {
-        "events.log": "9d822334f135047ce7a104ddcc316ccd09f0c32e51a3988dbe2ef7dad5d61455",
-        "events.log v2": "780e90cbb9bf0147b13b516a4faf56449062e60f538c0f45b83c83ea06ed2887",
+        "events.log": "d9184cc63a2939007f117a1809f496a05dac51f97439fe9f387bae98f0325830",
         "report.txt": "0051e40d9095f882f1c33b990efe8825598beeae8277528806eb732579c6f705",
         "records.tsv": "a907836331e0b1301891f77a8a62c768ea0da34df7a525cf8542fe9b4cafc9db",
     },
     "qkd_bulk_chain": {
-        "events.log": "0bb80f84aeaecc3b1bcff95bce387e53d93bdd5c747e0e4cffe7ae01b1e38e7b",
-        "events.log v2": "ca8ec663fa41ed353a9ad052f51fb8c392fce85671f33bdeaae9be682cfc2daf",
+        "events.log": "cafd95a58bcb3496d970488c476686978499eac05a6883b2c3e41507e3fe94a8",
         "report.txt": "46bb1caf35d26167df3f406d9cc8e35d5c0bbf92a422c5c2ec7bb8a36fe786a7",
         "records.tsv": "27513d61cd7c3d258f2c2ffe3d971d0a940411b47eb5f65e7505f46278bf3fa4",
     },
@@ -164,8 +154,7 @@ def test_golden_replay_of_workload(name, tmp_path):
 # before any send asks for key.
 GOLDEN_PARAMS = {
     ("p2p_relay.soqn", "precharge_bits", 256): {
-        "events.log": "79cf9d7b6eca253c53ca5b293141c2bcd2dd03831a58b0c81ec537e06bd68913",
-        "events.log v2": "0b62d81ddbf5b8a3a45b028ea87bca45073172cd620c36dbfcadbdc35cf65bb9",
+        "events.log": "a1690dabc35e6fa90fc57e3f8d27aa280e0d120e8935a3231a3353e9ccfd7717",
         "report.txt": "117c474ba8a9592d1798a5a77e10eb6c69552171d16f06b789933b97392e75c6",
         "records.tsv": "fffff7a6202454237eec399e362a759aeac76055083eb86c8467120c4f1e46dd",
     },

@@ -15,6 +15,8 @@ from soqn.network import Network, pair_key
 from soqn.runner import build_simulation, install_handler
 from soqn.scenario import parse_scenario
 
+from event_log import check_log
+
 SCENARIO = """\
 mode p2p
 seed 5
@@ -46,32 +48,32 @@ EXPECTED = """\
 0.000000\t2\tdeploy\tc\trole=peer lat=0 lon=1.8 alt=3000
 0.000000\t3\tdeploy\td\trole=peer lat=-33.5 lon=-70.25 alt=1e+06
 0.000000\t4\tbroadcast\ta\ttopic=location payload=0,0,500 receivers=3
-0.000000\t8\tbroadcast\tb\ttopic=location payload=0,0.9,500 receivers=3
-0.000000\t12\tbroadcast\tc\ttopic=location payload=0,1.8,3000 receivers=3
-0.000000\t16\tbroadcast\td\ttopic=location payload=-33.5,-70.25,1e+06 receivers=3
-0.000000\t20\tlink_up\ta\tpeer=b dist_km=100.083 loss_db=5.00416 state=acquiring
-0.000000\t21\tlink_up\tb\tpeer=c dist_km=100.134 loss_db=5.00671 state=acquiring
-0.000000\t22\tbroadcast\ta\ttopic=link_report payload=links=1 receivers=3
-0.000000\t26\tbroadcast\tb\ttopic=link_report payload=links=2 receivers=3
-0.000000\t30\tbroadcast\tc\ttopic=link_report payload=links=1 receivers=3
-0.000000\t34\tbroadcast\td\ttopic=link_report payload=links=0 receivers=3
-0.000000\t38\torganize\t-\tnodes=4 links=0
-0.500000\t39\terror\ta\tmsg=no active link a~c
-1.000000\t40\tsend\ta\tdst=d path=- outcome=no_route bits=0 ok=false hop=- detail=no route from a to d
-1.500000\t41\tlink_active\t-\tpair=a~b
-1.500000\t42\tlink_active\t-\tpair=b~c
-2.000000\t43\tqkd\ta\tpeer=b proto=bb84 index=0 pulses=100 sifted=20 qber=0 leak=0 final=0 outcome=abort reason=insufficient_detections
-3.000000\t44\teve\t-\tpair=a~b mode=intercept_resend
-4.000000\t45\tqkd\ta\tpeer=b proto=bb84 index=1 pulses=8192 sifted=1298 qber=0.278891 leak=0 final=0 outcome=abort reason=qber_exceeds_threshold
-5.000000\t46\tqkd\ta\tpeer=b proto=bb84 index=2 pulses=4096 sifted=669 qber=0.268657 leak=0 final=0 outcome=abort reason=qber_exceeds_threshold
-5.000000\t47\tsend\ta\tdst=c path=a>b>c outcome=qkd_abort bits=0 ok=false hop=a~b detail=qber_exceeds_threshold
-6.000000\t48\teve\t-\tpair=a~b mode=none
-7.000000\t49\tqkd\tb\tpeer=c proto=bb84 index=0 pulses=4096 sifted=641 qber=0.0186916 leak=50 final=127 outcome=ok reason=none
-7.000000\t50\tkeygen\tb\tpeer=c offset=0 bits=127
-7.000000\t51\tsend\tc\tdst=a path=c>b>a outcome=key_starved bits=0 ok=false hop=b~c detail=127 bits available, 512 needed
-8.000000\t52\tbroadcast\td\ttopic=location payload=-45.25,-120.5,1e+06 receivers=3
-8.000000\t56\tbroadcast\td\ttopic=link_report payload=links=0 receivers=3
-8.000000\t60\tmove\td\tlat=-45.25 lon=-120.5 alt=1e+06
+0.000000\t5\tbroadcast\tb\ttopic=location payload=0,0.9,500 receivers=3
+0.000000\t6\tbroadcast\tc\ttopic=location payload=0,1.8,3000 receivers=3
+0.000000\t7\tbroadcast\td\ttopic=location payload=-33.5,-70.25,1e+06 receivers=3
+0.000000\t8\tlink_up\ta\tpeer=b dist_km=100.083 loss_db=5.00416 state=acquiring
+0.000000\t9\tlink_up\tb\tpeer=c dist_km=100.134 loss_db=5.00671 state=acquiring
+0.000000\t10\tbroadcast\ta\ttopic=link_report payload=links=1 receivers=3
+0.000000\t11\tbroadcast\tb\ttopic=link_report payload=links=2 receivers=3
+0.000000\t12\tbroadcast\tc\ttopic=link_report payload=links=1 receivers=3
+0.000000\t13\tbroadcast\td\ttopic=link_report payload=links=0 receivers=3
+0.000000\t14\torganize\t-\tnodes=4 links=0
+0.500000\t15\terror\ta\tmsg=no active link a~c
+1.000000\t16\tsend\ta\tdst=d path=- outcome=no_route bits=0 ok=false hop=- detail=no route from a to d
+1.500000\t17\tlink_active\t-\tpair=a~b
+1.500000\t18\tlink_active\t-\tpair=b~c
+2.000000\t19\tqkd\ta\tpeer=b proto=bb84 index=0 pulses=100 sifted=20 qber=0 leak=0 final=0 outcome=abort reason=insufficient_detections
+3.000000\t20\teve\t-\tpair=a~b mode=intercept_resend
+4.000000\t21\tqkd\ta\tpeer=b proto=bb84 index=1 pulses=8192 sifted=1298 qber=0.278891 leak=0 final=0 outcome=abort reason=qber_exceeds_threshold
+5.000000\t22\tqkd\ta\tpeer=b proto=bb84 index=2 pulses=4096 sifted=669 qber=0.268657 leak=0 final=0 outcome=abort reason=qber_exceeds_threshold
+5.000000\t23\tsend\ta\tdst=c path=a>b>c outcome=qkd_abort bits=0 ok=false hop=a~b detail=qber_exceeds_threshold
+6.000000\t24\teve\t-\tpair=a~b mode=none
+7.000000\t25\tqkd\tb\tpeer=c proto=bb84 index=0 pulses=4096 sifted=641 qber=0.0186916 leak=50 final=127 outcome=ok reason=none
+7.000000\t26\tkeygen\tb\tpeer=c offset=0 bits=127
+7.000000\t27\tsend\tc\tdst=a path=c>b>a outcome=key_starved bits=0 ok=false hop=b~c detail=127 bits available, 512 needed
+8.000000\t28\tbroadcast\td\ttopic=location payload=-45.25,-120.5,1e+06 receivers=3
+8.000000\t29\tbroadcast\td\ttopic=link_report payload=links=0 receivers=3
+8.000000\t30\tmove\td\tlat=-45.25 lon=-120.5 alt=1e+06
 """.splitlines()
 
 
@@ -80,6 +82,7 @@ def test_failure_and_edge_records_are_written_as_pinned():
     install_handler(engine, network, [])
     engine.run_until()
     assert engine.log_lines() == EXPECTED
+    check_log(EXPECTED)
 
 
 def test_relay_blocks_are_written_in_hex_or_as_bits():
@@ -96,16 +99,16 @@ def test_relay_blocks_are_written_in_hex_or_as_bits():
     for block_len in (8, 12, 2):
         net.relay_key_setup(["n0", "n1", "n2"], block_len)
     assert engine.log_lines()[start:] == [
-        "0.000000\t26\tconsume\tn0\tpeer=n1 offset=0 bits=8 purpose=relay_hop",
-        "0.000000\t27\tconsume\tn1\tpeer=n2 offset=0 bits=8 purpose=relay_hop",
-        "0.000000\t28\tbroadcast\tn1\ttopic=relay_xor payload=db receivers=2",
-        "0.000000\t31\trelay\tn0\tpath=n0>n1>n2 block_len=8",
-        "0.000000\t32\tconsume\tn0\tpeer=n1 offset=8 bits=12 purpose=relay_hop",
-        "0.000000\t33\tconsume\tn1\tpeer=n2 offset=8 bits=12 purpose=relay_hop",
-        "0.000000\t34\tbroadcast\tn1\ttopic=relay_xor payload=b9f receivers=2",
-        "0.000000\t37\trelay\tn0\tpath=n0>n1>n2 block_len=12",
-        "0.000000\t38\tconsume\tn0\tpeer=n1 offset=20 bits=2 purpose=relay_hop",
-        "0.000000\t39\tconsume\tn1\tpeer=n2 offset=20 bits=2 purpose=relay_hop",
-        "0.000000\t40\tbroadcast\tn1\ttopic=relay_xor payload=10 receivers=2",
-        "0.000000\t43\trelay\tn0\tpath=n0>n1>n2 block_len=2",
+        "0.000000\t14\tconsume\tn0\tpeer=n1 offset=0 bits=8 purpose=relay_hop",
+        "0.000000\t15\tconsume\tn1\tpeer=n2 offset=0 bits=8 purpose=relay_hop",
+        "0.000000\t16\tbroadcast\tn1\ttopic=relay_xor payload=db receivers=2",
+        "0.000000\t17\trelay\tn0\tpath=n0>n1>n2 block_len=8",
+        "0.000000\t18\tconsume\tn0\tpeer=n1 offset=8 bits=12 purpose=relay_hop",
+        "0.000000\t19\tconsume\tn1\tpeer=n2 offset=8 bits=12 purpose=relay_hop",
+        "0.000000\t20\tbroadcast\tn1\ttopic=relay_xor payload=b9f receivers=2",
+        "0.000000\t21\trelay\tn0\tpath=n0>n1>n2 block_len=12",
+        "0.000000\t22\tconsume\tn0\tpeer=n1 offset=20 bits=2 purpose=relay_hop",
+        "0.000000\t23\tconsume\tn1\tpeer=n2 offset=20 bits=2 purpose=relay_hop",
+        "0.000000\t24\tbroadcast\tn1\ttopic=relay_xor payload=10 receivers=2",
+        "0.000000\t25\trelay\tn0\tpath=n0>n1>n2 block_len=2",
     ]

@@ -22,6 +22,8 @@ from soqn.report import build_report, fmt, render_records
 from soqn.runner import build_simulation, install_handler
 from soqn.scenario import parse_scenario
 
+from event_log import records
+
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 KM_PER_DEG = 111.19492664455873
@@ -51,6 +53,12 @@ def make_network(mode, nodes, seed=0, organize=True, **kwargs):
     return engine, network
 
 
+def may_link(network, a, b):
+    """The role rule of ``network._LINKABLE``: peers link to peers, and in
+    c/s mode every link has a server end (clients never link to clients)."""
+    return network.mode == "p2p" or "server" in (network.nodes[a].role, network.nodes[b].role)
+
+
 def feasibility_oracle(network):
     """Brute-force role-filtered feasibility graph over deployed nodes."""
     params = network.feasibility
@@ -58,7 +66,7 @@ def feasibility_oracle(network):
     expected = set()
     for i, a in enumerate(deployed):
         for b in deployed[i + 1:]:
-            if not network._eligible(a, b):
+            if not may_link(network, a, b):
                 continue
             if link_feasible(network.nodes[a].position, network.nodes[b].position, params):
                 expected.add(pair_key(a, b))
@@ -102,7 +110,7 @@ def acquisition_delays(engine):
     """Each ``link_active`` record's time less that of its pair's latest
     ``link_up``: the one link of the pair not torn down."""
     up, delays = {}, []
-    for rec in engine.log:
+    for rec in records(engine):
         if rec.kind in ("link_up", "link_active"):
             fields = dict(f.split("=", 1) for f in rec.details.split())
             if rec.kind == "link_up":
@@ -295,7 +303,7 @@ class TestJoinMove:
         assert net.link_history[("a", "b")].state == "acquiring"
         engine.run_until(3.0)
         assert net.active_pairs() == {("a", "b")}
-        assert [r.time for r in engine.log if r.kind == "link_active"] == [3.0]
+        assert [r.time for r in records(engine) if r.kind == "link_active"] == [3.0]
 
     def test_move_unknown_node(self):
         _, net = make_network("p2p", [("n1", "peer", 0.0, 0.0, 0.0)])
@@ -384,7 +392,7 @@ class TestCellIndex:
         for a in net.nodes:
             found, later = set(net._candidates(a)), set(net._candidates(a, order[a]))
             for b in net.nodes:
-                if a != b and net._eligible(a, b) and link_feasible(
+                if a != b and may_link(net, a, b) and link_feasible(
                         net.nodes[a].position, net.nodes[b].position, feasibility):
                     assert b in found
                     assert (b in later) == (order[b] > order[a])
@@ -1174,7 +1182,7 @@ class TestGenerateDirectKey:
         for a, b in (("a", "b"), ("b", "c"), ("b", "a")):
             net.generate_direct_key(a, b, 2048)
         indices = [(r.origin, dict(kv.split("=") for kv in r.details.split())["index"])
-                   for r in engine.log if r.kind == "qkd"]
+                   for r in records(engine) if r.kind == "qkd"]
         assert indices == [("a", "0"), ("b", "0"), ("a", "1")]
         assert [len(net.session_stats[p]) for p in (("a", "b"), ("b", "c"))] == [2, 1]
 
@@ -1227,7 +1235,7 @@ class TestGenerateDirectKey:
         ])
         rec = net.generate_direct_key("s", "c", 2048)
         assert not rec.aborted
-        qkd_lines = [r for r in engine.log if r.kind == "qkd"]
+        qkd_lines = [r for r in records(engine) if r.kind == "qkd"]
         assert "proto=plugplay" in qkd_lines[0].details
 
 
@@ -1252,7 +1260,7 @@ class TestSendMessage:
         assert rec.delivered and rec.plaintext_ok
         assert rec.path == ("a", "r", "b")
         assert rec.bits_consumed == 32  # 16 bits on each of 2 hops
-        assert sum(1 for r in engine.log
+        assert sum(1 for r in records(engine)
                    if r.kind == "broadcast" and "topic=relay_xor" in r.details) == 1
 
     def test_no_route_consumes_nothing(self):

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soqn import scenario
-from soqn.bitops import bits_from_hex
 from soqn.scenario import ScenarioError, parse_scenario
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -188,19 +187,6 @@ def test_column_rule_matches_the_reference(text, index):
 def test_split_agrees_with_the_token_pattern_on_every_code_point():
     differ = [c for c in range(sys.maxunicode + 1)
               if f"a{chr(c)}b".split() != TOKEN_RE.findall(f"a{chr(c)}b")]
-    assert differ == []
-
-
-def test_payload_pattern_accepts_what_bits_from_hex_accepts_on_every_code_point():
-    differ = []
-    for c in range(sys.maxunicode + 1):
-        try:
-            bits_from_hex(chr(c))
-            decodes = True
-        except ValueError:
-            decodes = False
-        if decodes != bool(scenario._HEX_RE.fullmatch(chr(c))):
-            differ.append(c)
     assert differ == []
 
 
