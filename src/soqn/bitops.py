@@ -1,4 +1,9 @@
-"""Bitstring helpers: messages and keys are numpy uint8 arrays of 0/1."""
+"""Bitstring helpers: messages and keys are numpy uint8 arrays of 0/1.
+
+The public helpers check what they are given, then call a private core that
+trusts its arrays. The network checks key bits once, where they enter its
+key plane, and calls the cores on them from then on.
+"""
 from __future__ import annotations
 
 import re
@@ -19,12 +24,18 @@ def as_bits(value) -> np.ndarray:
     return arr
 
 
-def xor_bits(a, b) -> np.ndarray:
+def same_length(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both bitstrings, checked by ``as_bits`` and for equal length."""
     x = as_bits(a)
     y = as_bits(b)
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return np.bitwise_xor(x, y)
+    return x, y
+
+
+def xor_bits(a, b) -> np.ndarray:
+    x, y = same_length(a, b)
+    return x ^ y
 
 
 def bits_from_hex(text: str) -> np.ndarray:
@@ -41,4 +52,14 @@ def hex_from_bits(bits) -> str:
     arr = as_bits(bits)
     if len(arr) % 4 != 0:
         raise ValueError("bit length must be a multiple of 4")
+    return _hex(arr)
+
+
+def _hex(arr: np.ndarray) -> str:
+    """Hex of checked bits whose length is a multiple of 4."""
     return np.packbits(arr).tobytes().hex()[: len(arr) // 4]
+
+
+def _binary(arr: np.ndarray) -> str:
+    """Checked bits as the digits 0 and 1."""
+    return (arr + 48).tobytes().decode()

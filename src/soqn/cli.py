@@ -73,6 +73,11 @@ def _parse_sweep(spec: str) -> tuple[str, list]:
     return name, parsed
 
 
+def _cannot_write(exc: OSError, out_dir: str) -> int:
+    print(f"soqn: cannot write {exc.filename or out_dir}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_PARSE_ERROR
+
+
 def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
@@ -107,13 +112,20 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_PARSE_ERROR
         runs = [(os.path.join(args.out, f"sweep-{name}-{v}"),
                  replace(sc, params={**sc.params, name: v})) for v in values]
-        # Reject the whole sweep before any run writes its directory.
+    # Reject a configuration, then an output directory, before any run: a
+    # bad one leaves no directory behind, and one that cannot be made fails
+    # at once rather than after the run.
+    try:
+        for _, run_sc in runs:
+            build_simulation(run_sc)
+    except ValueError as exc:
+        print(f"soqn: invalid configuration: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    for out_dir, _ in runs:
         try:
-            for _, run_sc in runs:
-                build_simulation(run_sc)
-        except ValueError as exc:
-            print(f"soqn: invalid configuration: {exc}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            return _cannot_write(exc, out_dir)
 
     worst = 0
     for out_dir, run_sc in runs:
@@ -125,9 +137,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"soqn: invalid configuration: {exc}", file=sys.stderr)
             return EXIT_PARSE_ERROR
         except OSError as exc:
-            print(f"soqn: cannot write {exc.filename or out_dir}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return EXIT_PARSE_ERROR
+            return _cannot_write(exc, out_dir)
         summary = " ".join(f"{k}={v}" for k, v in report.summary.items())
         print(f"{out_dir}: exit={code} {summary}")
         for v in report.violations:

@@ -7,6 +7,13 @@ as the latest link of its pair, and routes over an endpoint index of them.
 Key material lives in pairwise one-time-pad buffers with strict
 consume-once accounting; end-to-end keys for non-adjacent nodes are
 distributed by trusted relays publishing XORs of adjacent hop keys.
+
+Key bits are checked once, where they enter the key plane: session keys in
+``KeyBuffer.append``, a message in ``send_message``, and the arguments of
+the public ``encrypt``, ``decrypt`` and ``decrypt_relay``. Inside it,
+consumed blocks, relay XORs and the ``relay_xor`` payloads are computed on
+those arrays with no further check; each pad is still spent through
+``KeyBlock.take``.
 """
 from __future__ import annotations
 
@@ -19,7 +26,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .bitops import as_bits, hex_from_bits, xor_bits
+from .bitops import _binary, _hex, as_bits, same_length, xor_bits
+from .bitops import hex_from_bits  # unused here; perfbench/tracing.py wraps it
 from .channel import ChannelParams, path_loss_db
 from .engine import ScenarioEvent, SimEngine
 from .geo import (GeoPosition, LinkFeasibilityParams, cell_of, cell_side, feasible_distance,
@@ -156,7 +164,7 @@ class KeyBuffer:
             raise ValueError("cannot consume a negative number of bits")
         if self.available < n:
             raise KeyStarvationError(self.pair, n, self.available)
-        parts = [np.empty(0, dtype=np.uint8)]  # n == 0 takes no chunk
+        parts = []
         need = n
         while need:
             chunk = self._chunks.popleft()
@@ -164,8 +172,11 @@ class KeyBuffer:
                 self._chunks.appendleft(chunk[need:])
             parts.append(chunk[:need])
             need -= len(parts[-1])
+        # A block inside one chunk is a view of it, as chunks are never
+        # written; n == 0 takes no chunk.
+        bits = parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, np.uint8), *parts])
         off = self.consumed_offset
-        block = KeyBlock(self.pair, off, np.concatenate(parts))
+        block = KeyBlock(self.pair, off, bits)
         self.consumed_offset = off + n
         return block
 
@@ -203,6 +214,14 @@ class DeliveryRecord:
         return self.outcome == "delivered"
 
 
+def _unwind(ciphertext: np.ndarray, pad: np.ndarray, blocks) -> np.ndarray:
+    """C xor K_receiver xor each relay block, on checked bits of one length."""
+    out = ciphertext ^ pad
+    for block in blocks:
+        out ^= block
+    return out
+
+
 def encrypt(message, key) -> np.ndarray:
     """One-time-pad encryption C = M xor K.
 
@@ -223,10 +242,9 @@ def decrypt_relay(ciphertext, receiver_key, ticket: RelayTicket) -> np.ndarray:
     """Relayed decryption: C xor K_receiver xor (xor of all broadcast blocks)."""
     if isinstance(receiver_key, KeyBlock):
         receiver_key = receiver_key.take()
-    out = xor_bits(ciphertext, receiver_key)
-    for _, block in ticket.broadcasts:
-        out = xor_bits(out, block)
-    return out
+    ciphertext, receiver_key = same_length(ciphertext, receiver_key)
+    blocks = [same_length(ciphertext, block)[1] for _, block in ticket.broadcasts]
+    return _unwind(ciphertext, receiver_key, blocks)
 
 
 _NO_LINKS: Mapping[NodeId, OpticalLink] = MappingProxyType({})
@@ -520,10 +538,10 @@ class Network:
         broadcasts: list[tuple[NodeId, np.ndarray]] = []
         for j in range(1, len(path) - 1):
             relay = path[j]
-            xor_block = xor_bits(blocks[j - 1].bits, blocks[j].bits)
+            xor_block = blocks[j - 1].bits ^ blocks[j].bits
             broadcasts.append((relay, xor_block))
-            self.engine.broadcast(relay, "relay_xor", hex_from_bits(xor_block) if block_len % 4 == 0
-                                  else "".join(str(int(b)) for b in xor_block))
+            self.engine.broadcast(relay, "relay_xor", _hex(xor_block) if block_len % 4 == 0
+                                  else _binary(xor_block))
         ticket = RelayTicket(tuple(path), broadcasts, block_len)
         self.engine.emit("relay", path[0], f"path={'>'.join(path)} block_len={block_len}")
         return ticket, blocks[0], blocks[-1]
@@ -552,15 +570,14 @@ class Network:
             plain = message
             consumed = 0
         elif len(path) == 2:
-            block = self._consume(hops[0], mlen, "direct")
-            pad = block.take()
-            ciphertext = encrypt(message, pad)
-            plain = decrypt(ciphertext, pad)
+            pad = self._consume(hops[0], mlen, "direct").take()
+            plain = _unwind(message ^ pad, pad, ())
             consumed = mlen
         else:
             ticket, sender_block, receiver_block = self.relay_key_setup(path, mlen)
-            ciphertext = encrypt(message, sender_block)
-            plain = decrypt_relay(ciphertext, receiver_block, ticket)
+            ciphertext = message ^ sender_block.take()
+            plain = _unwind(ciphertext, receiver_block.take(),
+                            [block for _, block in ticket.broadcasts])
             consumed = mlen * len(hops)
         ok = bool(np.array_equal(plain, message))
         return self._delivery(src, dst, tuple(path), "delivered", consumed, ok)

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from soqn import cli
 from soqn.cli import _parse_sweep, main
 
 GOOD = """\
@@ -266,6 +267,23 @@ class TestCliExitCodes:
         captured = capsys.readouterr()
         assert captured.err == f"soqn: cannot write {target}: {os.strerror(code)}\n"
         assert captured.out == "" and (tmp_path / "taken").read_text() == "a file"
+
+    @pytest.mark.parametrize("args,blocker,unwritable", [
+        ([], "o", "o"),
+        (["--sweep", "f_ec=1.1,1.2"], "o", "o/sweep-f_ec-1.1"),
+        (["--sweep", "f_ec=1.1,1.2"], "o/sweep-f_ec-1.2", "o/sweep-f_ec-1.2"),
+    ], ids=["run", "sweep", "later_sweep_run"])
+    def test_out_that_cannot_be_written_runs_nothing(self, scenario_file, tmp_path, capsys,
+                                                     monkeypatch, args, blocker, unwritable):
+        monkeypatch.setattr(cli, "run_scenario", lambda *a, **k: pytest.fail("a run started"))
+        (tmp_path / blocker).parent.mkdir(exist_ok=True)
+        (tmp_path / blocker).write_text("a file")
+        out = tmp_path / "o"
+        assert main(["--scenario", scenario_file, "--out", str(out), *args]) == 2
+        captured = capsys.readouterr()
+        code = errno.EEXIST if blocker == unwritable else errno.ENOTDIR
+        assert captured.err == f"soqn: cannot write {tmp_path / unwritable}: {os.strerror(code)}\n"
+        assert captured.out == ""
 
     def test_strict_no_route_is_3(self, tmp_path):
         path = tmp_path / "noroute.soqn"
