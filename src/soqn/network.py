@@ -44,7 +44,8 @@ ROLE_SERVER = "server"
 ROLE_CLIENT = "client"
 ROLES = (ROLE_PEER, ROLE_SERVER, ROLE_CLIENT)
 
-# mode -> role -> the roles it may link to. Clients never link to clients.
+# mode -> role -> the roles it may link to: its keys are the modes, and each
+# mode's keys the roles its nodes may hold. Clients never link to clients.
 _LINKABLE = {
     "p2p": {ROLE_PEER: (ROLE_PEER,)},
     "cs": {ROLE_SERVER: (ROLE_SERVER, ROLE_CLIENT), ROLE_CLIENT: (ROLE_SERVER,)},
@@ -337,7 +338,7 @@ class Network:
                  pulses_per_session: int = 20000,
                  max_session_attempts: int = 4,
                  precharge_bits: int = 0):
-        if mode not in ("p2p", "cs"):
+        if mode not in _LINKABLE:
             raise ValueError(f"mode must be p2p or cs, got {mode!r}")
         if not 0.0 <= acquire_delay_s < math.inf:
             raise ValueError("acquire_delay_s must be finite and >= 0")
@@ -399,10 +400,8 @@ class Network:
             raise DuplicateNodeError(f"duplicate node id {node_id!r}")
         if role not in ROLES:
             raise ValueError(f"unknown role {role!r}")
-        if self.mode == "p2p" and role != ROLE_PEER:
-            raise RoleModeError(f"p2p networks contain only peers, got {role!r}")
-        if self.mode == "cs" and role == ROLE_PEER:
-            raise RoleModeError("cs networks contain only servers and clients")
+        if role not in self._linkable:
+            raise RoleModeError(f"role {role!r} has no place in a {self.mode} network")
         self.nodes[node_id] = NodeInfo(node_id, role, position)
         self._order[node_id] = len(self._order)
 
@@ -428,10 +427,9 @@ class Network:
                 self._try_acquire(a, b)
         for nid in deployed:
             self.engine.broadcast(nid, "link_report", f"links={self._incident_count(nid)}")
-        self._refresh_tables()
         self.organized = True
-        self.engine.emit("organize", "-", f"nodes={len(deployed)} links={len(self.active_pairs())}")
-        self._precharge_all()
+        self._topology_changed("organize", "-",
+                               f"nodes={len(deployed)} links={len(self.active_pairs())}")
 
     def join_network(self, node_id: NodeId) -> None:
         """A freshly deployed node acquires links to every eligible node."""
@@ -439,8 +437,7 @@ class Network:
         if not self.engine.is_deployed(node_id):
             raise UnknownNodeError(f"node {node_id!r} is not deployed")
         self._announce_and_acquire(node_id, "join_request")
-        self.engine.emit("join", node_id, f"links={self._incident_count(node_id)}")
-        self._precharge_all()
+        self._topology_changed("join", node_id, f"links={self._incident_count(node_id)}")
 
     def move_node(self, node_id: NodeId, new_pos: GeoPosition) -> None:
         """Tear down incident links, relocate, and re-run the join procedure."""
@@ -454,17 +451,16 @@ class Network:
             self.engine.emit("link_down", node_id, f"pair={pair[0]}~{pair[1]} reason=move")
         self._place(node, new_pos)
         self._announce_and_acquire(node_id, "location")
-        self.engine.emit("move", node_id, f"lat={new_pos.latitude_deg:.6g} "
-                         f"lon={new_pos.longitude_deg:.6g} alt={new_pos.altitude_m:.6g}")
-        self._precharge_all()
+        self._topology_changed("move", node_id, f"lat={new_pos.latitude_deg:.6g} "
+                               f"lon={new_pos.longitude_deg:.6g} alt={new_pos.altitude_m:.6g}")
 
     def activate_link(self, link: OpticalLink) -> None:
         """End ``link``'s acquisition delay; a link torn down meanwhile stays
         down, and a later link of its pair waits out its own delay."""
         if link.state == "acquiring":
             link.state = "active"
-            self.engine.emit("link_active", "-", f"pair={'~'.join(link.endpoints)}")
-            self._refresh_tables()
+            self._topology_changed("link_active", "-", f"pair={'~'.join(link.endpoints)}",
+                                   link.endpoints)
 
     # -- key generation and transfer ---------------------------------------
 
@@ -718,13 +714,11 @@ class Network:
 
     def _announce_and_acquire(self, node_id: NodeId, topic: str) -> None:
         """Broadcast a node's location under ``topic``, try a link to every
-        candidate (``_candidates``), report the node's links and number the
-        topology change."""
+        candidate (``_candidates``) and report the node's links."""
         self.engine.broadcast(node_id, topic, self._loc_payload(node_id))
         for other in self._candidates(node_id):
             self._try_acquire(node_id, other)
         self.engine.broadcast(node_id, "link_report", f"links={self._incident_count(node_id)}")
-        self._refresh_tables()
 
     def _try_acquire(self, a: NodeId, b: NodeId) -> OpticalLink | None:
         """Acquire a link between a and a candidate b (``_candidates``: b's
@@ -764,6 +758,18 @@ class Network:
         """Number a topology change; the tables themselves are derived."""
         self.table_version += 1
 
+    def _topology_changed(self, kind: str, origin: str, details: str,
+                          pair: tuple[NodeId, NodeId] | None = None) -> None:
+        """End a topology change: write its record and number it. With
+        ``precharge_bits`` set, top up the key of ``pair``, a link that just
+        turned active, or with no pair that of every active pair in sorted
+        order."""
+        self.engine.emit(kind, origin, details)
+        self._refresh_tables()
+        if self.precharge_bits > 0:
+            for hop in sorted(self.active_pairs()) if pair is None else (pair,):
+                self._ensure_key(hop, self.precharge_bits)
+
     def _buffer(self, pair: tuple[NodeId, NodeId]) -> KeyBuffer:
         buf = self.buffers.get(pair)
         if buf is None:
@@ -790,21 +796,12 @@ class Network:
         attempts = 0
         while buf.available < need and attempts < self.max_session_attempts:
             attempts += 1
-            try:
-                rec = self.generate_direct_key(hop[0], hop[1], self.pulses_per_session)
-            except LinkInactiveError as exc:
-                return "qkd_abort", str(exc)
+            rec = self.generate_direct_key(hop[0], hop[1], self.pulses_per_session)
             if rec.aborted:
                 return "qkd_abort", rec.abort_reason.value
         if buf.available < need:
             return "key_starved", f"{buf.available} bits available, {need} needed"
         return None
-
-    def _precharge_all(self) -> None:
-        if self.precharge_bits <= 0:
-            return
-        for pair in sorted(self.active_pairs()):
-            self._ensure_key(pair, self.precharge_bits)
 
     def _delivery(self, src, dst, path, outcome, consumed, ok,
                   failing_hop=None, detail="") -> DeliveryRecord:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from .bitops import _HEX_RE, bits_from_hex
 from .engine import ScenarioEvent
 from .geo import MAX_LATITUDE_DEG, MIN_ALTITUDE_M
-from .network import _ID_RE, ROLES
+from .network import _ID_RE, _LINKABLE, ROLES
 from .qkd import MAX_PULSES
 from .rng import MAX_SEED
 
@@ -235,7 +235,7 @@ def parse_scenario(text: str) -> Scenario:
             if mode_seen:
                 raise line.error(0, "duplicate mode directive")
             mode = line.token(1, "mode value")
-            if mode not in ("p2p", "cs"):
+            if mode not in _LINKABLE:
                 raise line.error(1, f"mode must be p2p or cs, got {mode!r}")
             line.end(2)
             sc.mode = mode
@@ -340,13 +340,11 @@ def _validate(sc: Scenario, node_lines: dict[str, int], event_lines: list[int],
         raise ScenarioError(min(event_lines + [ln for ln, _, _ in joins]), 1,
                             "events declared but no nodes")
     decls = {n.node_id: n for n in sc.nodes}
+    roles = _LINKABLE[sc.mode]
     for n in sc.nodes:
-        if sc.mode == "p2p" and n.role != "peer":
+        if n.role not in roles:
             raise ScenarioError(node_lines[n.node_id], 1,
-                                f"node {n.node_id!r} has role {n.role!r} in a p2p scenario")
-        if sc.mode == "cs" and n.role == "peer":
-            raise ScenarioError(node_lines[n.node_id], 1,
-                                f"node {n.node_id!r} has role peer in a cs scenario")
+                                f"node {n.node_id!r} has role {n.role!r} in a {sc.mode} scenario")
 
     for ev, ln in zip(sc.events, event_lines):
         for nid in _event_node_refs(ev):

@@ -149,28 +149,33 @@ def test_golden_replay_of_workload(name, tmp_path):
     assert workload_digests(name, tmp_path) == GOLDEN_WORKLOADS[name]
 
 
-# A bundled scenario with one param that no bundled file sets: with
-# precharge_bits every active pair is topped up after each topology change,
-# before any send asks for key.
+# A bundled scenario with params that no bundled file sets, keyed by its
+# name and then each param and its value. With precharge_bits, each
+# organize, join and move tops up every active pair, and a link that
+# finishes acquiring tops up its own pair, before any send asks for key.
 GOLDEN_PARAMS = {
     ("p2p_relay.soqn", "precharge_bits", 256): {
         "events.log": "a1690dabc35e6fa90fc57e3f8d27aa280e0d120e8935a3231a3353e9ccfd7717",
         "report.txt": "117c474ba8a9592d1798a5a77e10eb6c69552171d16f06b789933b97392e75c6",
         "records.tsv": "fffff7a6202454237eec399e362a759aeac76055083eb86c8467120c4f1e46dd",
     },
+    ("p2p_relay.soqn", "precharge_bits", 256, "acquire_delay_s", 0.5): {
+        "events.log": "e0c7e842dba067c3edda1aaad9ca82fd00604818305585e205b381faa9c55c41",
+        "report.txt": "dd7a83ff0a4aea806ab92ec1b1e894888d29f3c3ea8619f7275d8591762b915d",
+        "records.tsv": "9c617b09a80ada6e67f71b63f0d4fd822a1b08dee036452e5d325543725b58aa",
+    },
 }
 
 
 def param_digests(key, out_dir):
-    name, param, value = key
+    name, *settings = key
     sc = parse_scenario((SCENARIOS / name).read_text())
-    sc.params[param] = value
+    sc.params.update(zip(settings[::2], settings[1::2]))
     return _replay(sc, out_dir)
 
 
-@pytest.mark.parametrize("name,param,value", sorted(GOLDEN_PARAMS))
-def test_golden_replay_with_param(name, param, value, tmp_path):
-    key = (name, param, value)
+@pytest.mark.parametrize("key", sorted(GOLDEN_PARAMS), ids=lambda key: "-".join(map(str, key)))
+def test_golden_replay_with_param(key, tmp_path):
     assert param_digests(key, tmp_path) == GOLDEN_PARAMS[key]
 
 

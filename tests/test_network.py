@@ -20,7 +20,7 @@ from soqn.qkd import ProtocolParams
 from soqn.rng import RandomStream
 from soqn.report import build_report, fmt, render_records
 from soqn.runner import build_simulation, install_handler
-from soqn.scenario import parse_scenario
+from soqn.scenario import ScenarioError, parse_scenario
 
 from event_log import records
 
@@ -179,6 +179,23 @@ class TestOrganize:
         net_cs = Network("cs", SimEngine(0))
         with pytest.raises(RoleModeError):
             net_cs.add_node("p", "peer", GeoPosition(0, 0, 0))
+
+    @pytest.mark.parametrize("role", ["peer", "server", "client"])
+    @pytest.mark.parametrize("mode", ["p2p", "cs"])
+    def test_parser_and_network_agree_on_roles(self, mode, role):
+        try:
+            parse_scenario(f"mode {mode}\nnode n {role} 0 0 0\n")
+            parsed = True
+        except ScenarioError as err:
+            assert f"role {role!r}" in err.message and mode in err.message
+            parsed = False
+        try:
+            Network(mode, SimEngine(0)).add_node("n", role, GeoPosition(0, 0, 0))
+            added = True
+        except RoleModeError as err:
+            assert f"role {role!r}" in str(err) and mode in str(err)
+            added = False
+        assert parsed == added == ((mode == "p2p") == (role == "peer"))
 
     def test_duplicate_node_rejected(self):
         engine = SimEngine(0)
@@ -746,36 +763,103 @@ class TestCsInvariantsAtScale:
         assert max(map(len, routes)) >= 5
 
 
-class TestPrecharge:
-    def test_every_active_pair_charged_after_each_topology_change(self):
-        # 1000 bits take two ideal 2048-pulse sessions; the eavesdropped
-        # pair aborts its first one and stays uncharged.
-        _, net = make_network("p2p", [
-            ("a", "peer", 0.0, 0.0, 0.0),
-            ("b", "peer", 0.0, deg(5), 0.0),
-            ("c", "peer", deg(5), 0.0, 0.0),
-            ("e", "peer", 0.0, deg(300), 0.0),
-        ], organize=False, precharge_bits=1000)
-        net.set_eve("a", "c", True)
+def charged_and_aborted(net, pairs):
+    """Split ``pairs`` into those holding ``precharge_bits`` and those whose
+    last session aborted; every pair must be one or the other."""
+    charged = {p for p in pairs
+               if p in net.buffers and net.buffers[p].available >= net.precharge_bits}
+    aborted = {p for p in pairs - charged
+               if p in net.session_stats and net.session_stats[p][-1].aborted}
+    assert charged | aborted == pairs
+    return charged, aborted
 
-        def charged_and_aborted():
-            pairs = net.active_pairs()
-            charged = {p for p in pairs
-                       if p in net.buffers and net.buffers[p].available >= 1000}
-            aborted = {p for p in pairs - charged if net.session_stats[p][-1].aborted}
-            assert charged | aborted == pairs
-            return charged, aborted
+
+class TestPrecharge:
+    # 1000 bits take two ideal 2048-pulse sessions; the pair a~c, under an
+    # eavesdropper, aborts its first one and stays uncharged. e is out of
+    # everyone's range until d moves next to it.
+    NODES = [
+        ("a", "peer", 0.0, 0.0, 0.0),
+        ("b", "peer", 0.0, deg(5), 0.0),
+        ("c", "peer", deg(5), 0.0, 0.0),
+        ("e", "peer", 0.0, deg(300), 0.0),
+    ]
+
+    def test_every_active_pair_charged_after_each_topology_change(self):
+        _, net = make_network("p2p", self.NODES, organize=False, precharge_bits=1000)
+        net.set_eve("a", "c", True)
+        charged = lambda: charged_and_aborted(net, net.active_pairs())
 
         net.organize_network()
-        assert charged_and_aborted() == ({("a", "b"), ("b", "c")}, {("a", "c")})
+        assert charged() == ({("a", "b"), ("b", "c")}, {("a", "c")})
         net.add_node("d", "peer", GeoPosition(deg(5), deg(5), 0.0))
         net.handle_deploy("d")  # organized network -> join
-        assert charged_and_aborted() == (
+        assert charged() == (
             {("a", "b"), ("b", "c"), ("a", "d"), ("b", "d"), ("c", "d")}, {("a", "c")})
         net.move_node("d", GeoPosition(0.0, deg(305), 0.0))
-        assert charged_and_aborted() == ({("a", "b"), ("b", "c"), ("d", "e")}, {("a", "c")})
+        assert charged() == ({("a", "b"), ("b", "c"), ("d", "e")}, {("a", "c")})
         assert len(net.session_stats[("d", "e")]) == 2
 
+    def test_each_link_charged_when_it_finishes_acquiring(self, monkeypatch):
+        # Links come up acquiring, so organize, join and move find no active
+        # pair to charge; each link_active charges its own pair at once.
+        engine, net = make_network("p2p", self.NODES, organize=False, precharge_bits=1000,
+                                   acquire_delay_s=0.5)
+        net.set_eve("a", "c", True)
+        install_handler(engine, net, [])
+        activated = []
+        activate = net.activate_link
+
+        def activate_and_check(link):
+            activate(link)
+            activated.append(link.endpoints)
+            charged_and_aborted(net, {link.endpoints})
+
+        monkeypatch.setattr(net, "activate_link", activate_and_check)
+        engine.schedule(ScenarioEvent(0.0, "organize"))
+        engine.run_until(0.25)
+        assert net.active_pairs() == set() and net.session_stats == {}
+        net.add_node("d", "peer", GeoPosition(deg(5), deg(5), 0.0))
+        engine.schedule(ScenarioEvent(1.0, "deploy", ("d",)))
+        engine.schedule(ScenarioEvent(2.0, "move", ("d", 0.0, deg(305), 0.0)))
+        engine.run_until()
+        assert activated == [("a", "b"), ("a", "c"), ("b", "c"),
+                             ("a", "d"), ("b", "d"), ("c", "d"), ("d", "e")]
+        assert charged_and_aborted(net, net.active_pairs()) == (
+            {("a", "b"), ("b", "c"), ("d", "e")}, {("a", "c")})
+
+    def test_activation_charges_only_its_own_pair(self, monkeypatch):
+        # A churn run with both params set: each activation tops up its own
+        # pair with one _ensure_key call, not one per active pair. A full
+        # scan would make as many calls as there are active pairs.
+        rng = np.random.default_rng(5)
+        nodes = [(f"n{i:02d}", "peer", float(rng.uniform(0, 1.0)), float(rng.uniform(0, 1.0)),
+                  float(rng.uniform(0, 2000))) for i in range(16)]
+        engine, net = make_network("p2p", nodes, organize=False, precharge_bits=256,
+                                   acquire_delay_s=0.5)
+        install_handler(engine, net, [])
+        calls = []
+        ensure, activate = net._ensure_key, net.activate_link
+        monkeypatch.setattr(net, "_ensure_key", lambda hop, need: calls.append(hop)
+                            or ensure(hop, need))
+        activations = []  # (the calls it made, its own pair's, active pairs after)
+
+        def activate_and_count(link):
+            before, acquiring = len(calls), link.state == "acquiring"
+            activate(link)
+            activations.append((calls[before:], [link.endpoints] if acquiring else [],
+                                len(net.active_pairs())))
+
+        monkeypatch.setattr(net, "activate_link", activate_and_count)
+        engine.schedule(ScenarioEvent(0.0, "organize"))
+        for step in range(12):
+            engine.schedule(ScenarioEvent(0.25 * (step + 1), "move", (
+                nodes[int(rng.integers(len(nodes)))][0], float(rng.uniform(0, 1.0)),
+                float(rng.uniform(0, 1.0)), float(rng.uniform(0, 2000)))))
+        engine.run_until()
+        assert all(made == own for made, own, _ in activations)
+        assert sum(1 for _, own, _ in activations if own) >= 200
+        assert max(active for _, _, active in activations) >= 100
 
 class TestFindPath:
     def test_direct_link(self):
