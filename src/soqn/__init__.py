@@ -10,8 +10,7 @@ from ._kernels import backend_name
 from .channel import ChannelParams, path_loss_db, transmittance
 from .engine import ScenarioEvent, SimEngine
 from .geo import GeoPosition, LinkFeasibilityParams, geodesic_distance, line_of_sight, link_feasible
-from .network import (DeliveryRecord, KeyBuffer, Network, OpticalLink, RelayTicket, decrypt,
-                      decrypt_relay, encrypt)
+from .network import DeliveryRecord, KeyBuffer, Network, OpticalLink
 from .qkd import (ProtocolParams, SessionAbort, SessionRecord, binary_entropy, estimate_qber,
                   privacy_amplify, reconcile, run_bb84_session, run_plugplay_session)
 from .rng import RandomStream
@@ -21,11 +20,10 @@ from .scenario import Scenario, ScenarioError, format_scenario, parse_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelParams", "DeliveryRecord", "GeoPosition", "KeyBuffer",
-    "LinkFeasibilityParams", "Network", "OpticalLink", "ProtocolParams", "RandomStream",
-    "RelayTicket", "Scenario", "ScenarioError", "ScenarioEvent",
-    "SessionAbort", "SessionRecord", "SimEngine", "backend_name", "binary_entropy", "decrypt",
-    "decrypt_relay", "encrypt", "estimate_qber", "format_scenario", "geodesic_distance",
-    "line_of_sight", "link_feasible", "parse_scenario", "path_loss_db", "privacy_amplify",
-    "reconcile", "run_bb84_session", "run_plugplay_session", "run_scenario", "transmittance",
+    "ChannelParams", "DeliveryRecord", "GeoPosition", "KeyBuffer", "LinkFeasibilityParams",
+    "Network", "OpticalLink", "ProtocolParams", "RandomStream", "Scenario", "ScenarioError",
+    "ScenarioEvent", "SessionAbort", "SessionRecord", "SimEngine", "backend_name",
+    "binary_entropy", "estimate_qber", "format_scenario", "geodesic_distance", "line_of_sight",
+    "link_feasible", "parse_scenario", "path_loss_db", "privacy_amplify", "reconcile",
+    "run_bb84_session", "run_plugplay_session", "run_scenario", "transmittance",
 ]

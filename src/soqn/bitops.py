@@ -24,17 +24,12 @@ def as_bits(value) -> np.ndarray:
     return arr
 
 
-def same_length(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Both bitstrings, checked by ``as_bits`` and for equal length."""
+def xor_bits(a, b) -> np.ndarray:
+    """Both bitstrings, checked by ``as_bits`` and for equal length, XORed."""
     x = as_bits(a)
     y = as_bits(b)
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    return x, y
-
-
-def xor_bits(a, b) -> np.ndarray:
-    x, y = same_length(a, b)
     return x ^ y
 
 

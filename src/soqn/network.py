@@ -7,13 +7,13 @@ as the latest link of its pair, and routes over an endpoint index of them.
 Key material lives in pairwise one-time-pad buffers with strict
 consume-once accounting; end-to-end keys for non-adjacent nodes are
 distributed by trusted relays publishing XORs of adjacent hop keys.
+``send_message`` is the one consumer of the key plane.
 
 Key bits are checked once, where they enter the key plane: session keys in
-``KeyBuffer.append``, a message in ``send_message``, and the arguments of
-the public ``encrypt``, ``decrypt`` and ``decrypt_relay``. Inside it,
-consumed blocks, relay XORs and the ``relay_xor`` payloads are computed on
-those arrays with no further check; each pad is still spent through
-``KeyBlock.take``.
+``KeyBuffer.append`` and a message in ``send_message``. Inside it, pads,
+relay XORs and the ``relay_xor`` payloads are computed on those arrays with
+no further check. Pads are read-only arrays; consume-once is the buffer's
+cursor, and ``audit_otp`` checks it over the recorded events.
 """
 from __future__ import annotations
 
@@ -26,8 +26,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .bitops import _binary, _hex, as_bits, same_length, xor_bits
-from .bitops import hex_from_bits  # unused here; perfbench/tracing.py wraps it
+from .bitops import _binary, _hex, as_bits
+from .bitops import hex_from_bits, xor_bits  # unused here; perfbench/tracing.py wraps them
 from .channel import ChannelParams, path_loss_db
 from .engine import ScenarioEvent, SimEngine
 from .geo import (GeoPosition, LinkFeasibilityParams, cell_of, cell_side, feasible_distance,
@@ -84,10 +84,6 @@ class KeyStarvationError(NetworkError):
         self.available = available
 
 
-class KeyReuseError(NetworkError):
-    pass
-
-
 def pair_key(a: NodeId, b: NodeId) -> tuple[NodeId, NodeId]:
     if a == b:
         raise ValueError("link endpoints must be distinct")
@@ -110,31 +106,12 @@ class OpticalLink:
     state: str = "active"  # acquiring | active | torn_down
 
 
-@dataclass
-class KeyBlock:
-    """A consumed, single-use slice of a pairwise key pool."""
-
-    pair: tuple[NodeId, NodeId]
-    offset: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        self.bits.setflags(write=False)
-        self._spent = False
-
-    def take(self) -> np.ndarray:
-        if self._spent:
-            raise KeyReuseError(f"key block {self.pair}@{self.offset} already used as a pad")
-        self._spent = True
-        return self.bits
-
-
 class KeyBuffer:
     """Append-only pairwise pool of one-time-pad bits with a consume cursor.
 
     Bits below the cursor can never be handed out again. The pool is kept
-    as the appended chunks not yet fully consumed, so an append copies only
-    its own bits and consumed chunks are released.
+    as the appended chunks not yet fully consumed, each a read-only copy,
+    so an append copies only its own bits and consumed chunks are released.
     """
 
     def __init__(self, pair: tuple[NodeId, NodeId]):
@@ -155,12 +132,14 @@ class KeyBuffer:
         """Append fresh key bits; returns the offset they start at."""
         start = self._generated
         chunk = as_bits(bits).copy()
+        chunk.setflags(write=False)
         if len(chunk):
             self._chunks.append(chunk)
             self._generated += len(chunk)
         return start
 
-    def consume(self, n: int) -> KeyBlock:
+    def consume(self, n: int) -> np.ndarray:
+        """The next ``n`` bits of the pool, read-only; the cursor moves past them."""
         if n < 0:
             raise ValueError("cannot consume a negative number of bits")
         if self.available < n:
@@ -173,29 +152,13 @@ class KeyBuffer:
                 self._chunks.appendleft(chunk[need:])
             parts.append(chunk[:need])
             need -= len(parts[-1])
-        # A block inside one chunk is a view of it, as chunks are never
-        # written; n == 0 takes no chunk.
-        bits = parts[0] if len(parts) == 1 else np.concatenate([np.empty(0, np.uint8), *parts])
-        off = self.consumed_offset
-        block = KeyBlock(self.pair, off, bits)
-        self.consumed_offset = off + n
-        return block
-
-
-@dataclass
-class RelayTicket:
-    """Public side of one relay-key distribution: per-relay XOR blocks."""
-
-    path: tuple[NodeId, ...]
-    broadcasts: list[tuple[NodeId, np.ndarray]]
-    block_len: int
-
-    def __post_init__(self):
-        if len(self.broadcasts) != len(self.path) - 2:
-            raise ValueError("one broadcast per interior node")
-        for _, block in self.broadcasts:
-            if len(block) != self.block_len:
-                raise ValueError("broadcast block length mismatch")
+        self.consumed_offset += n
+        # Bits inside one chunk are a read-only view of it; n == 0 takes no chunk.
+        if len(parts) == 1:
+            return parts[0]
+        bits = np.concatenate([np.empty(0, np.uint8), *parts])
+        bits.setflags(write=False)
+        return bits
 
 
 @dataclass(frozen=True)
@@ -215,37 +178,12 @@ class DeliveryRecord:
         return self.outcome == "delivered"
 
 
-def _unwind(ciphertext: np.ndarray, pad: np.ndarray, blocks) -> np.ndarray:
-    """C xor K_receiver xor each relay block, on checked bits of one length."""
+def _unwind(ciphertext: np.ndarray, pad: np.ndarray, xors) -> np.ndarray:
+    """C xor K_receiver xor each relay XOR, on checked bits of one length."""
     out = ciphertext ^ pad
-    for block in blocks:
-        out ^= block
+    for xor in xors:
+        out ^= xor
     return out
-
-
-def encrypt(message, key) -> np.ndarray:
-    """One-time-pad encryption C = M xor K.
-
-    ``key`` may be raw bits or a KeyBlock; a block is spent by this call and
-    a second use raises KeyReuseError.
-    """
-    if isinstance(key, KeyBlock):
-        key = key.take()
-    return xor_bits(message, key)
-
-
-def decrypt(ciphertext, key) -> np.ndarray:
-    """Direct-link decryption M = C xor K (same pad both ends)."""
-    return xor_bits(ciphertext, key)
-
-
-def decrypt_relay(ciphertext, receiver_key, ticket: RelayTicket) -> np.ndarray:
-    """Relayed decryption: C xor K_receiver xor (xor of all broadcast blocks)."""
-    if isinstance(receiver_key, KeyBlock):
-        receiver_key = receiver_key.take()
-    ciphertext, receiver_key = same_length(ciphertext, receiver_key)
-    blocks = [same_length(ciphertext, block)[1] for _, block in ticket.broadcasts]
-    return _unwind(ciphertext, receiver_key, blocks)
 
 
 _NO_LINKS: Mapping[NodeId, OpticalLink] = MappingProxyType({})
@@ -479,11 +417,11 @@ class Network:
     def generate_direct_key(self, a: NodeId, b: NodeId, n_pulses: int) -> SessionRecord:
         """Run the mode-appropriate QKD session over an active link and, on
         success, append the final key to the pairwise buffer."""
+        roles = {self._node(a).role, self._node(b).role}
         pair = pair_key(a, b)
         link = self._adj.get(a, _NO_LINKS).get(b)
         if link is None or link.state != "active":
             raise LinkInactiveError(f"no active link {pair[0]}~{pair[1]}")
-        roles = {self.nodes[a].role, self.nodes[b].role}
         proto = "plugplay" if roles == {ROLE_SERVER, ROLE_CLIENT} else "bb84"
         index = len(self.session_stats.get(pair, ()))
         stream = self.engine.stream(f"qkd/{pair[0]}/{pair[1]}/{index}")
@@ -515,32 +453,32 @@ class Network:
             can_relay = lambda n: True
         return shortest_path(self._adj, src, dst, can_relay)
 
-    def relay_key_setup(self, path: list[NodeId], block_len: int) -> tuple[RelayTicket, KeyBlock, KeyBlock]:
-        """Consume one key block per hop and publish the telescoping XORs.
+    def relay_key_setup(self, path: list[NodeId],
+                        block_len: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Consume one pad per hop and publish the telescoping XORs.
 
-        Returns (ticket, sender_block, receiver_block). Consumption is
+        Returns (pads, xors): each hop's pad in path order, and the XOR of
+        its two hop pads that each interior node broadcasts. Consumption is
         all-or-nothing: availability on every hop is verified before any
-        bits are consumed.
+        bits are consumed, and a path that repeats a node is refused first.
         """
         if len(path) < 3:
             raise ValueError("relay paths need at least one interior node")
+        if len(set(path)) != len(path):
+            raise ValueError(f"relay path {'>'.join(path)} repeats a node")
         hops = [pair_key(a, b) for a, b in zip(path, path[1:])]
         for hop in hops:
             buf = self.buffers.get(hop)  # a refusal leaves no empty buffer behind
             available = 0 if buf is None else buf.available
             if available < block_len:
                 raise KeyStarvationError(hop, block_len, available)
-        blocks = [self._consume(hop, block_len, "relay_hop") for hop in hops]
-        broadcasts: list[tuple[NodeId, np.ndarray]] = []
-        for j in range(1, len(path) - 1):
-            relay = path[j]
-            xor_block = blocks[j - 1].bits ^ blocks[j].bits
-            broadcasts.append((relay, xor_block))
-            self.engine.broadcast(relay, "relay_xor", _hex(xor_block) if block_len % 4 == 0
-                                  else _binary(xor_block))
-        ticket = RelayTicket(tuple(path), broadcasts, block_len)
+        pads = [self._consume(hop, block_len, "relay_hop") for hop in hops]
+        xors = [left ^ right for left, right in zip(pads, pads[1:])]
+        for relay, xor in zip(path[1:-1], xors):
+            self.engine.broadcast(relay, "relay_xor", _hex(xor) if block_len % 4 == 0
+                                  else _binary(xor))
         self.engine.emit("relay", path[0], f"path={'>'.join(path)} block_len={block_len}")
-        return ticket, blocks[0], blocks[-1]
+        return pads, xors
 
     def send_message(self, src: NodeId, dst: NodeId, message) -> DeliveryRecord:
         """Route, key, encrypt, deliver, and verify one message."""
@@ -566,14 +504,12 @@ class Network:
             plain = message
             consumed = 0
         elif len(path) == 2:
-            pad = self._consume(hops[0], mlen, "direct").take()
+            pad = self._consume(hops[0], mlen, "direct")
             plain = _unwind(message ^ pad, pad, ())
             consumed = mlen
         else:
-            ticket, sender_block, receiver_block = self.relay_key_setup(path, mlen)
-            ciphertext = message ^ sender_block.take()
-            plain = _unwind(ciphertext, receiver_block.take(),
-                            [block for _, block in ticket.broadcasts])
+            pads, xors = self.relay_key_setup(path, mlen)
+            plain = _unwind(message ^ pads[0], pads[-1], xors)
             consumed = mlen * len(hops)
         ok = bool(np.array_equal(plain, message))
         return self._delivery(src, dst, tuple(path), "delivered", consumed, ok)
@@ -782,12 +718,14 @@ class Network:
         self.keygen_events.append((pair, offset, len(bits)))
         self.engine.emit("keygen", pair[0], f"peer={pair[1]} offset={offset} bits={len(bits)}")
 
-    def _consume(self, pair: tuple[NodeId, NodeId], n: int, purpose: str) -> KeyBlock:
-        block = self._buffer(pair).consume(n)
-        self.consume_events.append((pair, block.offset, n, purpose))
+    def _consume(self, pair: tuple[NodeId, NodeId], n: int, purpose: str) -> np.ndarray:
+        buf = self._buffer(pair)
+        offset = buf.consumed_offset
+        pad = buf.consume(n)
+        self.consume_events.append((pair, offset, n, purpose))
         self.engine.emit("consume", pair[0],
-                         f"peer={pair[1]} offset={block.offset} bits={n} purpose={purpose}")
-        return block
+                         f"peer={pair[1]} offset={offset} bits={n} purpose={purpose}")
+        return pad
 
     def _ensure_key(self, hop: tuple[NodeId, NodeId], need: int):
         """Top up a hop buffer with lazy QKD sessions; returns None when the

@@ -38,34 +38,29 @@ class RandomStream:
     """Deterministic random stream keyed by ``(seed, label)``.
 
     The same (seed, label) pair and the same sequence of calls always
-    reproduce the same draws, on any host. ``position`` counts scalar draws
-    made so far.
+    reproduce the same draws, on any host.
     """
 
-    __slots__ = ("seed", "label", "position", "_gen")
+    __slots__ = ("seed", "label", "_gen")
 
     def __init__(self, seed: int, label: str):
         if not 0 <= seed <= MAX_SEED:
             raise ValueError("seed must be in [0, 2**64 - 1]")
         self.seed = seed
         self.label = label
-        self.position = 0
         bitgen = np.random.Philox(np.random.SeedSequence(_entropy(seed, label)))
         self._gen = np.random.Generator(bitgen)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n i.i.d. uniform floats in [0, 1)."""
-        self.position += n
         return self._gen.random(n)
 
     def uniform(self) -> float:
-        self.position += 1
         return float(self._gen.random())
 
     def binomial(self, n: int, p: float) -> int:
         """The number of successes in n independent trials of probability p,
         as one draw."""
-        self.position += 1
         return int(self._gen.binomial(n, p))
 
     def hypergeometric(self, ngood: int, nbad: int, nsample: int) -> int:
@@ -81,7 +76,6 @@ class RandomStream:
             raise ValueError(
                 f"sifted key too long for the error sample draw: {ngood} errors and "
                 f"{nbad} correct bits, each must be below 10**9 (numpy's hypergeometric limit)")
-        self.position += 1
         return int(self._gen.hypergeometric(ngood, nbad, nsample))
 
     def bits(self, n: int) -> np.ndarray:
@@ -100,7 +94,6 @@ class RandomStream:
         ``random_raw``, which bypasses it. ``Generator.bytes(0)`` would
         still consume a word, so n == 0 draws nothing.
         """
-        self.position += n
         if n == 0:
             return np.empty(0, dtype=np.uint8)
         bitgen = self._gen.bit_generator
@@ -120,13 +113,11 @@ class RandomStream:
         return int(self._gen.integers(0, 2**32, dtype=np.uint32)).to_bytes(4, "little")
 
     def bit(self) -> int:
-        self.position += 1
         return int(self._gen.integers(0, 2))
 
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly random permutation of range(n)."""
-        self.position += n
         return self._gen.permutation(n)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"RandomStream(seed={self.seed}, label={self.label!r}, position={self.position})"
+        return f"RandomStream(seed={self.seed}, label={self.label!r})"

@@ -16,7 +16,7 @@ import pytest
 from soqn.channel import ChannelParams
 from soqn.engine import SimEngine
 from soqn.geo import EARTH_RADIUS_KM, GeoPosition, geodesic_distance, line_of_sight
-from soqn.network import Network, OpticalLink, RelayTicket, decrypt_relay, encrypt, pair_key
+from soqn.network import Network, OpticalLink, pair_key
 from soqn.qkd import ProtocolParams, SessionAbort, privacy_amplify, reconcile, run_bb84_session
 from soqn.rng import RandomStream
 from soqn.runner import run_scenario
@@ -89,18 +89,32 @@ def test_03_relay_identity():
         k3 = k1 ^ k2
         assert np.array_equal(c ^ k2 ^ k3, m)
     for relays in (2, 3, 4, 5):
+        hops = relays + 1
+        path = [f"n{i}" for i in range(hops + 1)]
+        network = Network("p2p", SimEngine(103))
+        for i, nid in enumerate(path):
+            network.add_node(nid, "peer", GeoPosition(0.0, 100.0 / KM_PER_DEG * i, 500.0))
+            network.handle_deploy(nid)
+        network.organize_network()
         for _ in range(100):
-            hops = relays + 1
             keys = [rng.integers(0, 2, 48, dtype=np.uint8) for _ in range(hops)]
             m = rng.integers(0, 2, 48, dtype=np.uint8)
-            path = tuple(f"n{i}" for i in range(hops + 1))
-            broadcasts = [(path[j], keys[j - 1] ^ keys[j]) for j in range(1, hops)]
-            ticket = RelayTicket(path, broadcasts, 48)
-            recovered = decrypt_relay(encrypt(m, keys[0]), keys[-1], ticket)
-            # brute-force oracle: fold ciphertext with every public block
+            for a, b, key in zip(path, path[1:], keys):
+                network._store_key(pair_key(a, b), key)
+            # the network's relay: each hop's pad and each relay's public XOR
+            pads, xors = network.relay_key_setup(path, 48)
+            assert [pad.tolist() for pad in pads] == [key.tolist() for key in keys]
+            assert [x.tolist() for x in xors] == [(k1 ^ k2).tolist()
+                                                  for k1, k2 in zip(keys, keys[1:])]
+            # brute-force oracle: the receiver folds the ciphertext with
+            # every public XOR and its own pad
+            recovered = m ^ pads[0]
+            for x in xors:
+                recovered = recovered ^ x
+            recovered = recovered ^ pads[-1]
             oracle = m ^ keys[0]
-            for _, blk in broadcasts:
-                oracle = oracle ^ blk
+            for k1, k2 in zip(keys, keys[1:]):
+                oracle = oracle ^ k1 ^ k2
             oracle = oracle ^ keys[-1]
             assert np.array_equal(recovered, m)
             assert np.array_equal(oracle, m)

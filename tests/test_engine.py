@@ -339,22 +339,19 @@ class TestRandomStreams:
         a2 = RandomStream(7, "alpha").uniforms(50)
         assert np.array_equal(a1, a2)
 
-    def test_position_counts_draws(self):
-        s = RandomStream(1, "x")
-        s.uniforms(10)
-        s.bits(5)
-        s.bit()
-        assert s.position == 16
-
     def test_binomial_replays_and_counts_one_draw(self):
         a, b = RandomStream(3, "binomial"), RandomStream(3, "binomial")
         draws = [a.binomial(60_000, 0.03) for _ in range(5)]
         assert draws == [b.binomial(60_000, 0.03) for _ in range(5)]
         assert all(type(k) is int and 0 <= k <= 60_000 for k in draws)
         assert len(set(draws)) > 1
-        assert a.position == 5
         assert a.binomial(0, 0.5) == 0 and a.binomial(7, 1.0) == 7
-        assert a.position == 7
+        # each call is one draw of the stream's generator
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            rng._entropy(3, "binomial"))))
+        for n, p in [(60_000, 0.03)] * 5 + [(0, 0.5), (7, 1.0)]:
+            gen.binomial(n, p)
+        assert same_draw_state(a, gen)
 
     def test_hypergeometric_replays_and_counts_one_draw(self):
         a, b = RandomStream(3, "hypergeometric"), RandomStream(3, "hypergeometric")
@@ -362,10 +359,13 @@ class TestRandomStreams:
         assert draws == [b.hypergeometric(300, 700, 500) for _ in range(5)]
         assert all(type(e) is int and 0 <= e <= 300 for e in draws)
         assert len(set(draws)) > 1
-        assert a.position == 5
         # a sample of no good items is still one draw
         assert a.hypergeometric(0, 500, 250) == 0 and a.hypergeometric(9, 0, 9) == 9
-        assert a.position == 7
+        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            rng._entropy(3, "hypergeometric"))))
+        for args in [(300, 700, 500)] * 5 + [(0, 500, 250), (9, 0, 9)]:
+            gen.hypergeometric(*args)
+        assert same_draw_state(a, gen)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bits_match_the_integers_draw(self, seed):

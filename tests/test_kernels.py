@@ -97,7 +97,7 @@ class TestPrepareMeasureDrawOrder:
         fresh, second = RandomStream(11, "rounds"), RandomStream(11, "rounds")
         got = _prepare_measure_rounds(3000, 3.0, intercept_resend, channel, fresh)
         want = _rounds_reference(3000, 3.0, intercept_resend, channel, second)
-        assert fresh.position == second.position
+        assert np.array_equal(fresh.uniforms(4), second.uniforms(4))  # drawn alike
         for g, w in zip(got, want, strict=True):
             assert g.dtype == np.uint8
             assert np.array_equal(g, w)

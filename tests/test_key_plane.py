@@ -1,8 +1,8 @@
 """The key plane checks key bits once, where they enter it.
 
-Sends are compared with a reference built only from the public, validating
-helpers of ``bitops`` and ``network``; the work a send does and the arrays
-it hands out are pinned too.
+Sends are compared with a reference built only from plain XOR, the public,
+validating helpers of ``bitops`` and ``relay_chain_oracle``; the work a
+send does and the arrays it hands out are pinned too.
 """
 import numpy as np
 import pytest
@@ -10,10 +10,10 @@ import pytest
 import soqn.bitops as bitops
 import soqn.network as network
 from soqn.bitops import as_bits, hex_from_bits, xor_bits
-from soqn.network import KeyBlock, KeyBuffer, RelayTicket, decrypt, decrypt_relay, encrypt, pair_key
+from soqn.network import KeyBuffer, _unwind, pair_key
 
 from event_log import records
-from test_network import deg, make_network, preload_key
+from test_network import deg, make_network, preload_key, relay_chain_oracle
 
 NODES = 7  # a line n0 - n1 - ... - n6: every route is the stretch of line between its ends
 
@@ -25,7 +25,7 @@ def line_network():
 
 class Reference:
     """Each hop's key pool as one array, and what a send must do to it,
-    computed with the public helpers only."""
+    computed with plain XOR and the public helpers only."""
 
     def __init__(self):
         self.pool: dict[tuple[str, str], np.ndarray] = {}
@@ -49,15 +49,11 @@ class Reference:
         n = len(message)
         if n == 0:
             return [], [], True
-        if len(hops) == 1:
-            event, pad = self.consume(hops[0], n, "direct")
-            return [event], [], bool(np.array_equal(decrypt(encrypt(message, pad), pad), message))
-        events, pads = zip(*(self.consume(hop, n, "relay_hop") for hop in hops))
-        blocks = [(relay, xor_bits(k1, k2)) for relay, k1, k2 in zip(path[1:-1], pads, pads[1:])]
-        payloads = [hex_from_bits(b) if n % 4 == 0 else "".join(str(int(bit)) for bit in b)
-                    for _, b in blocks]
-        ticket = RelayTicket(tuple(path), blocks, n)
-        plain = decrypt_relay(encrypt(message, pads[0]), pads[-1], ticket)
+        purpose = "direct" if len(hops) == 1 else "relay_hop"
+        events, pads = zip(*(self.consume(hop, n, purpose) for hop in hops))
+        payloads = [hex_from_bits(x) if n % 4 == 0 else "".join(str(int(bit)) for bit in x)
+                    for x in map(xor_bits, pads, pads[1:])]
+        plain = relay_chain_oracle(message, pads)
         return list(events), payloads, bool(np.array_equal(plain, message))
 
 
@@ -128,7 +124,7 @@ def test_a_send_checks_only_its_message(monkeypatch, hops, chunk):
             preload_key(net, f"n{i}", f"n{i + 1}", rng.integers(0, 2, chunk, dtype=np.uint8))
     as_bits_calls = [Counter(monkeypatch, m, "as_bits") for m in (network, bitops)]
     xor_calls = [Counter(monkeypatch, m, "xor_bits") for m in (network, bitops)]
-    takes = Counter(monkeypatch, KeyBlock, "take")
+    consumes = Counter(monkeypatch, KeyBuffer, "consume")
     concatenates = Counter(monkeypatch, np, "concatenate")
     # 20 bits lie in each hop's first chunk of 64; 40 bits span chunks of 8
     message = rng.integers(0, 2, 20 if chunk == 64 else 40, dtype=np.uint8)
@@ -136,7 +132,7 @@ def test_a_send_checks_only_its_message(monkeypatch, hops, chunk):
     assert rec.delivered and rec.plaintext_ok and len(rec.path) == hops + 1
     assert sum(c.calls for c in as_bits_calls) == 1
     assert sum(c.calls for c in xor_calls) == 0
-    assert takes.calls == (1 if hops == 1 else 2)  # each end's pad is spent once
+    assert consumes.calls == hops  # one pad per hop
     if chunk == 64:
         assert concatenates.calls == 0
     else:
@@ -149,7 +145,7 @@ class TestConsumedBlocks:
         buf = KeyBuffer(("a", "b"))
         buf.append(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
         buf.append(np.array([0, 1, 1, 0], dtype=np.uint8))
-        bits = buf.consume(n).bits
+        bits = buf.consume(n)
         assert len(bits) == n and not bits.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             bits[:] = 1
@@ -165,8 +161,8 @@ class TestConsumedBlocks:
                 bits ^= 1  # the caller's array, written after the append
             else:
                 block = buf.consume(int(rng.integers(0, buf.available + 1)))
-                held.append((block, block.bits.copy()))
-            assert all(np.array_equal(block.bits, copy) for block, copy in held)
+                held.append((block, block.copy()))
+            assert all(np.array_equal(block, copy) for block, copy in held)
 
     def test_a_relay_leaves_the_pads_it_read_unchanged(self):
         _, net = line_network()
@@ -175,34 +171,19 @@ class TestConsumedBlocks:
             bits = np.random.default_rng(i).integers(0, 2, 16, dtype=np.uint8)
             preload_key(net, f"n{i}", f"n{i + 1}", bits)
             pads.append(bits)
-        ticket, first, last = net.relay_key_setup(["n0", "n1", "n2", "n3"], 16)
-        cipher = encrypt(np.ones(16, dtype=np.uint8), first)
+        got, xors = net.relay_key_setup(["n0", "n1", "n2", "n3"], 16)
+        assert not any(pad.flags.writeable for pad in got)
+        cipher = np.ones(16, dtype=np.uint8) ^ got[0]
         sent = cipher.copy()
-        assert np.array_equal(decrypt_relay(cipher, last, ticket), np.ones(16))
+        assert np.array_equal(_unwind(cipher, got[-1], xors), np.ones(16))
         assert np.array_equal(cipher, sent)
-        assert np.array_equal(first.bits, pads[0]) and np.array_equal(last.bits, pads[2])
-        assert [np.array_equal(b, xor_bits(k1, k2)) for (_, b), k1, k2
-                in zip(ticket.broadcasts, pads, pads[1:])] == [True, True]
+        assert [a.tolist() for a in got] == [k.tolist() for k in pads]
+        assert [x.tolist() for x in xors] == [xor_bits(k1, k2).tolist()
+                                              for k1, k2 in zip(pads, pads[1:])]
 
 
 class TestPublicHelpersCheckTheirArguments:
-    @pytest.mark.parametrize("receiver,block,message", [
-        ([1, 0, 1], [1, 1, 0, 0], "length mismatch: 4 vs 3"),
-        ([1, 0, 1, 2], [1, 1, 0, 0], "bitstrings may contain only 0 and 1"),
-        ([1, 0, 1, 1], [1, 1, 0, 2], "bitstrings may contain only 0 and 1"),
-        ([[1, 0, 1, 1]], [1, 1, 0, 0], "bitstrings must be one-dimensional"),
-    ])
-    def test_decrypt_relay(self, receiver, block, message):
-        ticket = RelayTicket(("a", "r", "b"), [("r", np.array(block))], 4)
-        with pytest.raises(ValueError, match=message):
-            decrypt_relay([0, 1, 1, 0], receiver, ticket)
-
-    def test_decrypt_relay_checks_blocks_against_the_ciphertext(self):
-        ticket = RelayTicket(("a", "r", "b"), [("r", np.ones(3, np.uint8))], 3)
-        with pytest.raises(ValueError, match="length mismatch: 4 vs 3"):
-            decrypt_relay(np.zeros(4, np.uint8), np.zeros(4, np.uint8), ticket)
-
-    @pytest.mark.parametrize("op", [encrypt, decrypt, xor_bits])
+    @pytest.mark.parametrize("op", [xor_bits])
     def test_xor(self, op):
         with pytest.raises(ValueError, match="bitstrings may contain only 0 and 1"):
             op([0, 3], [1, 1])

@@ -12,10 +12,9 @@ from soqn.bitops import as_bits
 from soqn.channel import ChannelParams
 from soqn.engine import ScenarioEvent, SimEngine
 from soqn.geo import EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams, cell_side, link_feasible
-from soqn.network import (DuplicateNodeError, KeyBlock, KeyBuffer, KeyReuseError,
-                          KeyStarvationError, LinkInactiveError, Network, NoRouteError,
-                          OpticalLink, RelayTicket, RoleModeError, UnknownNodeError,
-                          decrypt, decrypt_relay, encrypt, pair_key, shortest_path)
+from soqn.network import (DuplicateNodeError, KeyBuffer, KeyStarvationError, LinkInactiveError,
+                          Network, NoRouteError, OpticalLink, RoleModeError, UnknownNodeError,
+                          _unwind, pair_key, shortest_path)
 from soqn.qkd import ProtocolParams
 from soqn.rng import RandomStream
 from soqn.report import build_report, fmt, render_records
@@ -1045,8 +1044,7 @@ class TestKeyBuffer:
     def test_consume_once_discipline(self):
         buf = KeyBuffer(("a", "b"))
         buf.append(np.array([1, 0, 1, 1], dtype=np.uint8))
-        block = buf.consume(3)
-        assert np.array_equal(block.bits, [1, 0, 1])
+        assert np.array_equal(buf.consume(3), [1, 0, 1])
         assert buf.available == 1
         with pytest.raises(KeyStarvationError):
             buf.consume(2)
@@ -1070,17 +1068,15 @@ class TestKeyBuffer:
         assert buf.append(np.array([], dtype=np.uint8)) == 3
         assert buf.append(np.array([0, 0], dtype=np.uint8)) == 3
         assert buf.append(np.array([1, 1, 0, 1], dtype=np.uint8)) == 5
-        first = buf.consume(2)
-        across = buf.consume(5)  # the rest of the first chunk, the second, one bit of the third
-        assert (first.offset, across.offset) == (0, 2)
-        assert np.array_equal(first.bits, [1, 0])
-        assert np.array_equal(across.bits, [1, 0, 0, 1, 1])
-        assert buf.consume(0).bits.size == 0
+        assert np.array_equal(buf.consume(2), [1, 0])
+        # the rest of the first chunk, the second, one bit of the third
+        assert np.array_equal(buf.consume(5), [1, 0, 0, 1, 1])
+        assert buf.consume(0).size == 0
         assert (buf.total_generated, buf.consumed_offset, buf.available) == (9, 7, 2)
         assert len(buf._chunks) == 1  # consumed chunks are released
         with pytest.raises(KeyStarvationError):
             buf.consume(3)
-        assert np.array_equal(buf.consume(2).bits, [0, 1])
+        assert np.array_equal(buf.consume(2), [0, 1])
         assert len(buf._chunks) == 0
 
     def test_random_appends_and_consumes_match_one_pool(self):
@@ -1100,55 +1096,47 @@ class TestKeyBuffer:
                     with pytest.raises(KeyStarvationError):
                         buf.consume(n)
                     continue
-                block = buf.consume(n)
-                assert block.offset == off
-                assert np.array_equal(block.bits, pool[off : off + n])
+                assert np.array_equal(buf.consume(n), pool[off : off + n])
+                assert buf.consumed_offset == off + n
             assert buf.total_generated == len(pool)
             assert buf.available == len(pool) - buf.consumed_offset
 
-    def test_block_take_once(self):
-        buf = KeyBuffer(("a", "b"))
-        buf.append(np.ones(4, dtype=np.uint8))
-        block = buf.consume(4)
-        block.take()
-        with pytest.raises(KeyReuseError):
-            block.take()
-
 
 class TestOtpOps:
+    """The receiver's side of a send, ``_unwind``, against plain XOR."""
+
     def test_encrypt_known_vector(self):
-        c = encrypt(np.array([0, 0, 0, 0], dtype=np.uint8),
-                    np.array([1, 0, 1, 0], dtype=np.uint8))
-        assert np.array_equal(c, [1, 0, 1, 0])
+        m, k = np.array([0, 0, 0, 0], dtype=np.uint8), np.array([1, 0, 1, 0], dtype=np.uint8)
+        assert np.array_equal(m ^ k, [1, 0, 1, 0])
+        assert np.array_equal(_unwind(m ^ k, k, ()), m)
 
     def test_xor_involution(self):
         rng = RandomStream(1, "otp")
         for _ in range(20):
             m, k = rng.bits(64), rng.bits(64)
-            assert np.array_equal(decrypt(encrypt(m, k), k), m)
+            assert np.array_equal(_unwind(m ^ k, k, ()), m)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            encrypt(np.ones(3, dtype=np.uint8), np.ones(4, dtype=np.uint8))
-
-    def test_encrypt_spends_key_block(self):
-        block = KeyBlock(("a", "b"), 0, np.ones(4, dtype=np.uint8))
-        encrypt(np.zeros(4, dtype=np.uint8), block)
-        with pytest.raises(KeyReuseError):
-            encrypt(np.zeros(4, dtype=np.uint8), block)
+            _unwind(np.ones(3, dtype=np.uint8), np.ones(4, dtype=np.uint8), ())
+        with pytest.raises(ValueError):
+            _unwind(np.ones(4, dtype=np.uint8), np.ones(4, dtype=np.uint8),
+                    [np.ones(3, dtype=np.uint8)])
 
     def test_single_relay_identity(self):
         # C xor K2 xor (K1 xor K2) recovers M exactly
         rng = RandomStream(2, "otp")
         m, k1, k2 = rng.bits(32), rng.bits(32), rng.bits(32)
-        c = encrypt(m, k1)
-        ticket = RelayTicket(("a", "r", "b"), [("r", np.bitwise_xor(k1, k2))], 32)
-        assert np.array_equal(decrypt_relay(c, k2, ticket), m)
+        assert np.array_equal(_unwind(m ^ k1, k2, [k1 ^ k2]), m)
+        assert np.array_equal(relay_chain_oracle(m, [k1, k2]), m)
 
     def test_zero_length_message(self):
         empty = np.empty(0, dtype=np.uint8)
-        ticket = RelayTicket(("a", "r", "b"), [("r", empty)], 0)
-        assert len(decrypt_relay(empty, empty, ticket)) == 0
+        assert len(_unwind(empty, empty, [empty])) == 0
+        _, net = make_network("p2p", [(f"n{i}", "peer", 0.0, deg(100) * i, 500.0)
+                                      for i in range(3)])
+        pads, xors = net.relay_key_setup(["n0", "n1", "n2"], 0)
+        assert [len(a) for a in pads + xors] == [0, 0, 0]
 
 
 def preload_key(net, a, b, bits):
@@ -1174,13 +1162,11 @@ class TestRelaySetup:
         _, net = self._line_network(3)
         preload_key(net, "n0", "n1", [1, 0, 1, 0])
         preload_key(net, "n1", "n2", [0, 1, 1, 0])
-        ticket, first, last = net.relay_key_setup(["n0", "n1", "n2"], 4)
-        assert len(ticket.broadcasts) == 1
-        relay, block = ticket.broadcasts[0]
-        assert relay == "n1"
-        assert np.array_equal(block, [1, 1, 0, 0])
-        assert np.array_equal(first.bits, [1, 0, 1, 0])
-        assert np.array_equal(last.bits, [0, 1, 1, 0])
+        pads, xors = net.relay_key_setup(["n0", "n1", "n2"], 4)
+        assert len(xors) == 1
+        assert np.array_equal(xors[0], [1, 1, 0, 0])
+        assert np.array_equal(pads[0], [1, 0, 1, 0])
+        assert np.array_equal(pads[1], [0, 1, 1, 0])
 
     @pytest.mark.parametrize("hops", [2, 3, 4, 5])
     def test_chains_match_oracle(self, hops):
@@ -1193,10 +1179,10 @@ class TestRelaySetup:
             keys.append(k)
             preload_key(net, a, b, k)
         message = rng.bits(40)
-        ticket, first, last = net.relay_key_setup(path, 40)
-        cipher = encrypt(message, first)
-        recovered = decrypt_relay(cipher, last, ticket)
-        assert np.array_equal(recovered, message)
+        pads, xors = net.relay_key_setup(path, 40)
+        assert [pad.tolist() for pad in pads] == [k.tolist() for k in keys]
+        assert [x.tolist() for x in xors] == [(k1 ^ k2).tolist() for k1, k2 in zip(keys, keys[1:])]
+        assert np.array_equal(_unwind(message ^ pads[0], pads[-1], xors), message)
         assert np.array_equal(relay_chain_oracle(message, keys), message)
 
     def test_consumption_marked_both_ends(self):
@@ -1235,6 +1221,18 @@ class TestRelaySetup:
         with pytest.raises(ValueError):
             net.relay_key_setup(["n0", "n1"], 4)
 
+    def test_path_repeating_a_node_refused_before_any_check(self):
+        # n0~n1 holds 8 bits: enough for each hop of n0>n1>n0 on its own,
+        # not for the two hops together
+        engine, net = self._line_network(2)
+        preload_key(net, "n0", "n1", np.ones(8, dtype=np.uint8))
+        lines, events = list(engine.log_lines()), list(net.consume_events)
+        with pytest.raises(ValueError, match="repeats a node"):
+            net.relay_key_setup(["n0", "n1", "n0"], 8)
+        assert net.buffers[("n0", "n1")].available == 8 and list(net.buffers) == [("n0", "n1")]
+        assert net.consume_events == events
+        assert list(engine.log_lines()) == lines
+
     def test_transcript_alone_does_not_reveal_message(self):
         # ciphertext + all public XOR blocks still miss the first hop key
         rng = RandomStream(77, "relay")
@@ -1243,11 +1241,10 @@ class TestRelaySetup:
         for a, b in zip(path, path[1:]):
             preload_key(net, a, b, rng.bits(64))
         message = rng.bits(64)
-        ticket, first, last = net.relay_key_setup(path, 64)
-        cipher = encrypt(message, first)
-        public = cipher.copy()
-        for _, block in ticket.broadcasts:
-            public = np.bitwise_xor(public, block)
+        pads, xors = net.relay_key_setup(path, 64)
+        public = message ^ pads[0]
+        for xor in xors:
+            public = np.bitwise_xor(public, xor)
         assert not np.array_equal(public, message)
 
 
@@ -1296,6 +1293,13 @@ class TestGenerateDirectKey:
         ])
         with pytest.raises(LinkInactiveError):
             net.generate_direct_key("a", "b", 100)
+
+    def test_unknown_node_named(self):
+        _, net = make_network("p2p", [("a", "peer", 0.0, 0.0, 0.0)])
+        for a, b in [("a", "zz"), ("zz", "a")]:
+            with pytest.raises(UnknownNodeError, match="unknown node 'zz'"):
+                net.generate_direct_key(a, b, 100)
+        assert net.session_stats == {}
 
     def test_disjoint_sessions_order_independent(self):
         # label-keyed streams: swapping session order across disjoint links

@@ -13,6 +13,8 @@ from soqn.qkd import (MAX_F_EC, ProtocolParams, SessionAbort, SessionRecord,
                       reconciliation_leak, run_bb84_session, run_plugplay_session, sift)
 from soqn.rng import RandomStream
 
+from counting_stream import CountingStream
+
 
 def h2_oracle(p: float) -> float:
     """Independent binary entropy for frozen expected values."""
@@ -273,7 +275,7 @@ class TestBb84Session:
     def test_underflowed_link_aborts_after_one_draw(self, noise_prob):
         # 4000 dB: the transmittance underflows to 0.0, so at most noise clicks
         link = OpticalLink(("a", "b"), 0.0, 4000.0, 0.0, "active")
-        stream = RandomStream(50, "dark")
+        stream = CountingStream(50, "dark")
         rec = run_bb84_session(link, 10**4, False, stream,
                                ChannelParams(noise_prob=noise_prob))
         assert rec.aborted and rec.abort_reason is SessionAbort.INSUFFICIENT_DETECTIONS
@@ -320,7 +322,7 @@ class TestSessionCost:
         # the sample's error count is drawn even when there are no errors
         channel = ideal_channel if errors == "none" else ChannelParams()
         for n in (10**4, 10**5, 10**7):
-            stream = RandomStream(40, "cost")
+            stream = CountingStream(40, "cost")
             rec = run_bb84_session(ideal_link, n, False, stream, channel)
             assert not rec.aborted and (rec.qber == 0.0) == (errors == "none")
             assert stream.position == 3 + len(rec.final_key)
@@ -337,7 +339,7 @@ class TestSessionCost:
              SessionAbort.INSUFFICIENT_DETECTIONS, 3),
         ]
         for n, eve, params, reason, draws in cases:
-            stream = RandomStream(42, "cost")
+            stream = CountingStream(42, "cost")
             rec = run_bb84_session(ideal_link, n, eve, stream, ChannelParams(), params)
             assert rec.abort_reason is reason
             assert stream.position == draws
@@ -350,7 +352,7 @@ class TestSessionCost:
         n, p, runs = 2**40, transmittance(70.0) / 2, 30
         lengths = []
         for seed in range(runs):
-            stream = RandomStream(seed, "2**40")
+            stream = CountingStream(seed, "2**40")
             rec = run_bb84_session(link, n, False, stream, channel)
             assert not rec.aborted and stream.position == 3 + len(rec.final_key)
             lengths.append(rec.sifted_len)
@@ -358,7 +360,7 @@ class TestSessionCost:
         assert abs(sum(lengths) / runs - n * p) < 4 * mean_sd
 
     def test_pulses_beyond_numpys_binomial_are_named(self, ideal_link):
-        stream = RandomStream(3, "huge")
+        stream = CountingStream(3, "huge")
         with pytest.raises(ValueError, match=r"\[1, 2\*\*63 - 1\]"):
             run_bb84_session(ideal_link, 2**63, False, stream)
         assert stream.position == 0
@@ -371,7 +373,7 @@ class TestSessionCost:
     def test_sifted_length_beyond_the_sample_draw_is_named(self, ideal_link, ideal_channel):
         # lossless and error-free: k ~ Binomial(4e9, 1/2), about 2e9 correct
         # bits, beyond numpy's hypergeometric; it raises before any key is drawn
-        stream = RandomStream(3, "huge")
+        stream = CountingStream(3, "huge")
         with pytest.raises(ValueError, match=r"sifted key too long .* below 10\*\*9"):
             run_bb84_session(ideal_link, 4 * 10**9, False, stream, ideal_channel)
         assert stream.position == 2

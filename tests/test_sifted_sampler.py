@@ -23,6 +23,7 @@ from soqn.qkd import (ProtocolParams, SessionAbort, _session, click_model,
                       run_bb84_session, run_plugplay_session)
 from soqn.rng import RandomStream
 
+from counting_stream import CountingStream
 from dense_rounds import bit_level_session, dense_sifted_keys, sifted_keys
 
 N_PULSES = 4000
@@ -87,7 +88,7 @@ def test_sifted_length_and_errors_match_the_model(path, channel_name, mode):
 @pytest.mark.parametrize("mode", ["none", "intercept_resend"])
 def test_same_seed_and_label_replay(mode):
     channel = CHANNELS["noisy"]
-    first, second = RandomStream(5, "replay"), RandomStream(5, "replay")
+    first, second = CountingStream(5, "replay"), CountingStream(5, "replay")
     a1, b1 = sifted_keys(N_PULSES, LOSS_DB, mode == "intercept_resend", channel, first)
     a2, b2 = sifted_keys(N_PULSES, LOSS_DB, mode == "intercept_resend", channel, second)
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
@@ -101,7 +102,7 @@ def test_no_sifted_click_aborts():
     link = OpticalLink(("a", "b"), 0.0, 200.0, 0.0, "active")
     protocol = ProtocolParams(min_sift_len=2)
     for run in (run_bb84_session, run_plugplay_session):
-        stream = RandomStream(1, "dark")
+        stream = CountingStream(1, "dark")
         rec = run(link, 10, False, stream, ChannelParams(), protocol)
         assert stream.position == 1  # the binomial draw alone
         assert rec.sifted_len == 0
