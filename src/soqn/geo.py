@@ -8,6 +8,7 @@ refraction are out of scope.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,7 +98,9 @@ def geodesic_distance(a: GeoPosition, b: GeoPosition) -> float:
 
 
 def _horizon_km(altitude_m: float) -> float:
-    h_km = max(altitude_m, MIN_EYE_HEIGHT_M) / 1000.0
+    # max() gives the same value, but its call costs more than the rest of
+    # this test, which runs twice per exact link test.
+    h_km = (MIN_EYE_HEIGHT_M if altitude_m < MIN_EYE_HEIGHT_M else altitude_m) / 1000.0
     return math.sqrt(2.0 * EARTH_RADIUS_KM * h_km)
 
 
@@ -115,26 +118,37 @@ def line_of_sight(a: GeoPosition, b: GeoPosition) -> bool:
     return _in_sight(a, b, _central_angle_rad(a, b))
 
 
-def surely_out_of_range(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams) -> bool:
-    """Cheap sufficient test that ``link_feasible(a, b, params)`` is False.
+def within_chord_bound(a: GeoPosition, others: Iterable[tuple[object, GeoPosition]],
+                       params: LinkFeasibilityParams) -> list:
+    """The keys of ``others``, (key, position) pairs, whose position the
+    cheap range bound keeps against ``a``, in the order given.
 
     The unit-sphere chord never exceeds the central angle, so
     ``(R + mean altitude) * chord`` never exceeds ``geodesic_distance``. The
     bound is shrunk by a relative 1e-9 and the chord by an absolute 1e-12,
-    both far above the rounding of either computation, so a pair this
-    returns True for is always beyond ``max_range_km``.
+    both far above the rounding of either computation, so a pair it drops
+    is always beyond ``max_range_km``. This is the one place the bound is
+    written: ``surely_out_of_range`` applies it to one pair, and
+    ``cell_side`` bounds the chords it keeps.
     """
-    chord = math.dist(a.unit_vector, b.unit_vector) - 1e-12
-    scale = EARTH_RADIUS_KM + (a.altitude_m + b.altitude_m) / 2000.0
-    return scale * chord * (1.0 - 1e-9) > params.max_range_km
+    ua, alt, limit, dist = a.unit_vector, a.altitude_m, params.max_range_km, math.dist
+    return [key for key, b in others
+            if not ((EARTH_RADIUS_KM + (alt + b.altitude_m) / 2000.0)
+                    * (dist(ua, b.unit_vector) - 1e-12) * (1.0 - 1e-9) > limit)]
+
+
+def surely_out_of_range(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams) -> bool:
+    """Cheap sufficient test that ``link_feasible(a, b, params)`` is False:
+    the bound of ``within_chord_bound`` for one pair."""
+    return not within_chord_bound(a, ((b, b),), params)
 
 
 def cell_side(params: LinkFeasibilityParams) -> float:
     """Side of the cubic cells of ``GeoPosition.unit_vector`` within which
-    every pair that ``surely_out_of_range`` keeps lies in neighbouring cells.
+    every pair that ``within_chord_bound`` keeps lies in neighbouring cells.
 
     Altitudes are at least ``MIN_ALTITUDE_M`` (-500 m), so the scale in
-    ``surely_out_of_range`` is at least R - 0.5 km, with R =
+    ``within_chord_bound`` is at least R - 0.5 km, with R =
     ``EARTH_RADIUS_KM``, and a pair it keeps has a unit-vector chord of at
     most ``max_range_km / ((R - 0.5)(1 - 1e-9)) + 1e-12``: its own margins.
     No coordinate differs by more than the chord, so with a cell side of at

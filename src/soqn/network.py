@@ -31,7 +31,7 @@ from .bitops import hex_from_bits, xor_bits  # unused here; perfbench/tracing.py
 from .channel import ChannelParams, path_loss_db
 from .engine import ScenarioEvent, SimEngine
 from .geo import (GeoPosition, LinkFeasibilityParams, cell_of, cell_side, feasible_distance,
-                  surely_out_of_range)
+                  within_chord_bound)
 from .geo import geodesic_distance, link_feasible  # unused here; perfbench/tracing.py wraps them
 from .qkd import MAX_PULSES, ProtocolParams, SessionRecord, run_bb84_session, run_plugplay_session
 
@@ -260,12 +260,13 @@ class Network:
 
     Link acquisition searches a cell index of the deployed nodes, keyed by
     role and by the cube of side ``geo.cell_side`` that holds the node's
-    ``unit_vector``. That side bounds the chord of every pair
-    ``geo.surely_out_of_range`` keeps, so every feasible pair lies in
+    ``unit_vector``. That side bounds the chord of every pair the range
+    bound ``geo.within_chord_bound`` keeps, so every feasible pair lies in
     neighbouring cells: a node tests only the nodes of the roles it may
-    link to in its own and the 26 surrounding cells. The candidates are
-    tried in the order nodes were added, so links come up in the order of
-    a test of every deployed node.
+    link to in its own and the 26 surrounding cells. Each node's
+    candidates go through that bound in one call, and the ones it keeps
+    through the exact test, in the order nodes were added, so links come
+    up in the order of a test of every deployed node.
     """
 
     def __init__(self, mode: str, engine: SimEngine,
@@ -361,8 +362,7 @@ class Network:
             self.engine.broadcast(nid, "location", self._loc_payload(nid))
         order = self._order
         for a in deployed:
-            for b in self._candidates(a, order[a]):
-                self._try_acquire(a, b)
+            self._acquire(a, order[a])
         for nid in deployed:
             self.engine.broadcast(nid, "link_report", f"links={self._incident_count(nid)}")
         self.organized = True
@@ -382,11 +382,12 @@ class Network:
         node = self._node(node_id)
         if not self.engine.is_deployed(node_id):
             raise UnknownNodeError(f"node {node_id!r} is not deployed")
-        for other, link in self._adj.pop(node_id, _NO_LINKS).items():
-            del self._adj[other][node_id]
+        adj, emit = self._adj, self.engine.emit
+        for other, link in adj.pop(node_id, _NO_LINKS).items():
+            del adj[other][node_id]
             pair = link.endpoints
             link.state = "torn_down"
-            self.engine.emit("link_down", node_id, f"pair={pair[0]}~{pair[1]} reason=move")
+            emit("link_down", node_id, f"pair={pair[0]}~{pair[1]} reason=move")
         self._place(node, new_pos)
         self._announce_and_acquire(node_id, "location")
         self._topology_changed("move", node_id, f"lat={new_pos.latitude_deg:.6g} "
@@ -460,10 +461,13 @@ class Network:
         Returns (pads, xors): each hop's pad in path order, and the XOR of
         its two hop pads that each interior node broadcasts. Consumption is
         all-or-nothing: availability on every hop is verified before any
-        bits are consumed, and a path that repeats a node is refused first.
+        bits are consumed, and a path that repeats a node or a negative
+        ``block_len`` is refused first.
         """
         if len(path) < 3:
             raise ValueError("relay paths need at least one interior node")
+        if block_len < 0:
+            raise ValueError(f"block_len must be >= 0, got {block_len}")
         if len(set(path)) != len(path):
             raise ValueError(f"relay path {'>'.join(path)} repeats a node")
         hops = [pair_key(a, b) for a, b in zip(path, path[1:])]
@@ -649,37 +653,38 @@ class Network:
         return [nid for nid in found if order[nid] > after and nid != node_id]
 
     def _announce_and_acquire(self, node_id: NodeId, topic: str) -> None:
-        """Broadcast a node's location under ``topic``, try a link to every
-        candidate (``_candidates``) and report the node's links."""
+        """Broadcast a node's location under ``topic``, acquire its links
+        (``_acquire``) and report them."""
         self.engine.broadcast(node_id, topic, self._loc_payload(node_id))
-        for other in self._candidates(node_id):
-            self._try_acquire(node_id, other)
+        self._acquire(node_id)
         self.engine.broadcast(node_id, "link_report", f"links={self._incident_count(node_id)}")
 
-    def _try_acquire(self, a: NodeId, b: NodeId) -> OpticalLink | None:
-        """Acquire a link between a and a candidate b (``_candidates``: b's
-        role is one a may link to) if none is up and the pair is feasible."""
-        if b in self._adj.get(a, _NO_LINKS):
-            return None
-        pa, pb = self.nodes[a].position, self.nodes[b].position
-        if surely_out_of_range(pa, pb, self.feasibility):
-            return None
-        dist = feasible_distance(pa, pb, self.feasibility)
-        if dist is None:
-            return None
-        loss = path_loss_db(dist, self.channel)
+    def _acquire(self, a: NodeId, after: int = -1) -> None:
+        """Acquire a link between ``a`` and each of its candidates
+        (``_candidates(a, after)``) that has none up and is feasible. The
+        candidates pass the range bound (``geo.within_chord_bound``) at once,
+        then the exact test one by one, in the order nodes were added."""
+        nodes, adj, engine, params = self.nodes, self._adj, self.engine, self.feasibility
+        pa = nodes[a].position
+        linked = adj.get(a, _NO_LINKS)
+        near = within_chord_bound(pa, [(b, nodes[b].position) for b in self._candidates(a, after)
+                                       if b not in linked], params)
+        channel, history, emit, now = self.channel, self.link_history, engine.emit, engine.now
         state = "active" if self.acquire_delay_s == 0.0 else "acquiring"
-        pair = pair_key(a, b)
-        link = OpticalLink(pair, dist, loss, acquired_at=self.engine.now, state=state)
-        self._adj.setdefault(a, {})[b] = link
-        self._adj.setdefault(b, {})[a] = link
-        self.link_history[pair] = link
-        self.engine.emit("link_up", pair[0],
-                         f"peer={pair[1]} dist_km={dist:.6g} loss_db={loss:.6g} state={state}")
-        if state == "acquiring":
-            self.engine.schedule(ScenarioEvent(self.engine.now + self.acquire_delay_s,
-                                               "link_active", (link,)))
-        return link
+        for b in near:
+            dist = feasible_distance(pa, nodes[b].position, params)
+            if dist is None:
+                continue
+            loss = path_loss_db(dist, channel)
+            pair = pair_key(a, b)
+            link = OpticalLink(pair, dist, loss, now, state)
+            adj.setdefault(a, {})[b] = link
+            adj.setdefault(b, {})[a] = link
+            history[pair] = link
+            emit("link_up", pair[0],
+                 f"peer={pair[1]} dist_km={dist:.6g} loss_db={loss:.6g} state={state}")
+            if state == "acquiring":
+                engine.schedule(ScenarioEvent(now + self.acquire_delay_s, "link_active", (link,)))
 
     @property
     def links(self) -> dict[tuple[NodeId, NodeId], OpticalLink]:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from soqn.geo import (EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams, cell_of, cell_side,
                       feasible_distance, geodesic_distance, line_of_sight, link_feasible,
-                      surely_out_of_range)
+                      surely_out_of_range, within_chord_bound)
 
 # Independent hand computations, frozen before the build:
 #   1 degree along the equator = 6371 * pi / 180
@@ -235,6 +235,14 @@ class TestSurelyOutOfRange:
                                    params)
         assert not surely_out_of_range(a, GeoPosition(0.0, lon_for_surface_km(140.0), 0.0),
                                        params)
+
+    def test_bulk_filter_keeps_keys_in_order(self):
+        params = LinkFeasibilityParams(max_range_km=144.0)
+        a = GeoPosition(0.0, 0.0, 0.0)
+        others = [(km, GeoPosition(0.0, lon_for_surface_km(km), 0.0))
+                  for km in (140.0, 150.0, 10.0, 400.0, 143.0, 0.0)]
+        assert within_chord_bound(a, others, params) == [140.0, 10.0, 143.0, 0.0]
+        assert within_chord_bound(a, [], params) == []
 
     def test_unit_vector(self):
         p = GeoPosition(90.0, 37.0, 0.0)
