@@ -371,17 +371,13 @@ class Network:
 
     def join_network(self, node_id: NodeId) -> None:
         """A freshly deployed node acquires links to every eligible node."""
-        self._node(node_id)
-        if not self.engine.is_deployed(node_id):
-            raise UnknownNodeError(f"node {node_id!r} is not deployed")
+        self._deployed(node_id)
         self._announce_and_acquire(node_id, "join_request")
         self._topology_changed("join", node_id, f"links={self._incident_count(node_id)}")
 
     def move_node(self, node_id: NodeId, new_pos: GeoPosition) -> None:
         """Tear down incident links, relocate, and re-run the join procedure."""
-        node = self._node(node_id)
-        if not self.engine.is_deployed(node_id):
-            raise UnknownNodeError(f"node {node_id!r} is not deployed")
+        node = self._deployed(node_id)
         adj, emit = self._adj, self.engine.emit
         for other, link in adj.pop(node_id, _NO_LINKS).items():
             del adj[other][node_id]
@@ -461,8 +457,8 @@ class Network:
         Returns (pads, xors): each hop's pad in path order, and the XOR of
         its two hop pads that each interior node broadcasts. Consumption is
         all-or-nothing: availability on every hop is verified before any
-        bits are consumed, and a path that repeats a node or a negative
-        ``block_len`` is refused first.
+        bits are consumed, and a negative ``block_len``, a path that repeats
+        a node or one through a node not deployed is refused first.
         """
         if len(path) < 3:
             raise ValueError("relay paths need at least one interior node")
@@ -470,6 +466,8 @@ class Network:
             raise ValueError(f"block_len must be >= 0, got {block_len}")
         if len(set(path)) != len(path):
             raise ValueError(f"relay path {'>'.join(path)} repeats a node")
+        for nid in path:
+            self._deployed(nid)
         hops = [pair_key(a, b) for a, b in zip(path, path[1:])]
         for hop in hops:
             buf = self.buffers.get(hop)  # a refusal leaves no empty buffer behind
@@ -487,10 +485,8 @@ class Network:
     def send_message(self, src: NodeId, dst: NodeId, message) -> DeliveryRecord:
         """Route, key, encrypt, deliver, and verify one message."""
         message = as_bits(message)
-        for nid in (src, dst):
-            self._node(nid)
-            if not self.engine.is_deployed(nid):
-                raise UnknownNodeError(f"node {nid!r} is not deployed")
+        self._deployed(src)
+        self._deployed(dst)
         try:
             path = self.find_path(src, dst)
         except NoRouteError as exc:
@@ -609,6 +605,13 @@ class Network:
             return self.nodes[node_id]
         except KeyError:
             raise UnknownNodeError(f"unknown node {node_id!r}") from None
+
+    def _deployed(self, node_id: NodeId) -> NodeInfo:
+        """``_node``, for a node that must also be deployed."""
+        node = self._node(node_id)
+        if not self.engine.is_deployed(node_id):
+            raise UnknownNodeError(f"node {node_id!r} is not deployed")
+        return node
 
     def _loc_payload(self, nid: NodeId) -> str:
         p = self.nodes[nid].position

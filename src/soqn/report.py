@@ -3,13 +3,14 @@
 All floats are printed with 6 significant digits and every section is
 emitted in a fixed order, so two runs of the same scenario produce
 byte-identical files. ``build_report`` makes one walk over the link pairs,
-which builds each row and adds up the summary totals. Each link's pair,
-``distance_km``, ``loss_db`` and ``last_qber`` are formatted once per
-``Report.links`` and shared by both renderers.
+which builds each row and adds up the summary totals. A report is built
+once, by ``build_report``, and is frozen; ``Report.link_rows`` formats each
+link row once, and both renderers print those rows.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .engine import SimEngine
@@ -45,10 +46,10 @@ class Snapshot:
     links: tuple[tuple[str, str], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
-    """A run's outcome. ``links`` is a tuple of immutable rows, so the text
-    formatted from it stays valid until a new tuple is assigned."""
+    """A run's outcome, built once by ``build_report`` and frozen, so each
+    link row is formatted once (``link_rows``) for both renderers."""
 
     mode: str
     seed: int
@@ -57,8 +58,14 @@ class Report:
     snapshots: list[Snapshot] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
-    # (links, text): ``_link_text`` of the ``links`` tuple it was formatted from.
-    _formatted: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
+
+    @cached_property
+    def link_rows(self) -> tuple[tuple, ...]:
+        """Each link as printed: the ``LinkStat`` fields in their order, the
+        pair as ``a~b`` and the three floats as ``.6g`` (``fmt`` of a float)."""
+        return tuple((f"{a}~{b}", f"{km:.6g}", f"{loss:.6g}", state, n, n_aborted,
+                      f"{qber:.6g}", gen, used)
+                     for (a, b), km, loss, state, n, n_aborted, qber, gen, used in self.links)
 
 
 def build_report(network: Network, engine: SimEngine,
@@ -117,18 +124,6 @@ def _pair_str(pair) -> str:
     return f"{pair[0]}~{pair[1]}"
 
 
-def _link_text(report: Report) -> tuple[tuple[str, str, str, str], ...]:
-    """Each link's pair, km, loss_db and last_qber as printed (``fmt`` of a
-    float is ``.6g``), formatted once per ``links`` tuple."""
-    links, text = report._formatted
-    if links is not report.links:
-        links = report.links
-        text = tuple((f"{a}~{b}", f"{km:.6g}", f"{loss:.6g}", f"{qber:.6g}")
-                     for (a, b), km, loss, _, _, _, qber, _, _ in links)
-        report._formatted = (links, text)
-    return text
-
-
 def render_human(report: Report) -> str:
     out: list[str] = []
     out.append(f"simulation report  mode={report.mode} seed={report.seed}")
@@ -137,12 +132,9 @@ def render_human(report: Report) -> str:
     header = (f"  {'pair':<16} {'km':>10} {'loss_db':>8} {'state':>10} "
               f"{'sess':>5} {'abrt':>5} {'qber':>8} {'gen':>8} {'used':>8}")
     out.append(header)
-    for (pair, km, loss, qber), (_, _, _, state, n, n_aborted, _, gen, used) in zip(
-            _link_text(report), report.links):
-        # One %-format pads every field in one call, twice as fast as an
-        # f-string's format spec per field.
-        out.append("  %-16s %10s %8s %10s %5d %5d %8s %8d %8d"
-                   % (pair, km, loss, state, n, n_aborted, qber, gen, used))
+    # One %-format pads every field of a row in one call, twice as fast as
+    # an f-string's format spec per field.
+    out += ["  %-16s %10s %8s %10s %5d %5d %8s %8d %8d" % row for row in report.link_rows]
     out.append("")
     out.append("messages")
     out.append(f"  {'t':>10} {'src':<8} {'dst':<8} {'outcome':<12} {'bits':>6}  path")
@@ -171,8 +163,7 @@ def render_records(report: Report) -> str:
     """One tab-separated record per line, grouped by record type."""
     out: list[str] = []
     out.append(f"run\tmode={report.mode}\tseed={report.seed}")
-    for (pair, km, loss, qber), (_, _, _, state, n, n_aborted, _, gen, used) in zip(
-            _link_text(report), report.links):
+    for pair, km, loss, state, n, n_aborted, qber, gen, used in report.link_rows:
         out.append(f"link\tpair={pair}\tkm={km}\tloss_db={loss}\tstate={state}\tsessions={n}"
                    f"\taborted={n_aborted}\tlast_qber={qber}\tgenerated={gen}\tconsumed={used}")
     for m in report.messages:

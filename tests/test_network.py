@@ -1290,6 +1290,30 @@ class TestRelaySetup:
         assert net.consume_events == events
         assert list(engine.log_lines()) == lines
 
+    @pytest.mark.parametrize("path, block_len, message", [
+        (["m0", "m1", "m2"], 8, "node 'm1' is not deployed"),
+        (["m0", "ghost", "m2"], 0, "unknown node 'ghost'"),
+    ], ids=["undeployed", "unknown"])
+    def test_path_through_a_node_not_deployed_refused_before_any_hop(self, path, block_len,
+                                                                      message):
+        # m1 is added but never deployed; each hop holds enough key on its own
+        engine, net = make_network("p2p", [], organize=False)
+        for i in range(3):
+            net.add_node(f"m{i}", "peer", GeoPosition(0.0, 0.9 * i, 500.0))
+        net.handle_deploy("m0")
+        net.handle_deploy("m2")
+        net.organize_network()
+        preload_key(net, "m0", "m1", np.ones(8, dtype=np.uint8))
+        preload_key(net, "m1", "m2", np.ones(8, dtype=np.uint8))
+        buffers, events = dict(net.buffers), list(net.consume_events)
+        lines = list(engine.log_lines())
+        with pytest.raises(UnknownNodeError, match=message):
+            net.relay_key_setup(path, block_len)
+        assert net.buffers == buffers
+        assert [b.available for b in net.buffers.values()] == [8, 8]
+        assert net.consume_events == events
+        assert list(engine.log_lines()) == lines
+
     def test_transcript_alone_does_not_reveal_message(self):
         # ciphertext + all public XOR blocks still miss the first hop key
         rng = RandomStream(77, "relay")

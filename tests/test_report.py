@@ -1,10 +1,13 @@
 """The renderers against the per-field renderers they replaced.
 
-``render_human`` and ``render_records`` format each link's fields once and
-share the text; the oracles below format every field with ``fmt`` in each
-renderer and join a list, as the reports were first written. Every
-artifact must come out byte for byte the same.
+A ``Report`` is frozen and formats each link row once (``Report.link_rows``),
+which both ``render_human`` and ``render_records`` print; the oracles below
+format every field with ``fmt`` in each renderer and join a list, as the
+reports were first written. Every artifact must come out byte for byte the
+same.
 """
+import dataclasses
+
 import pytest
 
 from soqn.network import DeliveryRecord
@@ -116,8 +119,24 @@ def test_hand_built_report_matches_the_oracles():
 def test_replaced_links_are_formatted_again(churn_report):
     report = hand_built_report()
     first = render_human(report), render_records(report)
-    report.links = churn_report.links[:50] + report.links[1:2]
+    report = dataclasses.replace(report, links=churn_report.links[:50] + report.links[1:2])
     assert_matches_oracles(report)
     assert (render_human(report), render_records(report)) != first
-    report.links = ()
+    report = dataclasses.replace(report, links=())
     assert_matches_oracles(report)
+
+
+def test_report_fields_cannot_be_assigned():
+    report = hand_built_report()
+    for f in dataclasses.fields(Report):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, f.name, getattr(report, f.name))
+
+
+def test_link_rows_are_formatted_once():
+    report = hand_built_report()
+    render_human(report)
+    rows = vars(report)["link_rows"]  # the renderer filled the cache
+    render_records(report)
+    assert report.link_rows is rows
+    assert rows[0] == ("a~b", "100.083", "5.00417", "active", 3, 2, "0.245614", 449, 88)
