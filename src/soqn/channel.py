@@ -5,7 +5,7 @@ transmitted pulse gets exactly one gated detection opportunity. Dark counts
 and daylight background are lumped into one per-gate noise probability,
 ``noise_prob``: about 1e-6 for dark counts alone, about 1e-4 in daylight.
 Sessions draw only the counts of the gates that click with matching bases
-(``qkd.click_model``); ``_kernels.transmit_pulses`` is the per-gate
+(``qkd.click_model``); ``qkd.transmit_pulses`` is the per-gate
 detection of the dense per-pulse model the tests compare them against.
 """
 from __future__ import annotations

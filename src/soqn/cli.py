@@ -12,7 +12,6 @@ import os
 import sys
 from dataclasses import replace
 
-from ._kernels import backend_name
 from .runner import EXIT_PARSE_ERROR, build_simulation, run_scenario
 from .scenario import PARAM_SPECS, ScenarioError, parse_scenario, parse_value
 
@@ -102,7 +101,6 @@ def main(argv: list[str] | None = None) -> int:
     if seed is not None:
         sc = replace(sc, seed=seed)
 
-    log.info("backend: %s", backend_name())
     runs = [(args.out, sc)]
     if args.sweep:
         try:

@@ -491,28 +491,22 @@ class Network:
             path = self.find_path(src, dst)
         except NoRouteError as exc:
             return self._delivery(src, dst, None, "no_route", 0, False, detail=str(exc))
-        hops = [pair_key(a, b) for a, b in zip(path, path[1:])]
         mlen = len(message)
-        if mlen > 0:
-            for hop in hops:
-                failure = self._ensure_key(hop, mlen)
-                if failure is not None:
-                    outcome, detail = failure
-                    return self._delivery(src, dst, tuple(path), outcome, 0, False,
-                                          failing_hop=hop, detail=detail)
         if mlen == 0:
-            plain = message
-            consumed = 0
-        elif len(path) == 2:
-            pad = self._consume(hops[0], mlen, "direct")
-            plain = _unwind(message ^ pad, pad, ())
-            consumed = mlen
+            return self._delivery(src, dst, tuple(path), "delivered", 0, True)
+        hops = [pair_key(a, b) for a, b in zip(path, path[1:])]
+        for hop in hops:
+            failure = self._ensure_key(hop, mlen)
+            if failure is not None:
+                outcome, detail = failure
+                return self._delivery(src, dst, tuple(path), outcome, 0, False,
+                                      failing_hop=hop, detail=detail)
+        if len(path) == 2:
+            pads, xors = [self._consume(hops[0], mlen, "direct")], ()
         else:
             pads, xors = self.relay_key_setup(path, mlen)
-            plain = _unwind(message ^ pads[0], pads[-1], xors)
-            consumed = mlen * len(hops)
-        ok = bool(np.array_equal(plain, message))
-        return self._delivery(src, dst, tuple(path), "delivered", consumed, ok)
+        ok = bool(np.array_equal(_unwind(message ^ pads[0], pads[-1], xors), message))
+        return self._delivery(src, dst, tuple(path), "delivered", mlen * len(hops), ok)
 
     # -- audits -------------------------------------------------------------
 

@@ -42,9 +42,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
-from ._kernels import toeplitz_hash
-from ._kernels import transmit_pulses  # unused here; perfbench/tracing.py wraps qkd.transmit_pulses
 from .channel import ChannelParams, transmittance
 from .rng import RandomStream
 
@@ -96,13 +95,14 @@ class SessionRecord:
     qber: float
     reconciliation_leak_bits: int
     final_key: np.ndarray  # uint8 bits, empty when aborted
-    aborted: bool
     abort_reason: SessionAbort
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not SessionAbort.NONE
 
     def __post_init__(self):
         self.final_key.setflags(write=False)
-        if self.aborted != (self.abort_reason is not SessionAbort.NONE):
-            raise ValueError("aborted flag inconsistent with abort_reason")
         if self.aborted != (len(self.final_key) == 0):
             raise ValueError("aborted sessions carry an empty final key, successful ones do not")
         if not (0.0 <= self.qber <= 0.5):
@@ -192,6 +192,75 @@ def reconcile(sender_key, receiver_key, qber: float, f_ec: float = 1.16):
     return sa.copy(), reconciliation_leak(len(sa), qber, f_ec)
 
 
+# --- kernels of the bit-level pipeline -------------------------------------
+#
+# Sessions call neither kernel, and neither draws randomness itself. The
+# transmit kernel is the per-gate detection of the tests' dense per-pulse
+# rounds; ``privacy_amplify`` runs the Toeplitz hash.
+
+
+def backend_name() -> str:
+    """The kernels' backend, for the host line of ``perfbench/run.py``,
+    its only reader."""
+    return "numpy"
+
+
+# One gated detection opportunity per pulse. The caller draws one uniform
+# array per random choice and passes it thresholded into a boolean mask:
+#   coin        u < 0.5      the bit read in a mismatched basis
+#   sig_click   u < eta      the signal photon clicks
+#   noise_click u < p_noise  a dark or background click
+#   flip        u < p_flip   a signal click reads the flipped bit
+#   noise_bit   u < 0.5      the bit of a noise-only click
+# Per pulse i: ideal bit = tx_bit if bases match else coin; on a signal
+# click the bit is ideal ^ flip; a noise-only click reads noise_bit;
+# simultaneous clicks resolve to the signal bit.
+
+
+def transmit_pulses(tx_bits, tx_bases, rx_bases, coin, sig_click, noise_click, flip, noise_bit):
+    """Return (detected, bits) as uint8 arrays, one entry per pulse."""
+    ideal = np.where(tx_bases == rx_bases, tx_bits, coin)
+    bits = np.where(sig_click, ideal ^ flip, noise_click & noise_bit).astype(np.uint8, copy=False)
+    return (sig_click | noise_click).astype(np.uint8), bits
+
+
+# Toeplitz-style universal hash:
+# out[i] = parity( sum_j t[i+j] * key[j] ), t holds n+m-1 random bits.
+# Rows of the implied binary matrix are sliding windows of t, which is a
+# Toeplitz matrix up to row order, hence a universal family.
+
+# Every exact sum is an integer, so a float result further than this from
+# the nearest integer means the FFT lost the precision needed to round it.
+ROUNDING_MARGIN = 0.25
+
+
+def toeplitz_hash(key_bits, t_bits, m):
+    """Hash ``key_bits`` (n bits) to ``m`` bits with the window rows of
+    ``t_bits`` (n+m-1 bits).
+
+    The integer sums are the correlation of t with the key, computed as one
+    circular convolution of t with the reversed key by real FFTs, then
+    rounded and reduced mod 2 (the technique of fast QKD privacy
+    amplification, Hayashi & Tsurumaru, IEEE TIT 62(4), 2016). Raises
+    ``ArithmeticError`` when a sum lands further than ``ROUNDING_MARGIN``
+    from an integer.
+
+    The transform length L is the power of two >= n+m-1. The full linear
+    convolution is 2n+m-2 long, so its tail wraps onto the first n-1 points
+    of the circular one, but the kept window [n-1, n+m-1) gets no wrapped
+    term: its first index plus L is past the last linear one.
+    """
+    n = key_bits.shape[0]
+    size = 1 << max(n + m - 2, 0).bit_length()  # power of two >= n+m-1
+    c = irfft(rfft(t_bits, size) * rfft(key_bits[::-1], size), size)[n - 1 : n - 1 + m]
+    r = np.rint(c)
+    err = float(np.max(np.abs(c - r), initial=0.0))
+    if err > ROUNDING_MARGIN:
+        raise ArithmeticError(f"FFT rounding error {err:.3g} exceeds {ROUNDING_MARGIN} "
+                              f"(n={n}, m={m})")
+    return (r.astype(np.int64) & 1).astype(np.uint8)
+
+
 def privacy_amplify(key, qber: float, leak_bits: int, rng: RandomStream, *,
                     qber_abort: float = 0.11, safety_margin_bits: int = 0) -> np.ndarray:
     """Compress a reconciled key to its secret length via a Toeplitz hash.
@@ -218,7 +287,6 @@ def _aborted(n_pulses: int, sifted_len: int, qber: float, reason: SessionAbort) 
         qber=min(qber, 0.5),
         reconciliation_leak_bits=0,
         final_key=np.empty(0, dtype=np.uint8),
-        aborted=True,
         abort_reason=reason,
     )
 
@@ -280,7 +348,6 @@ def _session(n_pulses: int, loss_db: float, intercept_resend: bool, channel: Cha
         qber=qber,
         reconciliation_leak_bits=leak,
         final_key=rng.bits(m),
-        aborted=False,
         abort_reason=SessionAbort.NONE,
     )
 

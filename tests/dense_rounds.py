@@ -13,10 +13,9 @@ Two layers, each tested against the one below it:
 """
 import numpy as np
 
-from soqn._kernels import transmit_pulses
 from soqn.channel import transmittance
 from soqn.qkd import (SessionAbort, SessionRecord, _aborted, click_model, estimate_qber,
-                      privacy_amplify, reconcile, sift)
+                      privacy_amplify, reconcile, sift, transmit_pulses)
 
 
 def _prepare_measure_rounds(n_pulses, loss_db, intercept_resend, channel, rng):
@@ -109,7 +108,6 @@ def postprocess(n_pulses, sifted_a, sifted_b, rng, protocol):
         qber=qber,
         reconciliation_leak_bits=leak,
         final_key=final,
-        aborted=False,
         abort_reason=SessionAbort.NONE,
     )
 

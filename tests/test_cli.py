@@ -60,6 +60,12 @@ def read(path):
         return fh.read()
 
 
+def soqn_records(caplog):
+    """(logger name, message) of each record from the soqn logger tree."""
+    return [(r.name, r.getMessage()) for r in caplog.records
+            if r.name == "soqn" or r.name.startswith("soqn.")]
+
+
 class TestCliRuns:
     def test_clean_run(self, scenario_file, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -77,20 +83,22 @@ class TestCliRuns:
             assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
 
     def test_info_log_says_where_the_time_went(self, scenario_file, tmp_path, caplog):
-        # SOQN_LOG=info: one line per run; the default warning level: none.
+        # SOQN_LOG=info: one line per run, from the runner, and none from
+        # any other soqn logger; the default warning level: none.
         runs = {}
         for level in (logging.INFO, logging.WARNING):
             caplog.clear()
             caplog.set_level(level, logger="soqn")
             out = str(tmp_path / logging.getLevelName(level))
             assert main(["--scenario", scenario_file, "--out", out]) == 0
-            runs[level] = [r.getMessage() for r in caplog.records if r.name == "soqn.runner"]
+            runs[level] = soqn_records(caplog)
             runs[level, "artifacts"] = [read(os.path.join(out, name))
                                         for name in ("report.txt", "records.tsv", "events.log")]
         ms = r"\d+\.\d{3}"
-        assert len(runs[logging.INFO]) == 1
+        [(name, message)] = runs[logging.INFO]
+        assert name == "soqn.runner"
         assert re.fullmatch(f"run: 7 events; wall ms: build {ms}, event loop {ms}, "
-                            f"report {ms}, write {ms}", runs[logging.INFO][0])
+                            f"report {ms}, write {ms}", message)
         assert runs[logging.WARNING] == []
         assert runs[logging.INFO, "artifacts"] == runs[logging.WARNING, "artifacts"]
 
@@ -105,8 +113,8 @@ class TestCliRuns:
             assert main(["--scenario", scenario_file, "--out", str(tmp_path / "o")]) == 0
         finally:
             soqn_log.setLevel(level)
-        lines = [r.getMessage() for r in caplog.records if r.name == "soqn.runner"]
-        assert len(lines) == 1 and lines[0].startswith("run: 7 events; wall ms: build ")
+        [(name, message)] = soqn_records(caplog)
+        assert name == "soqn.runner" and message.startswith("run: 7 events; wall ms: build ")
 
     def test_snapshot_flag(self, scenario_file, tmp_path):
         out = str(tmp_path / "out")

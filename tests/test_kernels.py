@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soqn import _kernels
+from soqn import qkd
 from soqn.channel import ChannelParams, transmittance
 from soqn.rng import RandomStream
 
@@ -72,7 +72,7 @@ def _toeplitz_reference(key, t, m):
 class TestTransmitKernel:
     def test_numpy_matches_reference(self):
         args, reference = _transmit_inputs(500)
-        got = _kernels.transmit_pulses(*args)
+        got = qkd.transmit_pulses(*args)
         want = _transmit_reference(*reference)
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -81,7 +81,7 @@ class TestTransmitKernel:
 
     def test_ideal_channel(self):
         args, _ = _transmit_inputs(1000, eta=1.0, p_noise=0.0, p_flip=0.0)
-        detected, bits = _kernels.transmit_pulses(*args)
+        detected, bits = qkd.transmit_pulses(*args)
         assert detected.all()
         match = args[1] == args[2]
         assert np.array_equal(bits[match], args[0][match])
@@ -109,7 +109,7 @@ class TestToeplitzKernel:
         key = rng.bits(300)
         m = 120
         t = rng.bits(len(key) + m - 1)
-        assert np.array_equal(_kernels.toeplitz_hash(key, t, m),
+        assert np.array_equal(qkd.toeplitz_hash(key, t, m),
                               _toeplitz_reference(key, t, m))
 
     def test_linear_in_key(self):
@@ -118,7 +118,7 @@ class TestToeplitzKernel:
         k1, k2 = rng.bits(800), rng.bits(800)
         m = 350
         t = rng.bits(800 + m - 1)
-        h = _kernels.toeplitz_hash
+        h = qkd.toeplitz_hash
         assert np.array_equal(h(np.bitwise_xor(k1, k2), t, m),
                               np.bitwise_xor(h(k1, t, m), h(k2, t, m)))
 
@@ -134,7 +134,7 @@ class TestToeplitzKernel:
                      (1000, 1049), (1000, 1050), (5744, 2449), (5744, 2450)]:
             key = rng.bits(n)
             t = rng.bits(n + m - 1)
-            got = _kernels.toeplitz_hash(key, t, m)
+            got = qkd.toeplitz_hash(key, t, m)
             assert got.dtype == np.uint8
             assert np.array_equal(got, _toeplitz_reference(key, t, m)), (n, m)
 
@@ -144,22 +144,22 @@ class TestToeplitzKernel:
         rng = RandomStream(seed, "toeplitz-prop")
         key = rng.bits(n)
         t = rng.bits(n + m - 1)
-        assert np.array_equal(_kernels.toeplitz_hash(key, t, m),
+        assert np.array_equal(qkd.toeplitz_hash(key, t, m),
                               _toeplitz_reference(key, t, m))
 
     def test_all_ones_reaches_largest_sums(self):
         # every window sum is n, the largest value the FFT has to round
         n, m = 4001, 999
-        out = _kernels.toeplitz_hash(np.ones(n, dtype=np.uint8),
-                                     np.ones(n + m - 1, dtype=np.uint8), m)
+        out = qkd.toeplitz_hash(np.ones(n, dtype=np.uint8),
+                                np.ones(n + m - 1, dtype=np.uint8), m)
         assert np.array_equal(out, np.ones(m, dtype=np.uint8))
 
     def test_rounding_guard_raises(self, monkeypatch):
         def off_by_0_3(*args, **kwargs):
             return np.fft.irfft(*args, **kwargs) + 0.3
 
-        monkeypatch.setattr(_kernels, "irfft", off_by_0_3)
+        monkeypatch.setattr(qkd, "irfft", off_by_0_3)
         rng = RandomStream(9, "toeplitz")
         key = rng.bits(100)
         with pytest.raises(ArithmeticError, match="rounding error"):
-            _kernels.toeplitz_hash(key, rng.bits(100 + 40 - 1), 40)
+            qkd.toeplitz_hash(key, rng.bits(100 + 40 - 1), 40)

@@ -396,10 +396,10 @@ class TestRecordsAndConfigs:
     def test_session_record_invariants(self):
         with pytest.raises(ValueError):
             SessionRecord(10, 5, 0.0, 0, np.empty(0, dtype=np.uint8),
-                          aborted=False, abort_reason=SessionAbort.NONE)
+                          abort_reason=SessionAbort.NONE)
         with pytest.raises(ValueError):
             SessionRecord(10, 5, 0.0, 0, np.ones(3, dtype=np.uint8),
-                          aborted=True, abort_reason=SessionAbort.QBER_EXCEEDS_THRESHOLD)
+                          abort_reason=SessionAbort.QBER_EXCEEDS_THRESHOLD)
 
     def test_final_key_read_only(self, ideal_link, ideal_channel):
         rec = run_bb84_session(ideal_link, 5000, False, RandomStream(33, "s"),
