@@ -6,13 +6,12 @@ tables, BB84 and plug-and-play key generation that draws only each
 session's counts and its final key bits, XOR trusted-relay key
 distribution, one-time-pad messaging, and eavesdropper models.
 """
-from .channel import ChannelParams, path_loss_db, transmittance
 from .engine import ScenarioEvent, SimEngine
 from .geo import GeoPosition, LinkFeasibilityParams, geodesic_distance, line_of_sight, link_feasible
 from .network import DeliveryRecord, KeyBuffer, Network, OpticalLink
-from .qkd import (ProtocolParams, SessionAbort, SessionRecord, backend_name, binary_entropy,
-                  estimate_qber, privacy_amplify, reconcile, run_bb84_session,
-                  run_plugplay_session)
+from .qkd import (ChannelParams, ProtocolParams, SessionAbort, SessionRecord, backend_name,
+                  binary_entropy, estimate_qber, path_loss_db, privacy_amplify, reconcile,
+                  run_bb84_session, run_plugplay_session, transmittance)
 from .rng import RandomStream
 from .runner import run_scenario
 from .scenario import Scenario, ScenarioError, format_scenario, parse_scenario

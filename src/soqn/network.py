@@ -26,14 +26,12 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .bitops import _binary, _hex, as_bits
-from .bitops import hex_from_bits, xor_bits  # unused here; perfbench/tracing.py wraps them
-from .channel import ChannelParams, path_loss_db
 from .engine import ScenarioEvent, SimEngine
 from .geo import (GeoPosition, LinkFeasibilityParams, cell_of, cell_side, feasible_distance,
                   within_chord_bound)
 from .geo import geodesic_distance, link_feasible  # unused here; perfbench/tracing.py wraps them
-from .qkd import MAX_PULSES, ProtocolParams, SessionRecord, run_bb84_session, run_plugplay_session
+from .qkd import (MAX_PULSES, ChannelParams, ProtocolParams, SessionRecord, path_loss_db,
+                  run_bb84_session, run_plugplay_session)
 
 NodeId = str
 
@@ -82,6 +80,49 @@ class KeyStarvationError(NetworkError):
         self.hop = hop
         self.needed = needed
         self.available = available
+
+
+# Bits are uint8 arrays of 0/1: the public helpers check theirs, the cores trust them.
+
+def as_bits(value) -> np.ndarray:
+    """``value`` as a 1-d uint8 array if every element equals 0 or 1, checked
+    before the cast, which would wrap or truncate; else ValueError."""
+    arr = np.asarray(value)
+    if arr.ndim != 1:
+        raise ValueError("bitstrings must be one-dimensional")
+    if arr.dtype == np.uint8 or arr.dtype == np.bool_:
+        bad = arr.size and arr.max() > 1
+    else:
+        bad = not ((arr == 0) | (arr == 1)).all()
+    if bad:
+        raise ValueError("bitstrings may contain only 0 and 1")
+    return arr.astype(np.uint8, copy=False)
+
+
+def xor_bits(a, b) -> np.ndarray:
+    """Both bitstrings, checked by ``as_bits`` and for equal length, XORed."""
+    x = as_bits(a)
+    y = as_bits(b)
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    return x ^ y
+
+
+def hex_from_bits(bits) -> str:
+    arr = as_bits(bits)
+    if len(arr) % 4 != 0:
+        raise ValueError("bit length must be a multiple of 4")
+    return _hex(arr)
+
+
+def _hex(arr: np.ndarray) -> str:
+    """Hex of checked bits whose length is a multiple of 4."""
+    return np.packbits(arr).tobytes().hex()[: len(arr) // 4]
+
+
+def _binary(arr: np.ndarray) -> str:
+    """Checked bits as the digits 0 and 1."""
+    return (arr + 48).tobytes().decode()
 
 
 def pair_key(a: NodeId, b: NodeId) -> tuple[NodeId, NodeId]:
@@ -456,9 +497,9 @@ class Network:
 
         Returns (pads, xors): each hop's pad in path order, and the XOR of
         its two hop pads that each interior node broadcasts. Consumption is
-        all-or-nothing: availability on every hop is verified before any
-        bits are consumed, and a negative ``block_len``, a path that repeats
-        a node or one through a node not deployed is refused first.
+        all-or-nothing: a negative ``block_len``, a path that repeats a node
+        or one through a node not deployed is refused first, then each hop
+        short of bits, then each with no active link, before any consume.
         """
         if len(path) < 3:
             raise ValueError("relay paths need at least one interior node")
@@ -474,6 +515,9 @@ class Network:
             available = 0 if buf is None else buf.available
             if available < block_len:
                 raise KeyStarvationError(hop, block_len, available)
+            link = self.link_history.get(hop)
+            if link is None or link.state != "active":
+                raise LinkInactiveError(f"no active link {hop[0]}~{hop[1]}")
         pads = [self._consume(hop, block_len, "relay_hop") for hop in hops]
         xors = [left ^ right for left, right in zip(pads, pads[1:])]
         for relay, xor in zip(path[1:-1], xors):

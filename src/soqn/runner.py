@@ -5,14 +5,12 @@ import logging
 import os
 import time
 
-from .bitops import bits_from_hex
-from .channel import ChannelParams
 from .engine import ScenarioEvent, SimEngine
 from .geo import GeoPosition, LinkFeasibilityParams
 from .network import Network, NetworkError
-from .qkd import ProtocolParams
+from .qkd import ChannelParams, ProtocolParams
 from .report import Report, Snapshot, build_report, render_human, render_records
-from .scenario import PARAM_SPECS, Scenario
+from .scenario import PARAM_SPECS, Scenario, bits_from_hex
 
 EXIT_OK = 0
 EXIT_PARSE_ERROR = 2

@@ -19,6 +19,7 @@ coordinates included (latitude in [-90, 90], altitude at least -500 m), and
 a time written ``-0`` is time 0. A valid line costs only its split and the
 reading of its values: the column of a token is found, and a bad payload
 decoded to word its diagnostic, only when a line raises.
+A ``hex:`` payload stays text until its send runs ``bits_from_hex`` on it.
 """
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 
-from .bitops import _HEX_RE, bits_from_hex
+import numpy as np
+
 from .engine import ScenarioEvent
 from .geo import MAX_LATITUDE_DEG, MIN_ALTITUDE_M
 from .network import _ID_RE, _LINKABLE, ROLES
@@ -34,6 +36,21 @@ from .qkd import MAX_PULSES
 from .rng import MAX_SEED
 
 _TOKEN_RE = re.compile(r"\S+")
+
+# A run of hex digits, of either case. bytes.fromhex alone would also take
+# whitespace between digit pairs.
+_HEX_RE = re.compile(r"[0-9A-Fa-f]*")
+
+
+def bits_from_hex(text: str) -> np.ndarray:
+    """Each hex digit, of either case, expands to 4 bits, most significant
+    first. A bad digit is named as written."""
+    digits = _HEX_RE.match(text).end()
+    if digits < len(text):
+        raise ValueError(f"invalid hex digit {text[digits]!r}")
+    packed = bytes.fromhex(text + "0" if digits % 2 else text)
+    return np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[: 4 * digits]
+
 
 # DSL parameter name -> (config group, value type). Groups are mapped onto
 # the dataclass fields of the same names by the runner.

@@ -13,9 +13,8 @@ Two layers, each tested against the one below it:
 """
 import numpy as np
 
-from soqn.channel import transmittance
 from soqn.qkd import (SessionAbort, SessionRecord, _aborted, click_model, estimate_qber,
-                      privacy_amplify, reconcile, sift, transmit_pulses)
+                      privacy_amplify, reconcile, sift, transmit_pulses, transmittance)
 
 
 def _prepare_measure_rounds(n_pulses, loss_db, intercept_resend, channel, rng):

@@ -13,11 +13,11 @@ import time
 import numpy as np
 import pytest
 
-from soqn.channel import ChannelParams
 from soqn.engine import SimEngine
 from soqn.geo import EARTH_RADIUS_KM, GeoPosition, geodesic_distance, line_of_sight
 from soqn.network import Network, OpticalLink, pair_key
-from soqn.qkd import ProtocolParams, SessionAbort, privacy_amplify, reconcile, run_bb84_session
+from soqn.qkd import (ChannelParams, ProtocolParams, SessionAbort, privacy_amplify, reconcile,
+                      run_bb84_session)
 from soqn.rng import RandomStream
 from soqn.runner import run_scenario
 from soqn.scenario import parse_scenario

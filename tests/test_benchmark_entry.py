@@ -5,9 +5,16 @@ the traced names of ``perfbench/tracing.py``) only when it runs, so a
 rename inside ``src/`` can pass every other test and still break each
 benchmark run. Each case runs one short measurement in a subprocess from
 the repository root and checks the JSON object its last line prints.
+
+A module of ``src/soqn`` may import a name it does not use, marked
+``# unused here; perfbench/tracing.py wraps them``, so that the tracer finds
+it there; such an import is checked against the tracer's targets.
 """
+import ast
+import importlib
 import json
 import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -34,3 +41,29 @@ def test_run_reports_the_declared_metrics(workload, trace):
     assert result["correct"] is True and result["failed"] == 0
     declared = BENCHMARK["per_layer" if trace else "end_to_end"]
     assert set(result["metrics"]) == {m["name"] for m in declared}
+
+
+TRACER_ONLY = "# unused here; perfbench/tracing.py wraps them"
+
+
+def test_imports_kept_for_the_tracer_are_traced_and_used_nowhere_else():
+    targets = {(owner, attr) for owner, attr, *_ in
+               runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))["TARGETS"]}
+    problems = []
+    for path in sorted((ROOT / "src" / "soqn").glob("*.py")):
+        source = path.read_text()
+        marked = {n for n, line in enumerate(source.splitlines(), 1) if line.endswith(TRACER_ONLY)}
+        if not marked:
+            continue
+        tree = ast.parse(source)
+        module = importlib.import_module(f"soqn.{path.stem}")
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.end_lineno in marked:
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if (module, name) not in targets:
+                        problems.append(f"{path.stem}.{name} is not a target of the tracer")
+                    if name in used:
+                        problems.append(f"{path.stem}.{name} is used in {path.name}")
+    assert problems == []

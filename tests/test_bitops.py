@@ -1,4 +1,5 @@
-"""Hex conversion of bitstrings: digits expand to 4 bits, most significant first."""
+"""Bitstrings: hex conversion (digits expand to 4 bits, most significant first)
+and the check that every element of a bitstring is 0 or 1."""
 import sys
 
 import numpy as np
@@ -6,7 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from soqn.bitops import as_bits, bits_from_hex, hex_from_bits
+from soqn.network import KeyBuffer, as_bits, hex_from_bits, xor_bits
+from soqn.scenario import bits_from_hex
+
+from test_network import make_network
 
 
 def _bits(text):
@@ -147,3 +151,42 @@ class TestAgainstTheReference:
     def test_bits_give_the_reference_text_or_error(self, bits):
         arr = np.array(bits, dtype=np.uint8)
         assert outcome(hex_from_bits, arr) == outcome(reference_hex_from_bits, arr)
+
+
+def _send(value):
+    _, net = make_network("p2p", [("a", "peer", 0.0, 0.0, 200.0), ("b", "peer", 0.0, 0.5, 200.0)])
+    return net.send_message("a", "b", value)
+
+
+class TestAsBits:
+    """Only elements equal to 0 or 1 pass, whatever their dtype: they are
+    checked before the cast to uint8, which would wrap or truncate them."""
+
+    @pytest.mark.parametrize("value", [
+        [0.7, 1.2], np.array([256, 257]), [0.5], np.array([np.nan]), [256], [-1], [2],
+        np.array([0, 1, 2], dtype=np.uint8),
+    ], ids=repr)
+    @pytest.mark.parametrize("op", [
+        as_bits, hex_from_bits, lambda v: xor_bits(v, v),
+        lambda v: KeyBuffer(("a", "b")).append(v), _send,
+    ], ids=["as_bits", "hex_from_bits", "xor_bits", "append", "send_message"])
+    def test_values_other_than_0_and_1_refused(self, op, value):
+        with pytest.raises(ValueError, match="^bitstrings may contain only 0 and 1$"):
+            op(value)
+
+    @pytest.mark.parametrize("value, bits", [
+        (np.array([1.0, 0.0]), [1, 0]), ([1, 0, 1], [1, 0, 1]), ([True, False], [1, 0]),
+        ([], []), (np.array([0, 1], dtype=np.int64), [0, 1]),
+    ], ids=repr)
+    def test_0_and_1_of_any_dtype_accepted_as_uint8(self, value, bits):
+        got = as_bits(value)
+        assert got.dtype == np.uint8 and got.tolist() == bits
+
+    def test_uint8_bits_are_returned_as_they_are(self):
+        bits = np.array([0, 1, 1], dtype=np.uint8)
+        assert as_bits(bits) is bits
+
+    @pytest.mark.parametrize("value", [[[0, 1]], 1, np.zeros((2, 2), dtype=np.uint8)], ids=repr)
+    def test_not_one_dimensional_refused(self, value):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            as_bits(value)

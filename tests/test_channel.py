@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from soqn.channel import ChannelParams, path_loss_db, transmittance
 from soqn.network import OpticalLink
-from soqn.qkd import run_bb84_session
+from soqn.qkd import ChannelParams, path_loss_db, run_bb84_session, transmittance
 from soqn.rng import RandomStream
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soqn import qkd
-from soqn.channel import ChannelParams, transmittance
+from soqn.qkd import ChannelParams, transmittance
 from soqn.rng import RandomStream
 
 from dense_rounds import _prepare_measure_rounds
@@ -91,7 +91,7 @@ class TestPrepareMeasureDrawOrder:
     @pytest.mark.parametrize("mode", ["none", "intercept_resend"])
     def test_matches_draw_all_then_loop(self, mode):
         # noisy enough that every branch of the per-pulse contract is taken
-        channel = ChannelParams(noise_prob=0.05 + 0.05,
+        channel = ChannelParams(noise_prob=0.1,
                                 intrinsic_error_prob=0.1)
         intercept_resend = mode == "intercept_resend"
         fresh, second = RandomStream(11, "rounds"), RandomStream(11, "rounds")

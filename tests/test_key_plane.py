@@ -1,16 +1,14 @@
 """The key plane checks key bits once, where they enter it.
 
 Sends are compared with a reference built only from plain XOR, the public,
-validating helpers of ``bitops`` and ``relay_chain_oracle``; the work a
+validating bit helpers of ``network`` and ``relay_chain_oracle``; the work a
 send does and the arrays it hands out are pinned too.
 """
 import numpy as np
 import pytest
 
-import soqn.bitops as bitops
 import soqn.network as network
-from soqn.bitops import as_bits, hex_from_bits, xor_bits
-from soqn.network import KeyBuffer, _unwind, pair_key
+from soqn.network import KeyBuffer, _unwind, as_bits, hex_from_bits, pair_key, xor_bits
 
 from event_log import records
 from test_network import deg, make_network, preload_key, relay_chain_oracle
@@ -122,16 +120,16 @@ def test_a_send_checks_only_its_message(monkeypatch, hops, chunk):
     for i in range(hops):
         for _ in range(64 // chunk):
             preload_key(net, f"n{i}", f"n{i + 1}", rng.integers(0, 2, chunk, dtype=np.uint8))
-    as_bits_calls = [Counter(monkeypatch, m, "as_bits") for m in (network, bitops)]
-    xor_calls = [Counter(monkeypatch, m, "xor_bits") for m in (network, bitops)]
+    as_bits_calls = Counter(monkeypatch, network, "as_bits")
+    xor_calls = Counter(monkeypatch, network, "xor_bits")
     consumes = Counter(monkeypatch, KeyBuffer, "consume")
     concatenates = Counter(monkeypatch, np, "concatenate")
     # 20 bits lie in each hop's first chunk of 64; 40 bits span chunks of 8
     message = rng.integers(0, 2, 20 if chunk == 64 else 40, dtype=np.uint8)
     rec = net.send_message(f"n{hops}", "n0", message)
     assert rec.delivered and rec.plaintext_ok and len(rec.path) == hops + 1
-    assert sum(c.calls for c in as_bits_calls) == 1
-    assert sum(c.calls for c in xor_calls) == 0
+    assert as_bits_calls.calls == 1
+    assert xor_calls.calls == 0
     assert consumes.calls == hops  # one pad per hop
     if chunk == 64:
         assert concatenates.calls == 0

@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soqn.bitops import as_bits
-from soqn.channel import ChannelParams, path_loss_db
 from soqn.engine import ScenarioEvent, SimEngine
 from soqn.geo import (EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams, cell_side,
                       feasible_distance, link_feasible, surely_out_of_range, within_chord_bound)
 from soqn.network import (DuplicateNodeError, KeyBuffer, KeyStarvationError, LinkInactiveError,
                           Network, NoRouteError, OpticalLink, RoleModeError, UnknownNodeError,
-                          _unwind, pair_key, shortest_path)
-from soqn.qkd import ProtocolParams
+                          _unwind, as_bits, pair_key, shortest_path)
+from soqn.qkd import ChannelParams, ProtocolParams, path_loss_db
 from soqn.rng import RandomStream
 from soqn.report import build_report, fmt, render_records
 from soqn.runner import build_simulation, install_handler
@@ -1311,6 +1309,27 @@ class TestRelaySetup:
             net.relay_key_setup(path, block_len)
         assert net.buffers == buffers
         assert [b.available for b in net.buffers.values()] == [8, 8]
+        assert net.consume_events == events
+        assert list(engine.log_lines()) == lines
+
+    @pytest.mark.parametrize("case", ["zero_length", "torn_down"])
+    def test_hop_without_an_active_link_refused_before_any_consume(self, case):
+        # only a~b and b~c are links: a~c is past the horizon, z out of range
+        engine, net = make_network("p2p", [(nid, "peer", 0.0, lon, 200.0) for nid, lon in
+                                           [("a", 0.0), ("b", 0.5), ("c", 1.0), ("z", 30.0)]])
+        assert sorted(net.active_pairs()) == [("a", "b"), ("b", "c")]
+        if case == "zero_length":
+            path, block_len, hop = ["a", "z", "c"], 0, "a~z"
+        else:
+            preload_key(net, "a", "b", np.ones(8, dtype=np.uint8))
+            preload_key(net, "b", "c", np.ones(8, dtype=np.uint8))
+            net.move_node("c", GeoPosition(0.0, 60.0, 200.0))  # b~c goes down, its key stays
+            path, block_len, hop = ["a", "b", "c"], 8, "b~c"
+        buffers = {pair: buf.available for pair, buf in net.buffers.items()}
+        events, lines = list(net.consume_events), list(engine.log_lines())
+        with pytest.raises(LinkInactiveError, match=f"^no active link {hop}$"):
+            net.relay_key_setup(path, block_len)
+        assert {pair: buf.available for pair, buf in net.buffers.items()} == buffers
         assert net.consume_events == events
         assert list(engine.log_lines()) == lines
 

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from soqn import qkd
-from soqn.channel import ChannelParams, transmittance
 from soqn.network import OpticalLink
-from soqn.qkd import (MAX_F_EC, ProtocolParams, SessionAbort, SessionRecord,
+from soqn.qkd import (MAX_F_EC, ChannelParams, ProtocolParams, SessionAbort, SessionRecord,
                       binary_entropy, click_model, estimate_qber, privacy_amplify, reconcile,
-                      reconciliation_leak, run_bb84_session, run_plugplay_session, sift)
+                      reconciliation_leak, run_bb84_session, run_plugplay_session, sift,
+                      transmittance)
 from soqn.rng import RandomStream
 
 from counting_stream import CountingStream

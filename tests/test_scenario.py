@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soqn.channel import ChannelParams
 from soqn.engine import ScenarioEvent
 from soqn.geo import LinkFeasibilityParams
 from soqn.network import Network
-from soqn.qkd import ProtocolParams
+from soqn.qkd import ChannelParams, ProtocolParams
 from soqn.runner import run_scenario
 from soqn.scenario import (PARAM_SPECS, NodeDecl, Scenario, ScenarioError,
                            format_scenario, parse_scenario, parse_value)

@@ -17,10 +17,9 @@ import math
 import numpy as np
 import pytest
 
-from soqn.channel import ChannelParams, transmittance
 from soqn.network import OpticalLink
-from soqn.qkd import (ProtocolParams, SessionAbort, _session, click_model,
-                      run_bb84_session, run_plugplay_session)
+from soqn.qkd import (ChannelParams, ProtocolParams, SessionAbort, _session, click_model,
+                      run_bb84_session, run_plugplay_session, transmittance)
 from soqn.rng import RandomStream
 
 from counting_stream import CountingStream
