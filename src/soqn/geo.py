@@ -128,19 +128,12 @@ def within_chord_bound(a: GeoPosition, others: Iterable[tuple[object, GeoPositio
     bound is shrunk by a relative 1e-9 and the chord by an absolute 1e-12,
     both far above the rounding of either computation, so a pair it drops
     is always beyond ``max_range_km``. This is the one place the bound is
-    written: ``surely_out_of_range`` applies it to one pair, and
-    ``cell_side`` bounds the chords it keeps.
+    written; ``cell_side`` bounds the chords it keeps.
     """
     ua, alt, limit, dist = a.unit_vector, a.altitude_m, params.max_range_km, math.dist
     return [key for key, b in others
             if not ((EARTH_RADIUS_KM + (alt + b.altitude_m) / 2000.0)
                     * (dist(ua, b.unit_vector) - 1e-12) * (1.0 - 1e-9) > limit)]
-
-
-def surely_out_of_range(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams) -> bool:
-    """Cheap sufficient test that ``link_feasible(a, b, params)`` is False:
-    the bound of ``within_chord_bound`` for one pair."""
-    return not within_chord_bound(a, ((b, b),), params)
 
 
 def cell_side(params: LinkFeasibilityParams) -> float:

@@ -85,11 +85,14 @@ class KeyStarvationError(NetworkError):
 # Bits are uint8 arrays of 0/1: the public helpers check theirs, the cores trust them.
 
 def as_bits(value) -> np.ndarray:
-    """``value`` as a 1-d uint8 array if every element equals 0 or 1, checked
-    before the cast, which would wrap or truncate; else ValueError."""
+    """``value`` as a 1-d uint8 array if its dtype is bool, integer or float
+    and every element equals 0 or 1, checked before the cast, which would
+    wrap, truncate or drop an imaginary part; else ValueError."""
     arr = np.asarray(value)
     if arr.ndim != 1:
         raise ValueError("bitstrings must be one-dimensional")
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"bitstrings must be bool, integer or float, not {arr.dtype}")
     if arr.dtype == np.uint8 or arr.dtype == np.bool_:
         bad = arr.size and arr.max() > 1
     else:

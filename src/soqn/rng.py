@@ -1,37 +1,50 @@
 """Label-keyed deterministic random streams.
 
-Every stream is derived from ``(global_seed, label)`` through a counter-based
-bit generator, so streams with distinct labels are statistically independent
-and adding a stream never perturbs draws on any existing label. This is what
-makes whole-simulation replay and per-session regression tests possible.
+Every stream is a Philox bit generator keyed by ``(global_seed, label)``:
+its 128-bit key is the first 16 bytes of SHA-256(seed as 8 little-endian
+bytes || label as UTF-8) and its counter starts at 0. Philox is a keyed
+counter-based generator (Salmon et al., SC'11), so streams with distinct
+labels are statistically independent and adding a stream never perturbs
+draws on any existing label. This is what makes whole-simulation replay and
+per-session regression tests possible.
 """
 from __future__ import annotations
 
 import hashlib
-import struct
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-# A seed is one of the 64-bit words of the stream's SeedSequence entropy.
+# A seed is written as 8 little-endian bytes ahead of the label it keys.
 MAX_SEED = 2**64 - 1
 
 # numpy's Generator.hypergeometric takes ngood and nbad below this.
 HYPERGEOMETRIC_LIMIT = 10**9
 
+_WORDS = (np.dtype("<u4"), np.dtype("<u8"))
 
-def _entropy(seed: int, label: str) -> np.ndarray:
-    """The stream's SeedSequence entropy: the 64-bit words ``[seed, w0, w1,
-    w2, w3]`` as 32-bit words, the wi being the label's SHA-256 digest read
-    as four little-endian 64-bit words.
 
-    Each 64-bit word becomes its low 32 bits, then its high 32 bits, and
-    the high half is dropped when it is 0. That is how SeedSequence coerces
-    a Python int, so this array gives the Philox key that the list of ints
-    gives, without SeedSequence coercing the ints one by one.
-    """
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    halves = struct.unpack("<10I", seed.to_bytes(8, "little") + digest)
-    return np.array([h for i, h in enumerate(halves) if h or i % 2 == 0], dtype=np.uint32)
+class _DigestKey(ISeedSequence):
+    """A numpy seed sequence that hands out the words of a digest as they
+    are, with no mixing: ``Philox`` asks for two uint64 words and gets the
+    digest's first 16 bytes, read little-endian, as its key."""
+
+    __slots__ = ("_digest",)
+
+    def __init__(self, digest: bytes):
+        self._digest = digest
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        """The first ``n_words`` little-endian uint32 or uint64 words of the
+        digest; ValueError for any other dtype or for more words than the
+        digest holds."""
+        words = np.dtype(dtype).newbyteorder("<")
+        if words not in _WORDS:
+            raise ValueError(f"words must be uint32 or uint64, not {np.dtype(dtype)}")
+        if not 0 <= n_words * words.itemsize <= len(self._digest):
+            raise ValueError(f"a {len(self._digest)}-byte digest holds no {n_words} "
+                             f"{np.dtype(dtype)} words")
+        return np.frombuffer(self._digest, words, count=n_words)
 
 
 class RandomStream:
@@ -48,8 +61,8 @@ class RandomStream:
             raise ValueError("seed must be in [0, 2**64 - 1]")
         self.seed = seed
         self.label = label
-        bitgen = np.random.Philox(np.random.SeedSequence(_entropy(seed, label)))
-        self._gen = np.random.Generator(bitgen)
+        digest = hashlib.sha256(seed.to_bytes(8, "little") + label.encode("utf-8")).digest()
+        self._gen = np.random.Generator(np.random.Philox(_DigestKey(digest)))
 
     def uniforms(self, n: int) -> np.ndarray:
         """n i.i.d. uniform floats in [0, 1)."""

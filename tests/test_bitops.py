@@ -158,20 +158,34 @@ def _send(value):
     return net.send_message("a", "b", value)
 
 
+# Every entry to the key plane that checks its bits with as_bits.
+_CHECKED = pytest.mark.parametrize("op", [
+    as_bits, hex_from_bits, lambda v: xor_bits(v, v),
+    lambda v: KeyBuffer(("a", "b")).append(v), _send,
+], ids=["as_bits", "hex_from_bits", "xor_bits", "append", "send_message"])
+
+
 class TestAsBits:
-    """Only elements equal to 0 or 1 pass, whatever their dtype: they are
-    checked before the cast to uint8, which would wrap or truncate them."""
+    """Only elements of a bool, integer or float dtype that equal 0 or 1
+    pass: they are checked before the cast to uint8, which would wrap or
+    truncate them, or drop an imaginary part."""
 
     @pytest.mark.parametrize("value", [
         [0.7, 1.2], np.array([256, 257]), [0.5], np.array([np.nan]), [256], [-1], [2],
         np.array([0, 1, 2], dtype=np.uint8),
     ], ids=repr)
-    @pytest.mark.parametrize("op", [
-        as_bits, hex_from_bits, lambda v: xor_bits(v, v),
-        lambda v: KeyBuffer(("a", "b")).append(v), _send,
-    ], ids=["as_bits", "hex_from_bits", "xor_bits", "append", "send_message"])
+    @_CHECKED
     def test_values_other_than_0_and_1_refused(self, op, value):
         with pytest.raises(ValueError, match="^bitstrings may contain only 0 and 1$"):
+            op(value)
+
+    @pytest.mark.parametrize("value", [[1 + 0j], np.array([1j]), np.array([0, 1], dtype=object)],
+                             ids=repr)
+    @_CHECKED
+    def test_dtypes_other_than_bool_integer_or_float_refused(self, op, value):
+        # under the suite's filterwarnings = error, a ComplexWarning from the
+        # cast would fail this test rather than pass as the ValueError
+        with pytest.raises(ValueError, match="^bitstrings must be bool, integer or float, not "):
             op(value)
 
     @pytest.mark.parametrize("value, bits", [

@@ -313,11 +313,16 @@ def same_draw_state(stream, gen) -> bool:
     return same_state(a, b)
 
 
-def philox_key(source) -> np.ndarray:
-    """The Philox key of a stream, or of a SeedSequence."""
-    if isinstance(source, RandomStream):
-        return source._gen.bit_generator.state["state"]["key"]
-    return np.random.Philox(source).state["state"]["key"]
+def digest(seed: int, label: str) -> bytes:
+    """SHA-256 of the seed's 8 little-endian bytes and the label's UTF-8."""
+    return hashlib.sha256(seed.to_bytes(8, "little") + label.encode("utf-8")).digest()
+
+
+def keyed_generator(seed: int, label: str) -> np.random.Generator:
+    """A Generator on the Philox that numpy keys itself with the first 16
+    bytes of the stream's digest: the reference a stream must draw as."""
+    return np.random.Generator(np.random.Philox(
+        key=int.from_bytes(digest(seed, label)[:16], "little")))
 
 
 class TestRandomStreams:
@@ -347,8 +352,7 @@ class TestRandomStreams:
         assert len(set(draws)) > 1
         assert a.binomial(0, 0.5) == 0 and a.binomial(7, 1.0) == 7
         # each call is one draw of the stream's generator
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-            rng._entropy(3, "binomial"))))
+        gen = keyed_generator(3, "binomial")
         for n, p in [(60_000, 0.03)] * 5 + [(0, 0.5), (7, 1.0)]:
             gen.binomial(n, p)
         assert same_draw_state(a, gen)
@@ -361,8 +365,7 @@ class TestRandomStreams:
         assert len(set(draws)) > 1
         # a sample of no good items is still one draw
         assert a.hypergeometric(0, 500, 250) == 0 and a.hypergeometric(9, 0, 9) == 9
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-            rng._entropy(3, "hypergeometric"))))
+        gen = keyed_generator(3, "hypergeometric")
         for args in [(300, 700, 500)] * 5 + [(0, 500, 250), (9, 0, 9)]:
             gen.hypergeometric(*args)
         assert same_draw_state(a, gen)
@@ -391,22 +394,50 @@ class TestRandomStreams:
         (2**64 - 1, 0, 1 << 63, 0x0123456789ABCDEF),
     ])
     def test_entropy_gives_the_key_of_the_int_words(self, monkeypatch, seed, words):
-        # No label hashes to these digests, so the digest is put in place of
-        # the hash; the key must be that of SeedSequence([seed, *words]).
-        digest = b"".join(w.to_bytes(8, "little") for w in words)
+        # A stream's entropy is SHA-256(seed as 8 little-endian bytes ||
+        # label). No label hashes to these digests, so the digest is put in
+        # place of the hash: the key must be its first two little-endian
+        # words as they are, with no mixing, and the counter 0.
+        fixed = b"".join(w.to_bytes(8, "little") for w in words)
+        hashed = []
         monkeypatch.setattr(rng, "hashlib", SimpleNamespace(
-            sha256=lambda data: SimpleNamespace(digest=lambda: digest)))
-        assert np.array_equal(philox_key(RandomStream(seed, "x")),
-                              philox_key(np.random.SeedSequence([seed, *words])))
+            sha256=lambda data: hashed.append(data) or SimpleNamespace(digest=lambda: fixed)))
+        bitgen = RandomStream(seed, "x")._gen.bit_generator
+        assert hashed == [seed.to_bytes(8, "little") + b"x"]
+        assert bitgen.state["state"]["key"].tolist() == list(words[:2])
+        assert bitgen.state["state"]["counter"].tolist() == [0, 0, 0, 0]
+        assert not isinstance(bitgen.seed_seq, np.random.SeedSequence)
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 2**32, 2**64 - 1])
     def test_entropy_of_session_labels_gives_the_key_of_the_int_words(self, seed):
-        for a, b, i in [("a", "b", 0), ("n1", "n12", 3), ("s0", "c95", 41), ("p7", "p8", 999)]:
+        for a, b, i in [("a", "b", 0), ("n1", "n12", 3), ("s0", "c95", 41), ("p7", "p8", 999),
+                        ("\u00e9", "\U0001f600", 2)]:
             label = f"qkd/{a}/{b}/{i}"
-            digest = hashlib.sha256(label.encode()).digest()
-            words = [int.from_bytes(digest[j:j + 8], "little") for j in range(0, 32, 8)]
-            assert np.array_equal(philox_key(RandomStream(seed, label)),
-                                  philox_key(np.random.SeedSequence([seed, *words])))
+            bitgen = RandomStream(seed, label)._gen.bit_generator
+            assert np.array_equal(bitgen.state["state"]["key"],
+                                  np.frombuffer(digest(seed, label)[:16], "<u8"))
+            assert bitgen.state["state"]["counter"].tolist() == [0, 0, 0, 0]
+            assert not isinstance(bitgen.seed_seq, np.random.SeedSequence)
+
+    def test_the_seed_and_the_last_label_byte_each_change_the_key(self):
+        pairs = [(0, "qkd/a/b/0"), (1, "qkd/a/b/0"), (0, "qkd/a/b/1"), (1, "qkd/a/b/1")]
+        keys = {tuple(RandomStream(seed, label)._gen.bit_generator.state["state"]["key"])
+                for seed, label in pairs}
+        assert len(keys) == len(pairs)
+
+    def test_the_seed_sequence_hands_out_the_digest_words_and_no_more(self):
+        seed_seq = RandomStream(9, "words")._gen.bit_generator.seed_seq
+        d = digest(9, "words")
+        assert seed_seq.generate_state(4, np.uint64).tolist() == np.frombuffer(d, "<u8").tolist()
+        assert seed_seq.generate_state(8).tolist() == np.frombuffer(d, "<u4").tolist()
+        assert seed_seq.generate_state(3, np.uint32).tolist() == np.frombuffer(d, "<u4")[:3].tolist()
+        assert seed_seq.generate_state(0, np.uint64).size == 0
+        for n_words, dtype in [(5, np.uint64), (9, np.uint32), (-1, np.uint32)]:
+            with pytest.raises(ValueError, match="holds no"):
+                seed_seq.generate_state(n_words, dtype)
+        for dtype in (np.int64, np.float64, np.uint16):
+            with pytest.raises(ValueError, match="uint32 or uint64"):
+                seed_seq.generate_state(1, dtype)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bits_match_generator_bytes_in_any_interleaving(self, seed):
@@ -415,8 +446,7 @@ class TestRandomStreams:
         # draw and the state afterwards must agree, whatever half word the
         # other draws leave pending.
         stream = RandomStream(seed, "interleaved")
-        gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-            rng._entropy(seed, "interleaved"))))
+        gen = keyed_generator(seed, "interleaved")
         choose = np.random.default_rng(100 + seed)
         pending = {"entry": set(), "exit": set(), "n mod 8": set()}
         for _ in range(300):
@@ -449,7 +479,7 @@ class TestRandomStreams:
         assert pending == {"entry": {0, 1}, "exit": {0, 1}, "n mod 8": set(range(8))}
 
     def test_seed_bounds(self):
-        # a seed is one 64-bit entropy word: 2**64 + s would draw as s does
+        # a seed is hashed as 8 bytes, which hold no larger seed
         assert RandomStream(0, "x").uniforms(1).size == 1
         assert RandomStream(2**64 - 1, "x").uniforms(1).size == 1
         for seed in (-1, 2**64, 2**64 + 5):
@@ -480,21 +510,21 @@ class TestDrawKnownAnswers:
 
     def test_uniforms(self):
         assert self.stream().uniforms(4).tolist() == [
-            0.5139385336724716, 0.4294223538546973, 0.11572680095006516, 0.889827367327649]
+            0.06876342771452781, 0.9038531543942555, 0.5216816294663279, 0.1289796839375067]
 
     def test_bits(self):
         assert self.stream().bits(20).tolist() == [
-            1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 1, 0]
+            0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 0, 1, 0, 1, 0, 0]
 
     def test_binomial(self):
         s = self.stream()
-        assert [s.binomial(50, 0.1) for _ in range(4)] == [5, 4, 3, 8]
-        assert [s.binomial(1000, 0.3) for _ in range(4)] == [295, 306, 295, 295]
+        assert [s.binomial(50, 0.1) for _ in range(4)] == [2, 8, 5, 3]
+        assert [s.binomial(1000, 0.3) for _ in range(4)] == [307, 277, 302, 305]
 
     def test_permutation(self):
-        assert self.stream().permutation(12).tolist() == [3, 0, 9, 11, 6, 8, 2, 1, 7, 5, 4, 10]
+        assert self.stream().permutation(12).tolist() == [6, 3, 8, 7, 5, 0, 11, 2, 9, 10, 1, 4]
 
     def test_hypergeometric(self):
         s = self.stream()
-        assert [s.hypergeometric(3, 7, 5) for _ in range(4)] == [1, 2, 2, 1]
-        assert [s.hypergeometric(300, 700, 500) for _ in range(4)] == [152, 151, 139, 151]
+        assert [s.hypergeometric(3, 7, 5) for _ in range(4)] == [2, 3, 1, 2]
+        assert [s.hypergeometric(300, 700, 500) for _ in range(4)] == [143, 154, 158, 159]

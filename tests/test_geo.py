@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from soqn.geo import (EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams, cell_of, cell_side,
                       feasible_distance, geodesic_distance, line_of_sight, link_feasible,
-                      surely_out_of_range, within_chord_bound)
+                      within_chord_bound)
 
 # Independent hand computations, frozen before the build:
 #   1 degree along the equator = 6371 * pi / 180
@@ -22,6 +22,12 @@ def horizon_oracle_km(alt_m: float) -> float:
 def lon_for_surface_km(km: float) -> float:
     """Longitude offset along the equator giving the surface distance."""
     return math.degrees(km / EARTH_RADIUS_KM)
+
+
+def surely_out_of_range(a: GeoPosition, b: GeoPosition, params: LinkFeasibilityParams) -> bool:
+    """Cheap sufficient test that ``link_feasible(a, b, params)`` is False:
+    the bound of ``within_chord_bound`` for one pair."""
+    return not within_chord_bound(a, ((b, b),), params)
 
 
 positions = st.builds(

@@ -29,14 +29,14 @@ from event_log import check_log  # noqa: E402
 
 GOLDEN = {
     "cs_backbone.soqn": {
-        "events.log": "35b57c61031094bb4838c9aa9ccaeb0a040e8807088166b79baa974c4d5cf935",
-        "report.txt": "f01e0254ebe45a2413633e8c71bc795a46acdbd0f3afa143878325d66c298e77",
-        "records.tsv": "599e0cd06bb7ae6cb45c829f75472e56d2b55bd4e7d87f433639c70fe153a91e",
+        "events.log": "c90b5e43fc294d9fdee129fc1dc76f7735222cf8c0f0321e931b97a1a6204b30",
+        "report.txt": "3c6f024bdb60fc831d0a32271b722c7ec8e1cda4cafd40614aa0cdc47a617704",
+        "records.tsv": "c88de9c3dfed283e2b9c3d3618ebd398455d0734808e7c560c2be90664c97cdf",
     },
     "p2p_relay.soqn": {
-        "events.log": "1b031c944875848d41c705992d6fb3db3e5c1f9a150fdbe43444c089c43e8d06",
-        "report.txt": "c40214331b2563fb2bd813cfbd0e2622b45b6df97ef0aa2e6806003916e2757f",
-        "records.tsv": "c3268616ca89ce9aa64a9aebdd31fd90f18cb5db6d770e8ac9e27869077cc957",
+        "events.log": "fa8694b12b6c9b7e7a9d782f51f5daac9be2e07f32cb4e864998dce59e2b9935",
+        "report.txt": "d03ccaeca4654338e73b1118cf26bee8afb4a9fa26a484cc0b8cb377ebe73359",
+        "records.tsv": "950939342255f77b1030d41675cadbaa003312b69f1d9247598a06185803e100",
     },
 }
 
@@ -47,24 +47,24 @@ SNAPSHOT_TIMES = (0.0, 1.0, 2.5, 3.5, 5.2, 5.6, 9.0)
 
 GOLDEN_SNAPSHOTS = {
     ("cs_backbone.soqn", None): {
-        "events.log": "35b57c61031094bb4838c9aa9ccaeb0a040e8807088166b79baa974c4d5cf935",
-        "report.txt": "56743ea8d2f8cd4c6a8b5e2bb638557abef0ce0736e520e9f4712a157d39bb39",
-        "records.tsv": "f5a423beea1686aa2aed3e1eb145322a62fe067b4edb33cb97fa7ee0dbc55d66",
+        "events.log": "c90b5e43fc294d9fdee129fc1dc76f7735222cf8c0f0321e931b97a1a6204b30",
+        "report.txt": "25e11c5d4e8b3476fab1ef47dc92a1c15d03634c4dc8506056160e90c7489d32",
+        "records.tsv": "2e4371094bfd4c47495241d8d8137a767a5245f9e3e5979354176dd919a6b486",
     },
     ("cs_backbone.soqn", 0.5): {
-        "events.log": "b106fb52d833b0d43811454d6423c474f56187f6c77d841b43aa0e25dbf6bb70",
-        "report.txt": "bde2f701358dae1ac7e790d72e0bae0656f95fce5d4898bba55becce098953e5",
-        "records.tsv": "f5d98dce6b821c8b99557fda9cf5f5bee6d492276a8d9439f8ad81059595f574",
+        "events.log": "4385e68f049c2029fd33eb1e502325c6ed20a6f70d3aaf4b397b214150da8e07",
+        "report.txt": "5c8fb2043f3f9ffe355a680757243d9b28c3068717925151bc117c685e598972",
+        "records.tsv": "06b83ebe668706106b4b39b547bb46c2d61f6e4a0de18ca68472a193993c4ac0",
     },
     ("p2p_relay.soqn", None): {
-        "events.log": "1b031c944875848d41c705992d6fb3db3e5c1f9a150fdbe43444c089c43e8d06",
-        "report.txt": "984423d6d0eee3b4cf1a0186f5881dc472e790d8123794131f930e3214949e30",
-        "records.tsv": "9263fe777e327509018d045cba7f9ce1a396706a6be9d9a1f2026ed406323ab7",
+        "events.log": "fa8694b12b6c9b7e7a9d782f51f5daac9be2e07f32cb4e864998dce59e2b9935",
+        "report.txt": "f14c16935e5aea5597ed3a9265410c66fb22bc36d3669baae495457add122478",
+        "records.tsv": "8f0b3f9a834bd0a0744b5267355b6bd447aa1273e9ee983e18991a19216493b9",
     },
     ("p2p_relay.soqn", 0.5): {
-        "events.log": "3901270ac027d7cc627ad8be438ea6331afe49874ad8ee9f3bdedde9e4623e8b",
-        "report.txt": "d5f4a9f5238d41b7ef13295a453406e5be86775b82e256e8a3a20e701f2b55d0",
-        "records.tsv": "89d9858d35f696961dadcb761ee198bb48bd72274f121ddc1c4591928e3c0ba5",
+        "events.log": "a04ef7bc461e1553a0b7f802daedb796a0b666b8c095d1f43b13e0339dd2fea0",
+        "report.txt": "cfb47d01ac223c60c9e974c2e49fbb6946b2a2d0d90e9222fffdaac27c87b934",
+        "records.tsv": "8aaae4aad06d0b96d1ac0809b89bb96b87d79d1066c0d90a9abea78174aa7a5c",
     },
 }
 
@@ -127,19 +127,19 @@ def test_golden_replay_with_snapshots(name, acquire_delay, tmp_path):
 # qkd_bulk_chain long QKD sessions.
 GOLDEN_WORKLOADS = {
     "cs_mobility": {
-        "events.log": "67f35fc1c731cb83ef9564c43ce240700de1df89b1d931b7022d7b097a6b2001",
-        "report.txt": "3dfd50ab1e1cc11a83cc30ceab3fef19ba70dccdebcf81eef60044387564d73d",
-        "records.tsv": "aa04ed4132dcc52968c85dec9a0b723cebdb4ecb1ef9616b88e91d6604093c3f",
+        "events.log": "56b2ee2793abda0803f60f9b21fc48939df75739096b13661f2f614c8b451a11",
+        "report.txt": "20cbf9994148cb09260536d944df66f7ad03499b792dd4b9d7f2b58cf8e5a286",
+        "records.tsv": "814dd82e573b12726e9aab655269f5e33f9aae80837f9bfec1b42e74c504f6e2",
     },
     "p2p_mesh_sends": {
-        "events.log": "d9184cc63a2939007f117a1809f496a05dac51f97439fe9f387bae98f0325830",
-        "report.txt": "0051e40d9095f882f1c33b990efe8825598beeae8277528806eb732579c6f705",
-        "records.tsv": "a907836331e0b1301891f77a8a62c768ea0da34df7a525cf8542fe9b4cafc9db",
+        "events.log": "14fca10ca7ab74bd1dad97185adc07f7c727d8ae5a2e85a7599267977e907778",
+        "report.txt": "d2baaeabe7905afd300d849dec29910fbd415d1e2a03bf811c785d961ee0de6f",
+        "records.tsv": "cbe1ff91d36b3671289365c54182696907a105892cfd289e65cb9ab5b71fd441",
     },
     "qkd_bulk_chain": {
-        "events.log": "cafd95a58bcb3496d970488c476686978499eac05a6883b2c3e41507e3fe94a8",
-        "report.txt": "46bb1caf35d26167df3f406d9cc8e35d5c0bbf92a422c5c2ec7bb8a36fe786a7",
-        "records.tsv": "27513d61cd7c3d258f2c2ffe3d971d0a940411b47eb5f65e7505f46278bf3fa4",
+        "events.log": "e79f15b5463425331524b1621cc8df9afe54f59d29f351ba875fbb080136ce38",
+        "report.txt": "52301b188b99d32db4b29800b40ad29000edc76e45186fed0d0bfb94aff1ec81",
+        "records.tsv": "d69e0991205d73dd489edaef4e0c2b68bd0b5dac0ecccc8fe190a0694e9d1d1a",
     },
 }
 
@@ -155,14 +155,14 @@ def test_golden_replay_of_workload(name, tmp_path):
 # finishes acquiring tops up its own pair, before any send asks for key.
 GOLDEN_PARAMS = {
     ("p2p_relay.soqn", "precharge_bits", 256): {
-        "events.log": "a1690dabc35e6fa90fc57e3f8d27aa280e0d120e8935a3231a3353e9ccfd7717",
-        "report.txt": "117c474ba8a9592d1798a5a77e10eb6c69552171d16f06b789933b97392e75c6",
-        "records.tsv": "fffff7a6202454237eec399e362a759aeac76055083eb86c8467120c4f1e46dd",
+        "events.log": "4509562e96139388a2b4dae79029b7a7dca79fea871da9c8996ca0dbb3bb0b65",
+        "report.txt": "db2937fd2fe1cb2e8ab01c558a08a301ad9ae0f850fb3acad7fe717f29365120",
+        "records.tsv": "b97502288b1106e55e6f5a6ac3f22c1d16401c78d2e967da40118b97aa951e69",
     },
     ("p2p_relay.soqn", "precharge_bits", 256, "acquire_delay_s", 0.5): {
-        "events.log": "e0c7e842dba067c3edda1aaad9ca82fd00604818305585e205b381faa9c55c41",
-        "report.txt": "dd7a83ff0a4aea806ab92ec1b1e894888d29f3c3ea8619f7275d8591762b915d",
-        "records.tsv": "9c617b09a80ada6e67f71b63f0d4fd822a1b08dee036452e5d325543725b58aa",
+        "events.log": "aaa06a98f1c56c1c4ea4250965f1c584323c26adcc1f88aba1b8b8e8b101cdae",
+        "report.txt": "eb517e64ce3659d713921ba12b395a8087dd4654a3e5d6407152394bcd7c0ce3",
+        "records.tsv": "974184b7ad7939d14939606ca445f1417bd4ec6b948d0c417349e130c60067dc",
     },
 }
 

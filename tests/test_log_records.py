@@ -7,6 +7,8 @@ QKD sessions, both ``eve`` modes, ``link_active`` after an acquisition
 delay, floats that print in exponent form or negative, and a relay block
 whose length is not a multiple of 4.
 """
+import re
+
 import numpy as np
 
 from soqn.engine import SimEngine
@@ -62,15 +64,15 @@ EXPECTED = """\
 1.000000\t16\tsend\ta\tdst=d path=- outcome=no_route bits=0 ok=false hop=- detail=no route from a to d
 1.500000\t17\tlink_active\t-\tpair=a~b
 1.500000\t18\tlink_active\t-\tpair=b~c
-2.000000\t19\tqkd\ta\tpeer=b proto=bb84 index=0 pulses=100 sifted=20 qber=0 leak=0 final=0 outcome=abort reason=insufficient_detections
+2.000000\t19\tqkd\ta\tpeer=b proto=bb84 index=0 pulses=100 sifted=17 qber=0 leak=0 final=0 outcome=abort reason=insufficient_detections
 3.000000\t20\teve\t-\tpair=a~b mode=intercept_resend
-4.000000\t21\tqkd\ta\tpeer=b proto=bb84 index=1 pulses=8192 sifted=1298 qber=0.278891 leak=0 final=0 outcome=abort reason=qber_exceeds_threshold
-5.000000\t22\tqkd\ta\tpeer=b proto=bb84 index=2 pulses=4096 sifted=669 qber=0.268657 leak=0 final=0 outcome=abort reason=qber_exceeds_threshold
+4.000000\t21\tqkd\ta\tpeer=b proto=bb84 index=1 pulses=8192 sifted=1243 qber=0.237942 leak=0 final=0 outcome=abort reason=qber_exceeds_threshold
+5.000000\t22\tqkd\ta\tpeer=b proto=bb84 index=2 pulses=4096 sifted=680 qber=0.244118 leak=0 final=0 outcome=abort reason=qber_exceeds_threshold
 5.000000\t23\tsend\ta\tdst=c path=a>b>c outcome=qkd_abort bits=0 ok=false hop=a~b detail=qber_exceeds_threshold
 6.000000\t24\teve\t-\tpair=a~b mode=none
-7.000000\t25\tqkd\tb\tpeer=c proto=bb84 index=0 pulses=4096 sifted=641 qber=0.0186916 leak=50 final=127 outcome=ok reason=none
-7.000000\t26\tkeygen\tb\tpeer=c offset=0 bits=127
-7.000000\t27\tsend\tc\tdst=a path=c>b>a outcome=key_starved bits=0 ok=false hop=b~c detail=127 bits available, 512 needed
+7.000000\t25\tqkd\tb\tpeer=c proto=bb84 index=0 pulses=4096 sifted=644 qber=0 leak=0 final=222 outcome=ok reason=none
+7.000000\t26\tkeygen\tb\tpeer=c offset=0 bits=222
+7.000000\t27\tsend\tc\tdst=a path=c>b>a outcome=key_starved bits=0 ok=false hop=b~c detail=222 bits available, 512 needed
 8.000000\t28\tbroadcast\td\ttopic=location payload=-45.25,-120.5,1e+06 receivers=3
 8.000000\t29\tbroadcast\td\ttopic=link_report payload=links=0 receivers=3
 8.000000\t30\tmove\td\tlat=-45.25 lon=-120.5 alt=1e+06
@@ -83,6 +85,24 @@ def test_failure_and_edge_records_are_written_as_pinned():
     engine.run_until()
     assert engine.log_lines() == EXPECTED
     check_log(EXPECTED)
+
+
+def test_the_pinned_lines_hold_every_variant_the_module_names():
+    # EXPECTED is regenerated whenever the draws change; a regeneration
+    # must not lose a variant that no golden holds.
+    fields = [line.split("\t", 4) for line in EXPECTED]
+    assert {"error", "link_active"} <= {kind for _, _, kind, _, _ in fields}
+    sends = {details.partition(" outcome=")[2].partition(" ")[0]: details
+             for _, _, kind, _, details in fields if kind == "send"}
+    assert {"no_route", "key_starved"} <= sends.keys()
+    assert " " in sends["key_starved"].partition(" detail=")[2]
+    assert {details.rpartition(" reason=")[2] for _, _, kind, _, details in fields
+            if kind == "qkd" and " outcome=abort " in details} == {
+                "insufficient_detections", "qber_exceeds_threshold"}
+    assert {details.rpartition(" mode=")[2] for _, _, kind, _, details in fields
+            if kind == "eve"} == {"intercept_resend", "none"}
+    assert any(re.search(r"[=,]-?[0-9.]+e[+-][0-9]+", details) for *_, details in fields)
+    assert any(re.search(r"[=,]-[0-9]", details) for *_, details in fields)
 
 
 def test_relay_blocks_are_written_in_hex_or_as_bits():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from soqn.engine import ScenarioEvent, SimEngine
 from soqn.geo import (EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams, cell_side,
-                      feasible_distance, link_feasible, surely_out_of_range, within_chord_bound)
+                      feasible_distance, link_feasible, within_chord_bound)
 from soqn.network import (DuplicateNodeError, KeyBuffer, KeyStarvationError, LinkInactiveError,
                           Network, NoRouteError, OpticalLink, RoleModeError, UnknownNodeError,
                           _unwind, as_bits, pair_key, shortest_path)
@@ -21,6 +21,7 @@ from soqn.runner import build_simulation, install_handler
 from soqn.scenario import ScenarioError, parse_scenario
 
 from event_log import records
+from test_geo import surely_out_of_range
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
