@@ -4,22 +4,22 @@ Nodes announce locations over the broadcast bus and acquire every feasible
 optical link their roles allow; every node's routing table is the set of
 active links those broadcasts announced. The network keeps each link once,
 as the latest link of its pair, and routes over an endpoint index of them.
-Key material lives in pairwise one-time-pad buffers with strict
-consume-once accounting; end-to-end keys for non-adjacent nodes are
-distributed by trusted relays publishing XORs of adjacent hop keys.
-``send_message`` is the one consumer of the key plane.
 
-Key bits are checked once, where they enter the key plane: session keys in
-``KeyBuffer.append`` and a message in ``send_message``. Inside it, pads,
-relay XORs and the ``relay_xor`` payloads are computed on those arrays with
-no further check. Pads are read-only arrays; consume-once is the buffer's
-cursor, and ``audit_otp`` checks it over the recorded events.
+The key plane keeps counts, not pad bits: each pair's ``KeyBuffer`` holds
+the bits generated and its consume cursor, and consume-once is that
+cursor, which ``audit_otp`` checks over the recorded events. A session's
+key is fresh fair bits, and a pad XORed onto a message and off again
+returns the message, so the pad values carry nothing the model computes.
+End-to-end keys for non-adjacent nodes are distributed by trusted relays:
+each hop spends one block, and each interior node broadcasts the XOR of
+its two hop blocks, logged by its length. ``send_message`` is the one
+consumer of the key plane; it checks its message with ``as_bits`` and
+spends one block of the message's length per hop.
 """
 from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -83,6 +83,7 @@ class KeyStarvationError(NetworkError):
 
 
 # Bits are uint8 arrays of 0/1: the public helpers check theirs, the cores trust them.
+# No send calls xor_bits or hex_from_bits; perfbench/tracing.py looks them up by name.
 
 def as_bits(value) -> np.ndarray:
     """``value`` as a 1-d uint8 array if its dtype is bool, integer or float
@@ -123,11 +124,6 @@ def _hex(arr: np.ndarray) -> str:
     return np.packbits(arr).tobytes().hex()[: len(arr) // 4]
 
 
-def _binary(arr: np.ndarray) -> str:
-    """Checked bits as the digits 0 and 1."""
-    return (arr + 48).tobytes().decode()
-
-
 def pair_key(a: NodeId, b: NodeId) -> tuple[NodeId, NodeId]:
     if a == b:
         raise ValueError("link endpoints must be distinct")
@@ -151,58 +147,35 @@ class OpticalLink:
 
 
 class KeyBuffer:
-    """Append-only pairwise pool of one-time-pad bits with a consume cursor.
-
-    Bits below the cursor can never be handed out again. The pool is kept
-    as the appended chunks not yet fully consumed, each a read-only copy,
-    so an append copies only its own bits and consumed chunks are released.
-    """
+    """A pair's one-time-pad key as two counts: the bits generated and the
+    consume cursor. Bits below the cursor are never handed out again."""
 
     def __init__(self, pair: tuple[NodeId, NodeId]):
         self.pair = pair
-        self._chunks: deque[np.ndarray] = deque()
-        self._generated = 0
+        self.total_generated = 0
         self.consumed_offset = 0
 
     @property
-    def total_generated(self) -> int:
-        return self._generated
-
-    @property
     def available(self) -> int:
-        return self._generated - self.consumed_offset
+        return self.total_generated - self.consumed_offset
 
-    def append(self, bits: np.ndarray) -> int:
-        """Append fresh key bits; returns the offset they start at."""
-        start = self._generated
-        chunk = as_bits(bits).copy()
-        chunk.setflags(write=False)
-        if len(chunk):
-            self._chunks.append(chunk)
-            self._generated += len(chunk)
+    def append(self, n: int) -> int:
+        """Add ``n`` fresh key bits; returns the offset they start at."""
+        if n < 0:
+            raise ValueError("cannot append a negative number of bits")
+        start = self.total_generated
+        self.total_generated += n
         return start
 
-    def consume(self, n: int) -> np.ndarray:
-        """The next ``n`` bits of the pool, read-only; the cursor moves past them."""
+    def consume(self, n: int) -> int:
+        """Hand out the next ``n`` bits; returns the offset they start at."""
         if n < 0:
             raise ValueError("cannot consume a negative number of bits")
         if self.available < n:
             raise KeyStarvationError(self.pair, n, self.available)
-        parts = []
-        need = n
-        while need:
-            chunk = self._chunks.popleft()
-            if len(chunk) > need:
-                self._chunks.appendleft(chunk[need:])
-            parts.append(chunk[:need])
-            need -= len(parts[-1])
+        start = self.consumed_offset
         self.consumed_offset += n
-        # Bits inside one chunk are a read-only view of it; n == 0 takes no chunk.
-        if len(parts) == 1:
-            return parts[0]
-        bits = np.concatenate([np.empty(0, np.uint8), *parts])
-        bits.setflags(write=False)
-        return bits
+        return start
 
 
 @dataclass(frozen=True)
@@ -213,21 +186,12 @@ class DeliveryRecord:
     path: tuple[NodeId, ...] | None
     outcome: str  # delivered | no_route | key_starved | qkd_abort
     bits_consumed: int
-    plaintext_ok: bool
     failing_hop: tuple[NodeId, NodeId] | None = None
     detail: str = ""
 
     @property
     def delivered(self) -> bool:
         return self.outcome == "delivered"
-
-
-def _unwind(ciphertext: np.ndarray, pad: np.ndarray, xors) -> np.ndarray:
-    """C xor K_receiver xor each relay XOR, on checked bits of one length."""
-    out = ciphertext ^ pad
-    for xor in xors:
-        out ^= xor
-    return out
 
 
 _NO_LINKS: Mapping[NodeId, OpticalLink] = MappingProxyType({})
@@ -346,6 +310,9 @@ class Network:
         # Each node's place in the order nodes were added in.
         self._order: dict[NodeId, int] = {}
         self._linkable = _LINKABLE[mode]
+        # The nodes that may sit inside a route or a relay path.
+        self._can_relay = ((lambda n: self.nodes[n].role == ROLE_SERVER) if mode == "cs"
+                           else (lambda n: True))
         # The cell index: the deployed nodes by role and by the cell of their
         # position, and each one's cell. The cell (ix, iy, iz) of
         # ``geo.cell_of`` is keyed as the integer (ix * k + iy) * k + iz, so
@@ -476,7 +443,7 @@ class Network:
                          f"outcome={'abort' if rec.aborted else 'ok'} "
                          f"reason={rec.abort_reason.value}")
         if not rec.aborted:
-            self._store_key(pair, rec.final_key)
+            self._store_key(pair, len(rec.final_key))
         return rec
 
     def find_path(self, src: NodeId, dst: NodeId) -> list[NodeId]:
@@ -488,21 +455,16 @@ class Network:
         self._node(dst)
         if not self.engine.is_deployed(src):
             raise UnknownNodeError(f"node {src!r} has no routing table")
-        if self.mode == "cs":
-            can_relay = lambda n: self.nodes[n].role == ROLE_SERVER
-        else:
-            can_relay = lambda n: True
-        return shortest_path(self._adj, src, dst, can_relay)
+        return shortest_path(self._adj, src, dst, self._can_relay)
 
-    def relay_key_setup(self, path: list[NodeId],
-                        block_len: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Consume one pad per hop and publish the telescoping XORs.
+    def relay_key_setup(self, path: list[NodeId], block_len: int) -> None:
+        """Consume one block of ``block_len`` bits per hop; each interior
+        node broadcasts the XOR of its two hop blocks, logged by its length.
 
-        Returns (pads, xors): each hop's pad in path order, and the XOR of
-        its two hop pads that each interior node broadcasts. Consumption is
-        all-or-nothing: a negative ``block_len``, a path that repeats a node
-        or one through a node not deployed is refused first, then each hop
-        short of bits, then each with no active link, before any consume.
+        Consumption is all-or-nothing: a negative ``block_len``, a path that
+        repeats a node or one through a node not deployed is refused first,
+        then an interior node that may not relay, then each hop short of
+        bits, then each with no active link, before any consume.
         """
         if len(path) < 3:
             raise ValueError("relay paths need at least one interior node")
@@ -512,6 +474,9 @@ class Network:
             raise ValueError(f"relay path {'>'.join(path)} repeats a node")
         for nid in path:
             self._deployed(nid)
+        for nid in path[1:-1]:
+            if not self._can_relay(nid):
+                raise RoleModeError(f"{self.nodes[nid].role} {nid!r} may not relay")
         hops = [pair_key(a, b) for a, b in zip(path, path[1:])]
         for hop in hops:
             buf = self.buffers.get(hop)  # a refusal leaves no empty buffer behind
@@ -521,39 +486,35 @@ class Network:
             link = self.link_history.get(hop)
             if link is None or link.state != "active":
                 raise LinkInactiveError(f"no active link {hop[0]}~{hop[1]}")
-        pads = [self._consume(hop, block_len, "relay_hop") for hop in hops]
-        xors = [left ^ right for left, right in zip(pads, pads[1:])]
-        for relay, xor in zip(path[1:-1], xors):
-            self.engine.broadcast(relay, "relay_xor", _hex(xor) if block_len % 4 == 0
-                                  else _binary(xor))
+        for hop in hops:
+            self._consume(hop, block_len, "relay_hop")
+        for relay in path[1:-1]:
+            self.engine.broadcast(relay, "relay_xor", f"bits={block_len}")
         self.engine.emit("relay", path[0], f"path={'>'.join(path)} block_len={block_len}")
-        return pads, xors
 
     def send_message(self, src: NodeId, dst: NodeId, message) -> DeliveryRecord:
-        """Route, key, encrypt, deliver, and verify one message."""
-        message = as_bits(message)
+        """Route one message and spend a block of its length on each hop."""
+        mlen = len(as_bits(message))
         self._deployed(src)
         self._deployed(dst)
         try:
             path = self.find_path(src, dst)
         except NoRouteError as exc:
-            return self._delivery(src, dst, None, "no_route", 0, False, detail=str(exc))
-        mlen = len(message)
+            return self._delivery(src, dst, None, "no_route", 0, detail=str(exc))
         if mlen == 0:
-            return self._delivery(src, dst, tuple(path), "delivered", 0, True)
+            return self._delivery(src, dst, tuple(path), "delivered", 0)
         hops = [pair_key(a, b) for a, b in zip(path, path[1:])]
         for hop in hops:
             failure = self._ensure_key(hop, mlen)
             if failure is not None:
                 outcome, detail = failure
-                return self._delivery(src, dst, tuple(path), outcome, 0, False,
+                return self._delivery(src, dst, tuple(path), outcome, 0,
                                       failing_hop=hop, detail=detail)
         if len(path) == 2:
-            pads, xors = [self._consume(hops[0], mlen, "direct")], ()
+            self._consume(hops[0], mlen, "direct")
         else:
-            pads, xors = self.relay_key_setup(path, mlen)
-        ok = bool(np.array_equal(_unwind(message ^ pads[0], pads[-1], xors), message))
-        return self._delivery(src, dst, tuple(path), "delivered", mlen * len(hops), ok)
+            self.relay_key_setup(path, mlen)
+        return self._delivery(src, dst, tuple(path), "delivered", mlen * len(hops))
 
     # -- audits -------------------------------------------------------------
 
@@ -761,20 +722,17 @@ class Network:
             buf = self.buffers[pair] = KeyBuffer(pair)
         return buf
 
-    def _store_key(self, pair: tuple[NodeId, NodeId], bits: np.ndarray) -> None:
-        """Append key bits to a pair's buffer, for the audit and the log."""
-        offset = self._buffer(pair).append(bits)
-        self.keygen_events.append((pair, offset, len(bits)))
-        self.engine.emit("keygen", pair[0], f"peer={pair[1]} offset={offset} bits={len(bits)}")
+    def _store_key(self, pair: tuple[NodeId, NodeId], n: int) -> None:
+        """Add ``n`` key bits to a pair's buffer, for the audit and the log."""
+        offset = self._buffer(pair).append(n)
+        self.keygen_events.append((pair, offset, n))
+        self.engine.emit("keygen", pair[0], f"peer={pair[1]} offset={offset} bits={n}")
 
-    def _consume(self, pair: tuple[NodeId, NodeId], n: int, purpose: str) -> np.ndarray:
-        buf = self._buffer(pair)
-        offset = buf.consumed_offset
-        pad = buf.consume(n)
+    def _consume(self, pair: tuple[NodeId, NodeId], n: int, purpose: str) -> None:
+        offset = self._buffer(pair).consume(n)
         self.consume_events.append((pair, offset, n, purpose))
         self.engine.emit("consume", pair[0],
                          f"peer={pair[1]} offset={offset} bits={n} purpose={purpose}")
-        return pad
 
     def _ensure_key(self, hop: tuple[NodeId, NodeId], need: int):
         """Top up a hop buffer with lazy QKD sessions; returns None when the
@@ -790,14 +748,14 @@ class Network:
             return "key_starved", f"{buf.available} bits available, {need} needed"
         return None
 
-    def _delivery(self, src, dst, path, outcome, consumed, ok,
+    def _delivery(self, src, dst, path, outcome, consumed,
                   failing_hop=None, detail="") -> DeliveryRecord:
-        rec = DeliveryRecord(self.engine.now, src, dst, path, outcome, consumed, ok,
+        rec = DeliveryRecord(self.engine.now, src, dst, path, outcome, consumed,
                              failing_hop, detail)
         self.deliveries.append(rec)
         hop = "-" if failing_hop is None else f"{failing_hop[0]}~{failing_hop[1]}"
         self.engine.emit("send", src,
                          f"dst={dst} path={'>'.join(path) if path else '-'} outcome={outcome} "
-                         f"bits={consumed} ok={'true' if ok else 'false'} hop={hop} "
+                         f"bits={consumed} hop={hop} "
                          f"detail={detail or '-'}")
         return rec

@@ -20,8 +20,6 @@ from .network import DeliveryRecord, Network
 def fmt(value) -> str:
     """Stable scalar formatting for report fields (6 significant digits
     for floats)."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
@@ -171,7 +169,6 @@ def render_records(report: Report) -> str:
             f"t={fmt(m.at)}", f"src={m.src}", f"dst={m.dst}",
             f"path={'>'.join(m.path) if m.path else '-'}",
             f"outcome={m.outcome}", f"bits={m.bits_consumed}",
-            f"ok={fmt(m.plaintext_ok)}",
         ]))
     for snap in report.snapshots:
         pairs = ",".join(_pair_str(p) for p in snap.links)

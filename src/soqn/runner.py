@@ -103,7 +103,7 @@ def run_scenario(sc: Scenario, *, until: float | None = None, strict: bool = Fal
     t2 = time.perf_counter()
     report = build_report(network, engine, snapshots)
     code = EXIT_OK
-    if strict and any(not m.delivered or not m.plaintext_ok for m in report.messages):
+    if strict and any(not m.delivered for m in report.messages):
         code = EXIT_DELIVERY_FAILED
     if report.violations:
         code = EXIT_INVARIANT_VIOLATION

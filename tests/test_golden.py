@@ -3,8 +3,10 @@ for byte. The pins are sha256 digests of the files the CLI writes; a
 change that alters any artifact must regenerate them and say why.
 
 Each replay also runs ``check_log`` on the written ``events.log``: its
-lines are numbered without gaps, and each broadcast's ``receivers=`` count
-is the number of nodes deployed before it, less its source.
+lines are numbered without gaps, each broadcast's ``receivers=`` count is
+the number of nodes deployed before it, less its source, each consume
+starts at its pair's running cursor, and each relay record follows one
+block per hop and one ``relay_xor`` broadcast of its length per relay.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints the digests of the
 current code for every pin, in the layout of the dicts below, so a
@@ -29,14 +31,14 @@ from event_log import check_log  # noqa: E402
 
 GOLDEN = {
     "cs_backbone.soqn": {
-        "events.log": "c90b5e43fc294d9fdee129fc1dc76f7735222cf8c0f0321e931b97a1a6204b30",
+        "events.log": "3bc9e2524d8a1bdbb91f74540ac7908d7c1035b932d612f4047368e5eb869048",
         "report.txt": "3c6f024bdb60fc831d0a32271b722c7ec8e1cda4cafd40614aa0cdc47a617704",
-        "records.tsv": "c88de9c3dfed283e2b9c3d3618ebd398455d0734808e7c560c2be90664c97cdf",
+        "records.tsv": "252829b7d80c6369521c0514ea4574fe10e30a10d6762a0cb91cce5d333c97fb",
     },
     "p2p_relay.soqn": {
-        "events.log": "fa8694b12b6c9b7e7a9d782f51f5daac9be2e07f32cb4e864998dce59e2b9935",
+        "events.log": "e393ecd00a4a64189f633200835f0395e9e0cd9caf9d5a86d410c3ff67fd37b9",
         "report.txt": "d03ccaeca4654338e73b1118cf26bee8afb4a9fa26a484cc0b8cb377ebe73359",
-        "records.tsv": "950939342255f77b1030d41675cadbaa003312b69f1d9247598a06185803e100",
+        "records.tsv": "a3cd4eacf4278affbc2eedb59bdca57ff40703ff318f9718fa7209155c4edd2b",
     },
 }
 
@@ -47,24 +49,24 @@ SNAPSHOT_TIMES = (0.0, 1.0, 2.5, 3.5, 5.2, 5.6, 9.0)
 
 GOLDEN_SNAPSHOTS = {
     ("cs_backbone.soqn", None): {
-        "events.log": "c90b5e43fc294d9fdee129fc1dc76f7735222cf8c0f0321e931b97a1a6204b30",
+        "events.log": "3bc9e2524d8a1bdbb91f74540ac7908d7c1035b932d612f4047368e5eb869048",
         "report.txt": "25e11c5d4e8b3476fab1ef47dc92a1c15d03634c4dc8506056160e90c7489d32",
-        "records.tsv": "2e4371094bfd4c47495241d8d8137a767a5245f9e3e5979354176dd919a6b486",
+        "records.tsv": "58372d0019f27d68d70e0be9b7943ba69075b37dde80c29159ee4be4ab5aedbb",
     },
     ("cs_backbone.soqn", 0.5): {
-        "events.log": "4385e68f049c2029fd33eb1e502325c6ed20a6f70d3aaf4b397b214150da8e07",
+        "events.log": "33d56df913cc605492656ed94b949f71a25078448934560e134e631570f7326c",
         "report.txt": "5c8fb2043f3f9ffe355a680757243d9b28c3068717925151bc117c685e598972",
-        "records.tsv": "06b83ebe668706106b4b39b547bb46c2d61f6e4a0de18ca68472a193993c4ac0",
+        "records.tsv": "558af44be37fc43b4ff1509706350ee781541dac8b6cc70a8123ccea12d10592",
     },
     ("p2p_relay.soqn", None): {
-        "events.log": "fa8694b12b6c9b7e7a9d782f51f5daac9be2e07f32cb4e864998dce59e2b9935",
+        "events.log": "e393ecd00a4a64189f633200835f0395e9e0cd9caf9d5a86d410c3ff67fd37b9",
         "report.txt": "f14c16935e5aea5597ed3a9265410c66fb22bc36d3669baae495457add122478",
-        "records.tsv": "8f0b3f9a834bd0a0744b5267355b6bd447aa1273e9ee983e18991a19216493b9",
+        "records.tsv": "74053e8410551012e05cabd3ba915773269ac08c8c5615a270e5a3464cceac18",
     },
     ("p2p_relay.soqn", 0.5): {
-        "events.log": "a04ef7bc461e1553a0b7f802daedb796a0b666b8c095d1f43b13e0339dd2fea0",
+        "events.log": "069bed0296bb5310411718194d39d054b3703d8cde2b3899859ae3c17cc92587",
         "report.txt": "cfb47d01ac223c60c9e974c2e49fbb6946b2a2d0d90e9222fffdaac27c87b934",
-        "records.tsv": "8aaae4aad06d0b96d1ac0809b89bb96b87d79d1066c0d90a9abea78174aa7a5c",
+        "records.tsv": "101e9cb0f6bd686a52d94814617a9445385c6f84c2e88f6aecb610e5777cc075",
     },
 }
 
@@ -127,19 +129,19 @@ def test_golden_replay_with_snapshots(name, acquire_delay, tmp_path):
 # qkd_bulk_chain long QKD sessions.
 GOLDEN_WORKLOADS = {
     "cs_mobility": {
-        "events.log": "56b2ee2793abda0803f60f9b21fc48939df75739096b13661f2f614c8b451a11",
+        "events.log": "3c61453db319b23a483f457981c388962e03926f216b341fa5e0858ffef7ee04",
         "report.txt": "20cbf9994148cb09260536d944df66f7ad03499b792dd4b9d7f2b58cf8e5a286",
-        "records.tsv": "814dd82e573b12726e9aab655269f5e33f9aae80837f9bfec1b42e74c504f6e2",
+        "records.tsv": "6bb393ac03911d8f38d77d10c28a0bca29a8ef506240fa873c0f1eab645177cd",
     },
     "p2p_mesh_sends": {
-        "events.log": "14fca10ca7ab74bd1dad97185adc07f7c727d8ae5a2e85a7599267977e907778",
+        "events.log": "8ae6041a8ff9d60465fc680ae7c8130a44ab524431169a0afad812ec1e40b024",
         "report.txt": "d2baaeabe7905afd300d849dec29910fbd415d1e2a03bf811c785d961ee0de6f",
-        "records.tsv": "cbe1ff91d36b3671289365c54182696907a105892cfd289e65cb9ab5b71fd441",
+        "records.tsv": "0b68d7dce02b0186c3042ae7e7734891c791b3a4a89c165efa752fdbbc69a733",
     },
     "qkd_bulk_chain": {
-        "events.log": "e79f15b5463425331524b1621cc8df9afe54f59d29f351ba875fbb080136ce38",
+        "events.log": "8ca23fdc98b180f91fc14200179b26898d14f308ac0d5ff1a04869bc4902a7e6",
         "report.txt": "52301b188b99d32db4b29800b40ad29000edc76e45186fed0d0bfb94aff1ec81",
-        "records.tsv": "d69e0991205d73dd489edaef4e0c2b68bd0b5dac0ecccc8fe190a0694e9d1d1a",
+        "records.tsv": "26dd60be1beaf90a91957acdd1be5c695115dfc6f77e29cc4664a0c6bc4b6eaa",
     },
 }
 
@@ -155,14 +157,14 @@ def test_golden_replay_of_workload(name, tmp_path):
 # finishes acquiring tops up its own pair, before any send asks for key.
 GOLDEN_PARAMS = {
     ("p2p_relay.soqn", "precharge_bits", 256): {
-        "events.log": "4509562e96139388a2b4dae79029b7a7dca79fea871da9c8996ca0dbb3bb0b65",
+        "events.log": "35887c8bef33a7c377703e883c65be477813898f7f092a63ce5a6fe4ae5733be",
         "report.txt": "db2937fd2fe1cb2e8ab01c558a08a301ad9ae0f850fb3acad7fe717f29365120",
-        "records.tsv": "b97502288b1106e55e6f5a6ac3f22c1d16401c78d2e967da40118b97aa951e69",
+        "records.tsv": "eb5b67680dce17d6a431bee37d0f400955a1443d26350ef0e292997ac0c881c0",
     },
     ("p2p_relay.soqn", "precharge_bits", 256, "acquire_delay_s", 0.5): {
-        "events.log": "aaa06a98f1c56c1c4ea4250965f1c584323c26adcc1f88aba1b8b8e8b101cdae",
+        "events.log": "977c9c459fa48f70af577fd1a67026d9cf4eb516bb2d93203b9a88e85a4e78da",
         "report.txt": "eb517e64ce3659d713921ba12b395a8087dd4654a3e5d6407152394bcd7c0ce3",
-        "records.tsv": "974184b7ad7939d14939606ca445f1417bd4ec6b948d0c417349e130c60067dc",
+        "records.tsv": "842f17d99cb90d44d15dad73e657f1621d09d358783e03b928b9f32b7550bda1",
     },
 }
 

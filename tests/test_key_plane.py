@@ -1,17 +1,31 @@
-"""The key plane checks key bits once, where they enter it.
+"""The key plane keeps counts: a send checks its message once, then spends
+one block of the message's length on each hop.
 
-Sends are compared with a reference built only from plain XOR, the public,
-validating bit helpers of ``network`` and ``relay_chain_oracle``; the work a
-send does and the arrays it hands out are pinned too.
+Sends are compared with a reference built from per-hop counts alone; the
+work a send does is pinned too. The ledger is checked on written runs: for
+each pair, its buffer's counts, the sums of its ``keygen`` and ``consume``
+lines and its ``records.tsv`` link row agree.
 """
+import pathlib
+import sys
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 import soqn.network as network
-from soqn.network import KeyBuffer, _unwind, as_bits, hex_from_bits, pair_key, xor_bits
+from soqn.network import KeyBuffer, pair_key, xor_bits
+from soqn.report import build_report
+from soqn.runner import build_simulation, install_handler, write_outputs
+from soqn.scenario import parse_scenario
 
-from event_log import records
-from test_network import deg, make_network, preload_key, relay_chain_oracle
+from event_log import check_log
+from test_network import deg, make_network, preload_key, relay_broadcasts
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
 
 NODES = 7  # a line n0 - n1 - ... - n6: every route is the stretch of line between its ends
 
@@ -22,43 +36,30 @@ def line_network():
 
 
 class Reference:
-    """Each hop's key pool as one array, and what a send must do to it,
-    computed with plain XOR and the public helpers only."""
+    """Each hop's bits generated and consumed, and what a send must do to
+    them, computed from counts alone."""
 
     def __init__(self):
-        self.pool: dict[tuple[str, str], np.ndarray] = {}
-        self.cursor: dict[tuple[str, str], int] = {}
+        self.pool: dict[tuple[str, str], int] = defaultdict(int)
+        self.cursor: dict[tuple[str, str], int] = defaultdict(int)
 
-    def append(self, hop, bits):
-        self.pool[hop] = np.concatenate([self.pool.get(hop, np.empty(0, np.uint8)), as_bits(bits)])
-        self.cursor.setdefault(hop, 0)
+    def append(self, hop, n):
+        self.pool[hop] += n
 
     def available(self, hop):
-        return len(self.pool.get(hop, ())) - self.cursor.get(hop, 0)
+        return self.pool[hop] - self.cursor[hop]
 
-    def consume(self, hop, n, purpose):
-        off = self.cursor[hop]
-        self.cursor[hop] = off + n
-        return (hop, off, n, purpose), self.pool[hop][off : off + n]
-
-    def send(self, path, message):
-        """(consume events, relay_xor payloads, ok) of a send along ``path``."""
-        hops = [pair_key(a, b) for a, b in zip(path, path[1:])]
-        n = len(message)
+    def send(self, path, n):
+        """(consume events, relay_xor broadcasts) of a send of ``n`` bits along ``path``."""
         if n == 0:
-            return [], [], True
+            return [], []
+        hops = [pair_key(a, b) for a, b in zip(path, path[1:])]
         purpose = "direct" if len(hops) == 1 else "relay_hop"
-        events, pads = zip(*(self.consume(hop, n, purpose) for hop in hops))
-        payloads = [hex_from_bits(x) if n % 4 == 0 else "".join(str(int(bit)) for bit in x)
-                    for x in map(xor_bits, pads, pads[1:])]
-        plain = relay_chain_oracle(message, pads)
-        return list(events), payloads, bool(np.array_equal(plain, message))
-
-
-def relay_payloads(engine, since):
-    return [dict(kv.split("=", 1) for kv in r.details.split())["payload"]
-            for r in records(engine)[since:]
-            if r.kind == "broadcast" and "topic=relay_xor" in r.details]
+        events = []
+        for hop in hops:
+            events.append((hop, self.cursor[hop], n, purpose))
+            self.cursor[hop] += n
+        return events, [(relay, f"bits={n}") for relay in path[1:-1]]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -77,27 +78,24 @@ def test_random_sends_match_the_public_helpers(seed):
         message = rng.integers(0, 2, int(rng.integers(0, 71)), dtype=np.uint8)
         lengths.add(len(message))
         for hop in hops[start : start + k]:
-            # short chunks, so blocks start and end inside them and span several
+            # short appends, so blocks start and end inside them and span several
             while ref.available(hop) < len(message):
-                bits = rng.integers(0, 2, int(rng.integers(0, 25)), dtype=np.uint8)
-                preload_key(net, *hop, bits)
-                ref.append(hop, bits)
+                n = int(rng.integers(0, 25))
+                preload_key(net, *hop, n)
+                ref.append(hop, n)
         events_before, lines_before = len(net.consume_events), len(engine.log_lines())
         rec = net.send_message(path[0], path[-1], message)
-        events, payloads, ok = ref.send(path, message)
+        events, broadcasts = ref.send(path, len(message))
         assert rec.path == tuple(path) and rec.delivered
+        assert rec.bits_consumed == len(message) * k
         assert net.consume_events[events_before:] == events
-        assert relay_payloads(engine, lines_before) == payloads
-        assert rec.plaintext_ok is ok is True
+        assert relay_broadcasts(engine, lines_before) == broadcasts
         for hop in hops:
             buf = net.buffers.get(hop)
-            if buf is None:
-                assert ref.available(hop) == 0
-                continue
-            rest = np.concatenate([np.empty(0, np.uint8), *buf._chunks])
-            assert (buf.total_generated, buf.consumed_offset) == (len(ref.pool[hop]), ref.cursor[hop])
-            assert np.array_equal(rest, ref.pool[hop][ref.cursor[hop]:])
+            counts = (0, 0) if buf is None else (buf.total_generated, buf.consumed_offset)
+            assert counts == (ref.pool[hop], ref.cursor[hop])
     assert any(n % 4 for n in lengths) and any(n and n % 4 == 0 for n in lengths)
+    check_log(engine.log_lines())
 
 
 class Counter:
@@ -119,65 +117,19 @@ def test_a_send_checks_only_its_message(monkeypatch, hops, chunk):
     rng = np.random.default_rng(hops)
     for i in range(hops):
         for _ in range(64 // chunk):
-            preload_key(net, f"n{i}", f"n{i + 1}", rng.integers(0, 2, chunk, dtype=np.uint8))
+            preload_key(net, f"n{i}", f"n{i + 1}", chunk)
     as_bits_calls = Counter(monkeypatch, network, "as_bits")
     xor_calls = Counter(monkeypatch, network, "xor_bits")
     consumes = Counter(monkeypatch, KeyBuffer, "consume")
     concatenates = Counter(monkeypatch, np, "concatenate")
-    # 20 bits lie in each hop's first chunk of 64; 40 bits span chunks of 8
+    # 20 bits lie in each hop's first append of 64; 40 bits span appends of 8
     message = rng.integers(0, 2, 20 if chunk == 64 else 40, dtype=np.uint8)
     rec = net.send_message(f"n{hops}", "n0", message)
-    assert rec.delivered and rec.plaintext_ok and len(rec.path) == hops + 1
+    assert rec.delivered and len(rec.path) == hops + 1
     assert as_bits_calls.calls == 1
     assert xor_calls.calls == 0
-    assert consumes.calls == hops  # one pad per hop
-    if chunk == 64:
-        assert concatenates.calls == 0
-    else:
-        assert concatenates.calls == hops  # the counter sees a block that spans chunks
-
-
-class TestConsumedBlocks:
-    @pytest.mark.parametrize("n", [0, 3, 5, 9])
-    def test_bits_are_read_only(self, n):
-        buf = KeyBuffer(("a", "b"))
-        buf.append(np.array([1, 0, 1, 1, 0], dtype=np.uint8))
-        buf.append(np.array([0, 1, 1, 0], dtype=np.uint8))
-        bits = buf.consume(n)
-        assert len(bits) == n and not bits.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            bits[:] = 1
-
-    def test_later_appends_and_consumes_never_change_an_earlier_block(self):
-        rng = np.random.default_rng(9)
-        buf = KeyBuffer(("a", "b"))
-        held = []
-        for _ in range(400):
-            if rng.random() < 0.4 or buf.available == 0:
-                bits = rng.integers(0, 2, int(rng.integers(0, 30)), dtype=np.uint8)
-                buf.append(bits)
-                bits ^= 1  # the caller's array, written after the append
-            else:
-                block = buf.consume(int(rng.integers(0, buf.available + 1)))
-                held.append((block, block.copy()))
-            assert all(np.array_equal(block, copy) for block, copy in held)
-
-    def test_a_relay_leaves_the_pads_it_read_unchanged(self):
-        _, net = line_network()
-        pads = []
-        for i in range(3):
-            bits = np.random.default_rng(i).integers(0, 2, 16, dtype=np.uint8)
-            preload_key(net, f"n{i}", f"n{i + 1}", bits)
-            pads.append(bits)
-        got, xors = net.relay_key_setup(["n0", "n1", "n2", "n3"], 16)
-        assert not any(pad.flags.writeable for pad in got)
-        cipher = np.ones(16, dtype=np.uint8) ^ got[0]
-        sent = cipher.copy()
-        assert np.array_equal(_unwind(cipher, got[-1], xors), np.ones(16))
-        assert np.array_equal(cipher, sent)
-        assert [a.tolist() for a in got] == [k.tolist() for k in pads]
-        assert [x.tolist() for x in xors] == [xor_bits(k1, k2).tolist()
-                                              for k1, k2 in zip(pads, pads[1:])]
+    assert consumes.calls == hops  # one block per hop
+    assert concatenates.calls == 0
 
 
 class TestPublicHelpersCheckTheirArguments:
@@ -187,3 +139,40 @@ class TestPublicHelpersCheckTheirArguments:
             op([0, 3], [1, 1])
         with pytest.raises(ValueError, match="length mismatch: 2 vs 1"):
             op([0, 1], [1])
+
+
+def _ledger_scenario(name):
+    if name == "p2p_relay.soqn+precharge":
+        return (ROOT / "scenarios" / "p2p_relay.soqn").read_text() + "param precharge_bits 256\n"
+    return workloads.generate(name, 1)
+
+
+def _fields(text, sep):
+    return dict(field.split("=", 1) for field in text.split(sep) if "=" in field)
+
+
+@pytest.mark.parametrize("name", ["cs_mobility", "p2p_mesh_sends", "qkd_bulk_chain",
+                                  "p2p_relay.soqn+precharge"])
+def test_buffers_log_and_link_rows_keep_one_ledger(name, tmp_path):
+    engine, net = build_simulation(parse_scenario(_ledger_scenario(name)))
+    install_handler(engine, net, [])
+    engine.run_until()
+    write_outputs(build_report(net, engine, []), engine, str(tmp_path))
+    logged = defaultdict(lambda: [0, 0])  # pair -> [generated, consumed]
+    for line in (tmp_path / "events.log").read_text().splitlines():
+        _, _, kind, origin, details = line.split("\t", 4)
+        if kind in ("keygen", "consume"):
+            fields = _fields(details, " ")
+            logged[(origin, fields["peer"])][kind == "consume"] += int(fields["bits"])
+    rows = {}
+    for line in (tmp_path / "records.tsv").read_text().splitlines():
+        kind, _, rest = line.partition("\t")
+        if kind == "link":
+            fields = _fields(rest, "\t")
+            rows[tuple(fields["pair"].split("~"))] = [int(fields["generated"]),
+                                                      int(fields["consumed"])]
+    assert any(gen and used for gen, used in logged.values())
+    for pair in sorted(rows.keys() | logged.keys() | net.buffers.keys()):
+        buf = net.buffers.get(pair)
+        counts = [0, 0] if buf is None else [buf.total_generated, buf.consumed_offset]
+        assert counts == logged.get(pair, [0, 0]) == rows.get(pair), pair

@@ -2,14 +2,14 @@
 
 The golden scenarios write only the record kinds and outcomes their runs
 reach. The lines below pin, byte for byte, the rest: an ``error`` record,
-failed sends with ``ok=false`` and a ``detail`` holding spaces, aborted
-QKD sessions, both ``eve`` modes, ``link_active`` after an acquisition
-delay, floats that print in exponent form or negative, and a relay block
-whose length is not a multiple of 4.
+failed sends with a ``detail`` holding spaces, aborted QKD sessions, both
+``eve`` modes, ``link_active`` after an acquisition delay, floats that
+print in exponent form or negative, and relay blocks of several lengths,
+one of them empty.
 """
 import re
 
-import numpy as np
+import pytest
 
 from soqn.engine import SimEngine
 from soqn.geo import GeoPosition
@@ -61,18 +61,18 @@ EXPECTED = """\
 0.000000\t13\tbroadcast\td\ttopic=link_report payload=links=0 receivers=3
 0.000000\t14\torganize\t-\tnodes=4 links=0
 0.500000\t15\terror\ta\tmsg=no active link a~c
-1.000000\t16\tsend\ta\tdst=d path=- outcome=no_route bits=0 ok=false hop=- detail=no route from a to d
+1.000000\t16\tsend\ta\tdst=d path=- outcome=no_route bits=0 hop=- detail=no route from a to d
 1.500000\t17\tlink_active\t-\tpair=a~b
 1.500000\t18\tlink_active\t-\tpair=b~c
 2.000000\t19\tqkd\ta\tpeer=b proto=bb84 index=0 pulses=100 sifted=17 qber=0 leak=0 final=0 outcome=abort reason=insufficient_detections
 3.000000\t20\teve\t-\tpair=a~b mode=intercept_resend
 4.000000\t21\tqkd\ta\tpeer=b proto=bb84 index=1 pulses=8192 sifted=1243 qber=0.237942 leak=0 final=0 outcome=abort reason=qber_exceeds_threshold
 5.000000\t22\tqkd\ta\tpeer=b proto=bb84 index=2 pulses=4096 sifted=680 qber=0.244118 leak=0 final=0 outcome=abort reason=qber_exceeds_threshold
-5.000000\t23\tsend\ta\tdst=c path=a>b>c outcome=qkd_abort bits=0 ok=false hop=a~b detail=qber_exceeds_threshold
+5.000000\t23\tsend\ta\tdst=c path=a>b>c outcome=qkd_abort bits=0 hop=a~b detail=qber_exceeds_threshold
 6.000000\t24\teve\t-\tpair=a~b mode=none
 7.000000\t25\tqkd\tb\tpeer=c proto=bb84 index=0 pulses=4096 sifted=644 qber=0 leak=0 final=222 outcome=ok reason=none
 7.000000\t26\tkeygen\tb\tpeer=c offset=0 bits=222
-7.000000\t27\tsend\tc\tdst=a path=c>b>a outcome=key_starved bits=0 ok=false hop=b~c detail=222 bits available, 512 needed
+7.000000\t27\tsend\tc\tdst=a path=c>b>a outcome=key_starved bits=0 hop=b~c detail=222 bits available, 512 needed
 8.000000\t28\tbroadcast\td\ttopic=location payload=-45.25,-120.5,1e+06 receivers=3
 8.000000\t29\tbroadcast\td\ttopic=link_report payload=links=0 receivers=3
 8.000000\t30\tmove\td\tlat=-45.25 lon=-120.5 alt=1e+06
@@ -105,30 +105,73 @@ def test_the_pinned_lines_hold_every_variant_the_module_names():
     assert any(re.search(r"[=,]-[0-9]", details) for *_, details in fields)
 
 
-def test_relay_blocks_are_written_in_hex_or_as_bits():
+def test_relay_blocks_are_written_as_their_length():
     engine = SimEngine(0)
     net = Network("p2p", engine)
     for i, lon in enumerate((0.0, 0.9, 1.8)):
         net.add_node(f"n{i}", "peer", GeoPosition(0.0, lon, 500.0))
         net.handle_deploy(f"n{i}")
     net.organize_network()
-    keys = {("n0", "n1"): "1011001011100101011011", ("n1", "n2"): "0110100101011100100101"}
-    for pair, bits in keys.items():
-        net._store_key(pair_key(*pair), np.array([int(b) for b in bits], dtype=np.uint8))
+    for pair in (("n0", "n1"), ("n1", "n2")):
+        net._store_key(pair_key(*pair), 22)
     start = len(engine.log_lines())
-    for block_len in (8, 12, 2):
+    for block_len in (8, 0, 2):
         net.relay_key_setup(["n0", "n1", "n2"], block_len)
-    assert engine.log_lines()[start:] == [
+    lines = engine.log_lines()
+    assert lines[start:] == [
         "0.000000\t14\tconsume\tn0\tpeer=n1 offset=0 bits=8 purpose=relay_hop",
         "0.000000\t15\tconsume\tn1\tpeer=n2 offset=0 bits=8 purpose=relay_hop",
-        "0.000000\t16\tbroadcast\tn1\ttopic=relay_xor payload=db receivers=2",
+        "0.000000\t16\tbroadcast\tn1\ttopic=relay_xor payload=bits=8 receivers=2",
         "0.000000\t17\trelay\tn0\tpath=n0>n1>n2 block_len=8",
-        "0.000000\t18\tconsume\tn0\tpeer=n1 offset=8 bits=12 purpose=relay_hop",
-        "0.000000\t19\tconsume\tn1\tpeer=n2 offset=8 bits=12 purpose=relay_hop",
-        "0.000000\t20\tbroadcast\tn1\ttopic=relay_xor payload=b9f receivers=2",
-        "0.000000\t21\trelay\tn0\tpath=n0>n1>n2 block_len=12",
-        "0.000000\t22\tconsume\tn0\tpeer=n1 offset=20 bits=2 purpose=relay_hop",
-        "0.000000\t23\tconsume\tn1\tpeer=n2 offset=20 bits=2 purpose=relay_hop",
-        "0.000000\t24\tbroadcast\tn1\ttopic=relay_xor payload=10 receivers=2",
+        "0.000000\t18\tconsume\tn0\tpeer=n1 offset=8 bits=0 purpose=relay_hop",
+        "0.000000\t19\tconsume\tn1\tpeer=n2 offset=8 bits=0 purpose=relay_hop",
+        "0.000000\t20\tbroadcast\tn1\ttopic=relay_xor payload=bits=0 receivers=2",
+        "0.000000\t21\trelay\tn0\tpath=n0>n1>n2 block_len=0",
+        "0.000000\t22\tconsume\tn0\tpeer=n1 offset=8 bits=2 purpose=relay_hop",
+        "0.000000\t23\tconsume\tn1\tpeer=n2 offset=8 bits=2 purpose=relay_hop",
+        "0.000000\t24\tbroadcast\tn1\ttopic=relay_xor payload=bits=2 receivers=2",
         "0.000000\t25\trelay\tn0\tpath=n0>n1>n2 block_len=2",
     ]
+    check_log(lines)
+
+
+def _relay_run_lines():
+    """The log of a three-node line whose middle node relays two blocks."""
+    engine, net = build_simulation(parse_scenario(
+        "mode p2p\nseed 2\n" + "".join(f"node n{i} peer 0.0 {0.9 * i} 500.0\n" for i in range(3))))
+    install_handler(engine, net, [])
+    engine.run_until()
+    for pair in (("n0", "n1"), ("n1", "n2")):
+        net._store_key(pair_key(*pair), 16)
+    net.relay_key_setup(["n0", "n1", "n2"], 8)
+    net.relay_key_setup(["n2", "n1", "n0"], 4)
+    return engine.log_lines()
+
+
+def _renumbered(lines):
+    return [f"{t}\t{i}\t{rest}" for i, (t, _, rest) in
+            enumerate(line.split("\t", 2) for line in lines)]
+
+
+def _swap_hops(lines):
+    out = list(lines)
+    hops = [i for i, line in enumerate(out) if "purpose=relay_hop" in line][-2:]
+    out[hops[0]], out[hops[1]] = out[hops[1]], out[hops[0]]
+    return _renumbered(out)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda lines: [line.replace("offset=8 bits=4", "offset=7 bits=4") for line in lines],
+     "starts at offset=7, but n1~n2 has consumed 8 bits"),
+    (lambda lines: _renumbered([line for line in lines if "peer=n2 offset=8 bits=4" not in line]),
+     "follows relay_hop consumes"),
+    (_swap_hops, "follows relay_hop consumes"),
+    (lambda lines: [line.replace("payload=bits=4 ", "payload=bits=3 ") for line in lines],
+     "follows relay_xor broadcasts"),
+    (lambda lines: lines[:-1], "have no relay record"),
+], ids=["off_cursor", "missing_hop", "hops_out_of_order", "payload_length", "no_relay"])
+def test_check_log_refuses_a_relay_without_its_lines(mutate, message):
+    lines = _relay_run_lines()
+    check_log(lines)
+    with pytest.raises(ValueError, match=message):
+        check_log(mutate(lines))

@@ -13,7 +13,7 @@ from soqn.geo import (EARTH_RADIUS_KM, GeoPosition, LinkFeasibilityParams, cell_
                       feasible_distance, link_feasible, within_chord_bound)
 from soqn.network import (DuplicateNodeError, KeyBuffer, KeyStarvationError, LinkInactiveError,
                           Network, NoRouteError, OpticalLink, RoleModeError, UnknownNodeError,
-                          _unwind, as_bits, pair_key, shortest_path)
+                          pair_key, shortest_path)
 from soqn.qkd import ChannelParams, ProtocolParams, path_loss_db
 from soqn.rng import RandomStream
 from soqn.report import build_report, fmt, render_records
@@ -21,6 +21,7 @@ from soqn.runner import build_simulation, install_handler
 from soqn.scenario import ScenarioError, parse_scenario
 
 from event_log import records
+from relay_chain import relay_chain_oracle, relay_xors, unwind
 from test_geo import surely_out_of_range
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -1091,8 +1092,8 @@ class TestFindPath:
 class TestKeyBuffer:
     def test_consume_once_discipline(self):
         buf = KeyBuffer(("a", "b"))
-        buf.append(np.array([1, 0, 1, 1], dtype=np.uint8))
-        assert np.array_equal(buf.consume(3), [1, 0, 1])
+        buf.append(4)
+        assert buf.consume(3) == 0
         assert buf.available == 1
         with pytest.raises(KeyStarvationError):
             buf.consume(2)
@@ -1105,100 +1106,117 @@ class TestKeyBuffer:
 
     def test_starvation_carries_the_bit_counts(self):
         buf = KeyBuffer(("a", "b"))
-        buf.append(np.ones(3, dtype=np.uint8))
+        buf.append(3)
         with pytest.raises(KeyStarvationError) as err:
             buf.consume(5)
         assert (err.value.needed, err.value.available) == (5, 3)
 
     def test_consume_spans_chunks(self):
+        # a block may span the bits of several appends, an empty one included
         buf = KeyBuffer(("a", "b"))
-        assert buf.append(np.array([1, 0, 1], dtype=np.uint8)) == 0
-        assert buf.append(np.array([], dtype=np.uint8)) == 3
-        assert buf.append(np.array([0, 0], dtype=np.uint8)) == 3
-        assert buf.append(np.array([1, 1, 0, 1], dtype=np.uint8)) == 5
-        assert np.array_equal(buf.consume(2), [1, 0])
-        # the rest of the first chunk, the second, one bit of the third
-        assert np.array_equal(buf.consume(5), [1, 0, 0, 1, 1])
-        assert buf.consume(0).size == 0
+        assert [buf.append(n) for n in (3, 0, 2, 4)] == [0, 3, 3, 5]
+        assert buf.consume(2) == 0
+        assert buf.consume(5) == 2  # the rest of the first append, the third, one bit of the fourth
+        assert buf.consume(0) == 7
         assert (buf.total_generated, buf.consumed_offset, buf.available) == (9, 7, 2)
-        assert len(buf._chunks) == 1  # consumed chunks are released
         with pytest.raises(KeyStarvationError):
             buf.consume(3)
-        assert np.array_equal(buf.consume(2), [0, 1])
-        assert len(buf._chunks) == 0
+        assert buf.consume(2) == 7
+        assert buf.available == 0
+
+    @pytest.mark.parametrize("op", ["append", "consume"])
+    def test_negative_counts_refused(self, op):
+        buf = KeyBuffer(("a", "b"))
+        buf.append(4)
+        with pytest.raises(ValueError, match=f"cannot {op} a negative number of bits"):
+            getattr(buf, op)(-1)
+        assert (buf.total_generated, buf.consumed_offset) == (4, 0)
 
     def test_random_appends_and_consumes_match_one_pool(self):
         rng = np.random.default_rng(4)
         buf = KeyBuffer(("a", "b"))
-        pool = np.empty(0, dtype=np.uint8)
+        pool = 0  # the bits appended so far
         for _ in range(300):
             if rng.random() < 0.5:
-                bits = rng.integers(0, 2, int(rng.integers(0, 40)), dtype=np.uint8)
-                assert buf.append(bits) == len(pool)
-                pool = np.concatenate([pool, bits])
-                bits[:] = 1 - bits  # the buffer keeps its own copy
+                n = int(rng.integers(0, 40))
+                assert buf.append(n) == pool
+                pool += n
             else:
                 n = int(rng.integers(0, 60))
                 off = buf.consumed_offset
-                if n > len(pool) - off:
+                if n > pool - off:
                     with pytest.raises(KeyStarvationError):
                         buf.consume(n)
+                    assert buf.consumed_offset == off
                     continue
-                assert np.array_equal(buf.consume(n), pool[off : off + n])
+                assert buf.consume(n) == off
                 assert buf.consumed_offset == off + n
-            assert buf.total_generated == len(pool)
-            assert buf.available == len(pool) - buf.consumed_offset
+            assert buf.total_generated == pool
+            assert buf.available == pool - buf.consumed_offset
 
 
 class TestOtpOps:
-    """The receiver's side of a send, ``_unwind``, against plain XOR."""
+    """The trusted relay's algebra (``relay_chain``), against plain XOR."""
 
     def test_encrypt_known_vector(self):
         m, k = np.array([0, 0, 0, 0], dtype=np.uint8), np.array([1, 0, 1, 0], dtype=np.uint8)
         assert np.array_equal(m ^ k, [1, 0, 1, 0])
-        assert np.array_equal(_unwind(m ^ k, k, ()), m)
+        assert np.array_equal(unwind(m ^ k, k, ()), m)
 
     def test_xor_involution(self):
         rng = RandomStream(1, "otp")
         for _ in range(20):
             m, k = rng.bits(64), rng.bits(64)
-            assert np.array_equal(_unwind(m ^ k, k, ()), m)
+            assert np.array_equal(unwind(m ^ k, k, ()), m)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            _unwind(np.ones(3, dtype=np.uint8), np.ones(4, dtype=np.uint8), ())
+            unwind(np.ones(3, dtype=np.uint8), np.ones(4, dtype=np.uint8), ())
         with pytest.raises(ValueError):
-            _unwind(np.ones(4, dtype=np.uint8), np.ones(4, dtype=np.uint8),
-                    [np.ones(3, dtype=np.uint8)])
+            unwind(np.ones(4, dtype=np.uint8), np.ones(4, dtype=np.uint8),
+                   [np.ones(3, dtype=np.uint8)])
 
     def test_single_relay_identity(self):
         # C xor K2 xor (K1 xor K2) recovers M exactly
         rng = RandomStream(2, "otp")
         m, k1, k2 = rng.bits(32), rng.bits(32), rng.bits(32)
-        assert np.array_equal(_unwind(m ^ k1, k2, [k1 ^ k2]), m)
+        assert np.array_equal(unwind(m ^ k1, k2, [k1 ^ k2]), m)
         assert np.array_equal(relay_chain_oracle(m, [k1, k2]), m)
+
+    @given(st.data())
+    def test_relay_chain_recovers_the_message(self, data):
+        hops = data.draw(st.integers(1, 6), label="hops")
+        n = data.draw(st.integers(0, 64), label="block_len")
+        block = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(
+            lambda bits: np.array(bits, dtype=np.uint8))
+        keys = data.draw(st.lists(block, min_size=hops, max_size=hops), label="hop blocks")
+        message = data.draw(block, label="message")
+        xors = relay_xors(keys)
+        assert len(xors) == hops - 1
+        assert np.array_equal(unwind(message ^ keys[0], keys[-1], xors), message)
+        assert np.array_equal(relay_chain_oracle(message, keys), message)
 
     def test_zero_length_message(self):
         empty = np.empty(0, dtype=np.uint8)
-        assert len(_unwind(empty, empty, [empty])) == 0
+        assert len(unwind(empty, empty, [empty])) == 0
         _, net = make_network("p2p", [(f"n{i}", "peer", 0.0, deg(100) * i, 500.0)
                                       for i in range(3)])
-        pads, xors = net.relay_key_setup(["n0", "n1", "n2"], 0)
-        assert [len(a) for a in pads + xors] == [0, 0, 0]
+        net.relay_key_setup(["n0", "n1", "n2"], 0)
+        assert net.consume_events == [(("n0", "n1"), 0, 0, "relay_hop"),
+                                      (("n1", "n2"), 0, 0, "relay_hop")]
 
 
-def preload_key(net, a, b, bits):
-    """Put known key bits into a pair's buffer, with the audit accounting
+def preload_key(net, a, b, n):
+    """Put ``n`` key bits into a pair's buffer, with the audit accounting
     and the ``keygen`` record of a QKD session's key."""
-    net._store_key(pair_key(a, b), as_bits(bits))
+    net._store_key(pair_key(a, b), n)
 
 
-def relay_chain_oracle(message, hop_keys):
-    """Brute-force check: xor everything public plus the receiver key."""
-    out = np.bitwise_xor(message, hop_keys[0])  # the ciphertext
-    for k_prev, k_next in zip(hop_keys, hop_keys[1:]):
-        out = np.bitwise_xor(out, np.bitwise_xor(k_prev, k_next))
-    return np.bitwise_xor(out, hop_keys[-1])
+def relay_broadcasts(engine, since=0):
+    """(origin, payload) of each ``relay_xor`` broadcast from line ``since`` on."""
+    return [(r.origin, r.details.split(" payload=", 1)[1].rsplit(" receivers=", 1)[0])
+            for r in records(engine)[since:]
+            if r.kind == "broadcast" and r.details.startswith("topic=relay_xor ")]
 
 
 class TestRelaySetup:
@@ -1207,43 +1225,41 @@ class TestRelaySetup:
         return make_network("p2p", nodes)
 
     def test_known_xor_broadcast(self):
-        _, net = self._line_network(3)
-        preload_key(net, "n0", "n1", [1, 0, 1, 0])
-        preload_key(net, "n1", "n2", [0, 1, 1, 0])
-        pads, xors = net.relay_key_setup(["n0", "n1", "n2"], 4)
-        assert len(xors) == 1
-        assert np.array_equal(xors[0], [1, 1, 0, 0])
-        assert np.array_equal(pads[0], [1, 0, 1, 0])
-        assert np.array_equal(pads[1], [0, 1, 1, 0])
+        engine, net = self._line_network(3)
+        preload_key(net, "n0", "n1", 4)
+        preload_key(net, "n1", "n2", 4)
+        assert net.relay_key_setup(["n0", "n1", "n2"], 4) is None
+        assert relay_broadcasts(engine) == [("n1", "bits=4")]
 
     @pytest.mark.parametrize("hops", [2, 3, 4, 5])
     def test_chains_match_oracle(self, hops):
-        rng = RandomStream(hops, "relay")
-        _, net = self._line_network(hops + 1)
+        # each hop already spent some key: a relay takes its block at the
+        # hop's cursor (TestOtpOps proves what the blocks' XORs give back)
+        engine, net = self._line_network(hops + 1)
         path = [f"n{i}" for i in range(hops + 1)]
-        keys = []
-        for a, b in zip(path, path[1:]):
-            k = rng.bits(40)
-            keys.append(k)
-            preload_key(net, a, b, k)
-        message = rng.bits(40)
-        pads, xors = net.relay_key_setup(path, 40)
-        assert [pad.tolist() for pad in pads] == [k.tolist() for k in keys]
-        assert [x.tolist() for x in xors] == [(k1 ^ k2).tolist() for k1, k2 in zip(keys, keys[1:])]
-        assert np.array_equal(_unwind(message ^ pads[0], pads[-1], xors), message)
-        assert np.array_equal(relay_chain_oracle(message, keys), message)
+        cursors = []
+        for i, (a, b) in enumerate(zip(path, path[1:])):
+            preload_key(net, a, b, 40 + 8 * i)
+            net._consume(pair_key(a, b), 8 * i, "direct")
+            cursors.append(8 * i)
+        events, since = len(net.consume_events), len(engine.log_lines())
+        net.relay_key_setup(path, 40)
+        assert net.consume_events[events:] == [
+            (pair_key(a, b), cursor, 40, "relay_hop")
+            for (a, b), cursor in zip(zip(path, path[1:]), cursors)]
+        assert relay_broadcasts(engine, since) == [(n, "bits=40") for n in path[1:-1]]
 
     def test_consumption_marked_both_ends(self):
         _, net = self._line_network(3)
-        preload_key(net, "n0", "n1", np.ones(8, dtype=np.uint8))
-        preload_key(net, "n1", "n2", np.ones(8, dtype=np.uint8))
+        preload_key(net, "n0", "n1", 8)
+        preload_key(net, "n1", "n2", 8)
         net.relay_key_setup(["n0", "n1", "n2"], 8)
         assert net.buffers[("n0", "n1")].available == 0
         assert net.buffers[("n1", "n2")].available == 0
 
     def test_starving_hop_named(self):
         _, net = self._line_network(3)
-        preload_key(net, "n0", "n1", np.ones(8, dtype=np.uint8))
+        preload_key(net, "n0", "n1", 8)
         with pytest.raises(KeyStarvationError) as err:
             net.relay_key_setup(["n0", "n1", "n2"], 8)
         assert (err.value.hop, err.value.needed, err.value.available) == (("n1", "n2"), 8, 0)
@@ -1281,7 +1297,7 @@ class TestRelaySetup:
         # n0~n1 holds 8 bits: enough for each hop of n0>n1>n0 on its own,
         # not for the two hops together
         engine, net = self._line_network(2)
-        preload_key(net, "n0", "n1", np.ones(8, dtype=np.uint8))
+        preload_key(net, "n0", "n1", 8)
         lines, events = list(engine.log_lines()), list(net.consume_events)
         with pytest.raises(ValueError, match="repeats a node"):
             net.relay_key_setup(["n0", "n1", "n0"], 8)
@@ -1302,8 +1318,8 @@ class TestRelaySetup:
         net.handle_deploy("m0")
         net.handle_deploy("m2")
         net.organize_network()
-        preload_key(net, "m0", "m1", np.ones(8, dtype=np.uint8))
-        preload_key(net, "m1", "m2", np.ones(8, dtype=np.uint8))
+        preload_key(net, "m0", "m1", 8)
+        preload_key(net, "m1", "m2", 8)
         buffers, events = dict(net.buffers), list(net.consume_events)
         lines = list(engine.log_lines())
         with pytest.raises(UnknownNodeError, match=message):
@@ -1322,8 +1338,8 @@ class TestRelaySetup:
         if case == "zero_length":
             path, block_len, hop = ["a", "z", "c"], 0, "a~z"
         else:
-            preload_key(net, "a", "b", np.ones(8, dtype=np.uint8))
-            preload_key(net, "b", "c", np.ones(8, dtype=np.uint8))
+            preload_key(net, "a", "b", 8)
+            preload_key(net, "b", "c", 8)
             net.move_node("c", GeoPosition(0.0, 60.0, 200.0))  # b~c goes down, its key stays
             path, block_len, hop = ["a", "b", "c"], 8, "b~c"
         buffers = {pair: buf.available for pair, buf in net.buffers.items()}
@@ -1334,19 +1350,33 @@ class TestRelaySetup:
         assert net.consume_events == events
         assert list(engine.log_lines()) == lines
 
+    def test_client_relay_refused_before_any_consume(self):
+        # s1~c and c~s2 each hold key, but a cs client may not relay
+        engine, net = make_network("cs", [("s1", "server", 0.0, 0.0, 500.0),
+                                          ("c", "client", 0.0, 0.5, 500.0),
+                                          ("s2", "server", 0.0, 1.0, 500.0)])
+        preload_key(net, "c", "s1", 16)
+        preload_key(net, "c", "s2", 16)
+        buffers = {pair: (buf.total_generated, buf.consumed_offset)
+                   for pair, buf in net.buffers.items()}
+        events, lines = list(net.consume_events), list(engine.log_lines())
+        with pytest.raises(RoleModeError, match="^client 'c' may not relay$"):
+            net.relay_key_setup(["s1", "c", "s2"], 8)
+        assert {pair: (buf.total_generated, buf.consumed_offset)
+                for pair, buf in net.buffers.items()} == buffers
+        assert net.consume_events == events
+        assert list(engine.log_lines()) == lines
+
     def test_transcript_alone_does_not_reveal_message(self):
-        # ciphertext + all public XOR blocks still miss the first hop key
+        # ciphertext + all public XOR blocks still miss the last hop key
         rng = RandomStream(77, "relay")
-        _, net = self._line_network(4)
-        path = ["n0", "n1", "n2", "n3"]
-        for a, b in zip(path, path[1:]):
-            preload_key(net, a, b, rng.bits(64))
+        keys = [rng.bits(64) for _ in range(3)]
         message = rng.bits(64)
-        pads, xors = net.relay_key_setup(path, 64)
-        public = message ^ pads[0]
-        for xor in xors:
+        public = message ^ keys[0]
+        for xor in relay_xors(keys):
             public = np.bitwise_xor(public, xor)
         assert not np.array_equal(public, message)
+        assert np.array_equal(public ^ keys[-1], message)
 
 
 class TestGenerateDirectKey:
@@ -1435,7 +1465,7 @@ class TestSendMessage:
             ("b", "peer", 0.0, deg(5), 0.0),
         ])
         rec = net.send_message("a", "b", np.ones(32, dtype=np.uint8))
-        assert rec.delivered and rec.plaintext_ok
+        assert rec.delivered
         assert rec.path == ("a", "b") and rec.bits_consumed == 32
 
     def test_relayed_delivery(self):
@@ -1446,11 +1476,10 @@ class TestSendMessage:
         ])
         message = RandomStream(3, "msg").bits(16)
         rec = net.send_message("a", "b", message)
-        assert rec.delivered and rec.plaintext_ok
+        assert rec.delivered
         assert rec.path == ("a", "r", "b")
         assert rec.bits_consumed == 32  # 16 bits on each of 2 hops
-        assert sum(1 for r in records(engine)
-                   if r.kind == "broadcast" and "topic=relay_xor" in r.details) == 1
+        assert relay_broadcasts(engine) == [("r", "bits=16")]
 
     def test_no_route_consumes_nothing(self):
         _, net = make_network("p2p", [

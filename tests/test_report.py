@@ -61,7 +61,6 @@ def oracle_records(report):
             f"t={fmt(m.at)}", f"src={m.src}", f"dst={m.dst}",
             f"path={'>'.join(m.path) if m.path else '-'}",
             f"outcome={m.outcome}", f"bits={m.bits_consumed}",
-            f"ok={fmt(m.plaintext_ok)}",
         ]))
     for snap in report.snapshots:
         pairs = ",".join(_pair_str(p) for p in snap.links)
