@@ -19,6 +19,7 @@ spends one block of the message's length per hop.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -146,6 +147,14 @@ class OpticalLink:
     state: str = "active"  # acquiring | active | torn_down
 
 
+def _bit_count(n) -> int:
+    """``n`` as a Python int, through ``operator.index``; TypeError for a
+    bool or a count that is not an integer."""
+    if isinstance(n, bool):
+        raise TypeError(f"a bit count must be an integer, not {n!r}")
+    return operator.index(n)
+
+
 class KeyBuffer:
     """A pair's one-time-pad key as two counts: the bits generated and the
     consume cursor. Bits below the cursor are never handed out again."""
@@ -161,6 +170,7 @@ class KeyBuffer:
 
     def append(self, n: int) -> int:
         """Add ``n`` fresh key bits; returns the offset they start at."""
+        n = _bit_count(n)
         if n < 0:
             raise ValueError("cannot append a negative number of bits")
         start = self.total_generated
@@ -169,6 +179,7 @@ class KeyBuffer:
 
     def consume(self, n: int) -> int:
         """Hand out the next ``n`` bits; returns the offset they start at."""
+        n = _bit_count(n)
         if n < 0:
             raise ValueError("cannot consume a negative number of bits")
         if self.available < n:
@@ -424,7 +435,7 @@ class Network:
 
     def generate_direct_key(self, a: NodeId, b: NodeId, n_pulses: int) -> SessionRecord:
         """Run the mode-appropriate QKD session over an active link and, on
-        success, append the final key to the pairwise buffer."""
+        success, add its ``final_len`` key bits to the pairwise buffer."""
         roles = {self._node(a).role, self._node(b).role}
         pair = pair_key(a, b)
         link = self._adj.get(a, _NO_LINKS).get(b)
@@ -439,11 +450,11 @@ class Network:
         self.engine.emit("qkd", pair[0],
                          f"peer={pair[1]} proto={proto} index={index} pulses={n_pulses} "
                          f"sifted={rec.sifted_len} qber={rec.qber:.6g} "
-                         f"leak={rec.reconciliation_leak_bits} final={len(rec.final_key)} "
+                         f"leak={rec.reconciliation_leak_bits} final={rec.final_len} "
                          f"outcome={'abort' if rec.aborted else 'ok'} "
                          f"reason={rec.abort_reason.value}")
         if not rec.aborted:
-            self._store_key(pair, len(rec.final_key))
+            self._store_key(pair, rec.final_len)
         return rec
 
     def find_path(self, src: NodeId, dst: NodeId) -> list[NodeId]:
@@ -461,13 +472,15 @@ class Network:
         """Consume one block of ``block_len`` bits per hop; each interior
         node broadcasts the XOR of its two hop blocks, logged by its length.
 
-        Consumption is all-or-nothing: a negative ``block_len``, a path that
-        repeats a node or one through a node not deployed is refused first,
-        then an interior node that may not relay, then each hop short of
-        bits, then each with no active link, before any consume.
+        Consumption is all-or-nothing: a ``block_len`` that is not an
+        integer (TypeError) or is negative, a path that repeats a node or one
+        through a node not deployed is refused first, then an interior node
+        that may not relay, then each hop short of bits, then each with no
+        active link, before any consume.
         """
         if len(path) < 3:
             raise ValueError("relay paths need at least one interior node")
+        block_len = _bit_count(block_len)
         if block_len < 0:
             raise ValueError(f"block_len must be >= 0, got {block_len}")
         if len(set(path)) != len(path):

@@ -22,7 +22,9 @@ i.i.d., so with p_click and q from ``click_model``:
   e ~ Hypergeometric(E, k - E, s) are errors, and qber = e / s;
 - the leakage (``reconciliation_leak``) and the final length m
   (``secret_key_length``) follow from k - s and qber;
-- the final key is m fresh fair bits.
+- the final key is m fresh fair bits, drawn from the session's stream
+  when ``SessionRecord.final_key`` is first read; a session itself draws
+  only the counts.
 
 That is the law of the bit-level pipeline (``sift``, ``estimate_qber``,
 ``reconcile``, ``privacy_amplify``), which the tests keep as the oracle.
@@ -37,15 +39,16 @@ uniform. The hashed key therefore lies within total-variation distance
 2^-(n-m) of m fresh bits, and n - m >= n * h2(qber) + leak +
 safety_margin_bits. The bound is vacuous when n - m is small: at qber 0
 with ``safety_margin_bits 0``, m = n and a square Toeplitz matrix is
-singular half of the time. A session's cost does not grow with
-``n_pulses``, only with the m final bits.
+singular half of the time. A session's cost grows neither with
+``n_pulses`` nor with m: it makes at most three draws.
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -93,26 +96,48 @@ class ProtocolParams:
 
 @dataclass(frozen=True)
 class SessionRecord:
-    """Outcome of one key-generation run."""
+    """Outcome of one key-generation run.
+
+    A successful record keeps the stream its session drew its counts from
+    and draws ``final_key`` from it on first read. Nothing else draws from
+    that stream, so the key bits are the next ``final_len`` bits after the
+    counts."""
 
     n_pulses: int
     sifted_len: int
     qber: float
     reconciliation_leak_bits: int
-    final_key: np.ndarray  # uint8 bits, empty when aborted
+    final_len: int  # 0 when aborted
     abort_reason: SessionAbort
+    _stream: RandomStream | None = field(default=None, repr=False, compare=False)
 
     @property
     def aborted(self) -> bool:
         return self.abort_reason is not SessionAbort.NONE
 
+    @cached_property
+    def final_key(self) -> np.ndarray:
+        """The ``final_len`` key bits as read-only uint8, drawn on first read
+        and the same array on every later one; empty when aborted.
+
+        (``cached_property`` stores the array in the instance ``__dict__``,
+        which a frozen dataclass leaves writable.)"""
+        if self.aborted:
+            key = np.empty(0, dtype=np.uint8)
+        elif self._stream is None:
+            raise ValueError("this record was built without its session's stream, "
+                             "so it has no key bits to draw")
+        else:
+            key = self._stream.bits(self.final_len)
+        key.setflags(write=False)
+        return key
+
     def __post_init__(self):
-        self.final_key.setflags(write=False)
-        if self.aborted != (len(self.final_key) == 0):
+        if self.aborted != (self.final_len == 0):
             raise ValueError("aborted sessions carry an empty final key, successful ones do not")
         if not (0.0 <= self.qber <= 0.5):
             raise ValueError("recorded qber must be in [0, 0.5]")
-        if self.sifted_len > self.n_pulses or len(self.final_key) > self.sifted_len:
+        if self.sifted_len > self.n_pulses or self.final_len > self.sifted_len:
             raise ValueError("key lengths must shrink along the pipeline")
 
 
@@ -291,7 +316,7 @@ def _aborted(n_pulses: int, sifted_len: int, qber: float, reason: SessionAbort) 
         sifted_len=sifted_len,
         qber=min(qber, 0.5),
         reconciliation_leak_bits=0,
-        final_key=np.empty(0, dtype=np.uint8),
+        final_len=0,
         abort_reason=reason,
     )
 
@@ -360,11 +385,13 @@ def click_model(loss_db: float, intercept_resend: bool,
 
 def _session(n_pulses: int, loss_db: float, intercept_resend: bool, channel: ChannelParams,
              rng: RandomStream, protocol: ProtocolParams) -> SessionRecord:
-    """Draw one session's counts, then its final key; see the module docstring.
+    """Draw one session's counts; see the module docstring.
 
-    At most four draws, in a fixed order (sifted length, errors, sample
-    errors, final key), so a session replays bit for bit from its stream,
-    and an aborted one stops drawing where it aborts.
+    At most three draws, in a fixed order (sifted length, errors, sample
+    errors), so a session replays bit for bit from its stream, and an
+    aborted one stops drawing where it aborts. A successful record keeps
+    the stream and draws its m key bits from it, next, on the first read
+    of ``final_key``.
     """
     p_click, q = click_model(loss_db, intercept_resend, channel)
     sifted_len = rng.binomial(n_pulses, p_click / 2)
@@ -387,8 +414,9 @@ def _session(n_pulses: int, loss_db: float, intercept_resend: bool, channel: Cha
         sifted_len=sifted_len,
         qber=qber,
         reconciliation_leak_bits=leak,
-        final_key=rng.bits(m),
+        final_len=m,
         abort_reason=SessionAbort.NONE,
+        _stream=rng,
     )
 
 

@@ -106,7 +106,7 @@ def postprocess(n_pulses, sifted_a, sifted_b, rng, protocol):
         sifted_len=sifted_len,
         qber=qber,
         reconciliation_leak_bits=leak,
-        final_key=final,
+        final_len=len(final),
         abort_reason=SessionAbort.NONE,
     )
 

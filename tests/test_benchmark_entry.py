@@ -20,9 +20,17 @@ import sys
 
 import pytest
 
+from soqn.runner import build_simulation, install_handler
+from soqn.scenario import parse_scenario
+
+from event_log import records
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+sys.path[:0] = [str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
 
 
 def run_bench(workload: str, trace: int) -> dict:
@@ -41,6 +49,21 @@ def test_run_reports_the_declared_metrics(workload, trace):
     assert result["correct"] is True and result["failed"] == 0
     declared = BENCHMARK["per_layer" if trace else "end_to_end"]
     assert set(result["metrics"]) == {m["name"] for m in declared}
+    if trace:
+        # sessions draw only counts; the tracer reads each record's
+        # final_key, which draws it through the traced RandomStream.bits,
+        # so rng.draws counts every final key bit the run logged
+        assert result["metrics"]["rng.draws"]["value"] == logged_final_bits(workload)
+
+
+def logged_final_bits(workload: str) -> int:
+    """The sum of the ``final=`` fields of the ``qkd`` lines that the
+    workload's scenario at seed 1 writes."""
+    engine, net = build_simulation(parse_scenario(workloads.generate(workload, 1)))
+    install_handler(engine, net, [])
+    engine.run_until()
+    return sum(int(r.details.split(" final=", 1)[1].split(" ", 1)[0])
+               for r in records(engine) if r.kind == "qkd")
 
 
 TRACER_ONLY = "# unused here; perfbench/tracing.py wraps them"

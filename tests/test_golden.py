@@ -19,6 +19,7 @@ import tempfile
 
 import pytest
 
+from soqn.rng import RandomStream
 from soqn.runner import EXIT_OK, run_scenario
 from soqn.scenario import parse_scenario
 
@@ -149,6 +150,19 @@ GOLDEN_WORKLOADS = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
 def test_golden_replay_of_workload(name, tmp_path):
     assert workload_digests(name, tmp_path) == GOLDEN_WORKLOADS[name]
+
+
+def test_untraced_runs_draw_no_key_bits(monkeypatch, tmp_path):
+    # the key plane holds counts, so no run reads a session's key bits:
+    # every pinned artifact comes out with the bit draw refused
+    def refused(*args, **kwargs):
+        raise AssertionError("a run drew key bits")
+
+    monkeypatch.setattr(RandomStream, "bits", refused)
+    for name in sorted(GOLDEN):
+        assert scenario_digests(name, tmp_path / name) == GOLDEN[name]
+    for name in sorted(GOLDEN_WORKLOADS):
+        assert workload_digests(name, tmp_path / name) == GOLDEN_WORKLOADS[name]
 
 
 # A bundled scenario with params that no bundled file sets, keyed by its

@@ -1132,6 +1132,23 @@ class TestKeyBuffer:
             getattr(buf, op)(-1)
         assert (buf.total_generated, buf.consumed_offset) == (4, 0)
 
+    @pytest.mark.parametrize("op", ["append", "consume"])
+    @pytest.mark.parametrize("n", [2.5, 1.5, 2.0, True, False, np.float64(2.0), np.bool_(True),
+                                   "2", None], ids=repr)
+    def test_non_integer_counts_refused(self, op, n):
+        buf = KeyBuffer(("a", "b"))
+        buf.append(4)
+        with pytest.raises(TypeError):
+            getattr(buf, op)(n)
+        assert (buf.total_generated, buf.consumed_offset) == (4, 0)
+
+    def test_numpy_integer_counts_are_kept_as_python_ints(self):
+        buf = KeyBuffer(("a", "b"))
+        assert buf.append(np.int64(3)) == 0 and buf.append(np.uint8(2)) == 3
+        assert buf.consume(np.int32(4)) == 0
+        counts = (buf.total_generated, buf.consumed_offset, buf.available)
+        assert counts == (5, 4, 1) and all(type(c) is int for c in counts)
+
     def test_random_appends_and_consumes_match_one_pool(self):
         rng = np.random.default_rng(4)
         buf = KeyBuffer(("a", "b"))
@@ -1292,6 +1309,31 @@ class TestRelaySetup:
             net.relay_key_setup(["n0", "n1", "n2"], -1)
         assert net.buffers == {} and net.consume_events == []
         assert list(engine.log_lines()) == lines
+
+    @pytest.mark.parametrize("block_len", [2.5, 4.0, True, np.float64(4.0), "4"], ids=repr)
+    def test_non_integer_block_length_refused_before_any_hop(self, block_len):
+        # both hops hold enough key for a block of 4, so only the type refuses
+        engine, net = self._line_network(3)
+        preload_key(net, "n0", "n1", 8)
+        preload_key(net, "n1", "n2", 8)
+        buffers = {pair: (buf.total_generated, buf.consumed_offset)
+                   for pair, buf in net.buffers.items()}
+        events, lines = list(net.consume_events), list(engine.log_lines())
+        with pytest.raises(TypeError):
+            net.relay_key_setup(["n0", "n1", "n2"], block_len)
+        assert {pair: (buf.total_generated, buf.consumed_offset)
+                for pair, buf in net.buffers.items()} == buffers
+        assert net.consume_events == events
+        assert list(engine.log_lines()) == lines
+
+    def test_numpy_integer_block_length_is_logged_as_an_int(self):
+        engine, net = self._line_network(3)
+        preload_key(net, "n0", "n1", 8)
+        preload_key(net, "n1", "n2", 8)
+        net.relay_key_setup(["n0", "n1", "n2"], np.int64(4))
+        assert [e[2] for e in net.consume_events[-2:]] == [4, 4]
+        assert all(type(e[2]) is int for e in net.consume_events[-2:])
+        assert engine.log_lines()[-1].endswith("relay\tn0\tpath=n0>n1>n2 block_len=4")
 
     def test_path_repeating_a_node_refused_before_any_check(self):
         # n0~n1 holds 8 bits: enough for each hop of n0>n1>n0 on its own,

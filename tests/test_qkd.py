@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 from itertools import product
@@ -314,7 +315,8 @@ class TestPlugPlaySession:
 
 class TestSessionCost:
     """A session draws its counts, not its key bits: its stream advances by
-    one draw per count and by the m final bits, whatever ``n_pulses`` is."""
+    one draw per count, whatever ``n_pulses`` and m are, and by the m final
+    bits only when ``final_key`` is first read."""
 
     @pytest.mark.parametrize("errors", ["none", "some"])
     def test_successful_session_draws_three_counts_and_the_key(self, ideal_link, ideal_channel,
@@ -325,7 +327,10 @@ class TestSessionCost:
             stream = CountingStream(40, "cost")
             rec = run_bb84_session(ideal_link, n, False, stream, channel)
             assert not rec.aborted and (rec.qber == 0.0) == (errors == "none")
-            assert stream.position == 3 + len(rec.final_key)
+            assert stream.position == 3
+            key = rec.final_key
+            assert len(key) == rec.final_len > 0 and stream.position == 3 + rec.final_len
+            assert rec.final_key is key and stream.position == 3 + rec.final_len
 
     def test_aborted_sessions_count_only_the_draws_made(self, ideal_link, protocol):
         cases = [
@@ -354,7 +359,7 @@ class TestSessionCost:
         for seed in range(runs):
             stream = CountingStream(seed, "2**40")
             rec = run_bb84_session(link, n, False, stream, channel)
-            assert not rec.aborted and stream.position == 3 + len(rec.final_key)
+            assert not rec.aborted and rec.final_len > 0 and stream.position == 3
             lengths.append(rec.sifted_len)
         mean_sd = math.sqrt(n * p * (1 - p) / runs)
         assert abs(sum(lengths) / runs - n * p) < 4 * mean_sd
@@ -384,7 +389,7 @@ class TestSessionCost:
 
         for name in ("sift", "estimate_qber", "reconcile", "privacy_amplify", "toeplitz_hash"):
             monkeypatch.setattr(qkd, name, forbidden)
-        for name in ("uniforms", "uniform", "bit", "permutation"):
+        for name in ("uniforms", "uniform", "bit", "bits", "permutation"):
             monkeypatch.setattr(RandomStream, name, forbidden)
         for run in (run_bb84_session, run_plugplay_session):
             for eve in (False, True):
@@ -395,11 +400,51 @@ class TestSessionCost:
 class TestRecordsAndConfigs:
     def test_session_record_invariants(self):
         with pytest.raises(ValueError):
-            SessionRecord(10, 5, 0.0, 0, np.empty(0, dtype=np.uint8),
-                          abort_reason=SessionAbort.NONE)
+            SessionRecord(10, 5, 0.0, 0, 0, abort_reason=SessionAbort.NONE)
         with pytest.raises(ValueError):
-            SessionRecord(10, 5, 0.0, 0, np.ones(3, dtype=np.uint8),
-                          abort_reason=SessionAbort.QBER_EXCEEDS_THRESHOLD)
+            SessionRecord(10, 5, 0.0, 0, 3, abort_reason=SessionAbort.QBER_EXCEEDS_THRESHOLD)
+        with pytest.raises(ValueError):
+            SessionRecord(10, 5, 0.6, 0, 3, abort_reason=SessionAbort.NONE)
+        with pytest.raises(ValueError):
+            SessionRecord(10, 5, 0.0, 0, 6, abort_reason=SessionAbort.NONE)
+        with pytest.raises(ValueError):
+            SessionRecord(4, 5, 0.0, 0, 3, abort_reason=SessionAbort.NONE)
+
+    def test_a_record_without_its_stream_has_no_key_to_draw(self):
+        aborted = SessionRecord(10, 5, 0.3, 0, 0, SessionAbort.QBER_EXCEEDS_THRESHOLD)
+        assert len(aborted.final_key) == 0 and not aborted.final_key.flags.writeable
+        with pytest.raises(ValueError, match="without its session's stream"):
+            SessionRecord(10, 5, 0.0, 0, 3, SessionAbort.NONE).final_key
+
+    # sha256 of final_key.tobytes() for sessions over a lossless link with
+    # the default channel, each on stream (7, "known/<proto>/<eve>/<pulses>"):
+    # (proto, intercept_resend, n_pulses, final_len, digest), as the eager
+    # session that drew its key straight after its counts wrote them
+    KNOWN_KEYS = [
+        ("bb84", False, 8192, 639,
+         "9188d8dfbd47e620ac366b32bb29fff555e3b38393c05753ef8afa8b2e4c9b69"),
+        ("bb84", False, 60000, 5970,
+         "5aabea69072ff4767266094a3e5545a1dbcb47b1b89c59fdacf4d54eb2d1a301"),
+        ("plugplay", False, 8192, 781,
+         "41e07ae116139d10ee92ba12c24eb85d5fd7b8bcb208960e3bedd23bbd96f04b"),
+        ("plugplay", False, 60000, 6002,
+         "7d74f586dad46ddd0e249e634d3aec0ff6b7d1a6366eced84eca3c80f09345d1"),
+        # intercept-resend: the qber aborts the session and the key is empty
+        ("bb84", True, 60000, 0,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        ("plugplay", True, 8192, 0,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ]
+
+    @pytest.mark.parametrize("proto,eve,n,final_len,digest", KNOWN_KEYS,
+                             ids=[f"{p}-{'eve' if e else 'clean'}-{n}" for p, e, n, *_ in KNOWN_KEYS])
+    def test_final_key_known_answers(self, ideal_link, proto, eve, n, final_len, digest):
+        run = run_bb84_session if proto == "bb84" else run_plugplay_session
+        rec = run(ideal_link, n, eve, RandomStream(7, f"known/{proto}/{eve}/{n}"),
+                  ChannelParams())
+        assert rec.final_len == final_len and rec.aborted == eve
+        assert hashlib.sha256(rec.final_key.tobytes()).hexdigest() == digest
+        assert not rec.final_key.flags.writeable
 
     def test_final_key_read_only(self, ideal_link, ideal_channel):
         rec = run_bb84_session(ideal_link, 5000, False, RandomStream(33, "s"),

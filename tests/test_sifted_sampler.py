@@ -208,7 +208,7 @@ def test_session_counts_match_the_oracle_law(path, mode):
             continue
         e = record_e(rec, protocol)
         reason, leak, m = expected_outcome(k, e, protocol)
-        assert (rec.abort_reason, rec.reconciliation_leak_bits, len(rec.final_key)) == (reason, leak, m)
+        assert (rec.abort_reason, rec.reconciliation_leak_bits, rec.final_len) == (reason, leak, m)
         # the law of (e, reason, leak, m) given k
         s = math.ceil(protocol.sample_fraction * k)
         pmf = binomial_pmf(s, q)
